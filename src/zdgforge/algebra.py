@@ -5,7 +5,7 @@ coordinates of the basis product e_i * e_j.  Multiplication of arbitrary
 elements is the bilinear extension of the table.  Every constructor verifies
 associativity on all basis triples unless explicitly trusted; the trusted
 path exists for the graded free algebras, which are associative by
-construction, and can be forced back on with FORCE_VERIFY for debugging.
+construction.
 """
 
 import json
@@ -31,10 +31,6 @@ __all__ = [
     "algebra_from_json",
 ]
 
-# Debug switch: when True, even trusted constructors re-verify associativity.
-FORCE_VERIFY = False
-
-
 class SCAlgebra:
     """An associative Z_p-algebra presented by structure constants."""
 
@@ -54,7 +50,7 @@ class SCAlgebra:
         if len(labels) != self.dim:
             raise ValueError("label count does not match dimension")
         self.labels = labels
-        if verify or FORCE_VERIFY:
+        if verify:
             self.verify_associativity()
 
     # -- construction helpers ------------------------------------------------

@@ -298,7 +298,6 @@ def rings_isomorphic(r: RingPresentation, s: RingPresentation) -> bool:
                 return True
             if ik not in orbit:
                 orbit.add(ik)
-                rank = len(ik) // d if d else 0
                 frontier.append(_rows_from_key(ik, d))
     return False
 

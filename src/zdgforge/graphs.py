@@ -12,6 +12,14 @@ R^2 (s = dim R^2) form a clique joined to everything, and the remaining
 vertices split into classes indexed by the projective classes of nonzero
 cosets mod R^2, each of size (p-1) * p^s, with adjacency decided by any two
 class representatives.
+
+compressed_graph finds that adjacency by a kernel walk rather than by
+testing all pairs: one batched elimination gives, for every class
+representative a, the kernel of b -> a*b, and the projective points of that
+kernel are the classes joined to a.  Its cost grows with c * p^k (c classes,
+k the kernel dimension) instead of c^2, and its memory with c*m^2 + p^m for a
+complement of dimension m.  The all-pairs zero-product matrix remains for
+explicit graphs, and tests use it as the reference for the walk.
 """
 
 import json
@@ -31,6 +39,8 @@ from .isomorph import (
 __all__ = [
     "DEFAULT_ELEMENT_CAP",
     "DEFAULT_ISO_CAP",
+    "DEFAULT_CLASS_CAP",
+    "KERNEL_POINT_CAP",
     "ZdGraph",
     "BlowupGraph",
     "IsoResult",
@@ -44,6 +54,10 @@ __all__ = [
 
 DEFAULT_ELEMENT_CAP = 2**16
 DEFAULT_ISO_CAP = 4096
+DEFAULT_CLASS_CAP = 2**15
+KERNEL_POINT_CAP = 2**21
+# Largest temporary block, in array entries, of the compressed-graph walk.
+_BLOCK = 2**20
 
 
 class ZdGraph:
@@ -271,22 +285,75 @@ def _element_label(e):
 
 
 def _projective_reps(p: int, m: int) -> np.ndarray:
-    """Nonzero vectors with first nonzero coordinate 1: one per scalar class."""
+    """Nonzero vectors with first nonzero coordinate 1: one per scalar class,
+    in lexicographic order."""
     vs = _all_vectors(p, m)[1:]
     if p == 2:
         return vs
-    keep = []
-    for v in vs:
-        first = v[np.nonzero(v)[0][0]]
-        if first == 1:
-            keep.append(v)
-    return np.array(keep, dtype=np.int64)
+    first = vs[np.arange(vs.shape[0]), (vs != 0).argmax(axis=1)]
+    return vs[first == 1]
 
 
-def compressed_graph(source, class_cap: int = DEFAULT_ISO_CAP) -> BlowupGraph:
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse of nonzero residues, x^(p-2) mod p."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _left_kernels(left: np.ndarray, p: int):
+    """Left kernels of a batch of m x t matrices over Z_p.
+
+    Gaussian elimination on [left[i] | I] runs on the whole batch at once,
+    one column at a time; the rows that never become pivots end with a zero
+    left part, and their identity part spans the kernel.  Returns
+    (basis, dims): the first dims[i] rows of basis[i] span
+    {b : b @ left[i] == 0 mod p}.
+    """
+    n, m, t = left.shape
+    aug = np.concatenate([left, np.broadcast_to(np.eye(m, dtype=np.int64), (n, m, m))], axis=2)
+    free = np.ones((n, m), dtype=bool)
+    for j in range(t):
+        cand = (aug[:, :, j] != 0) & free
+        hit = np.nonzero(cand.any(axis=1))[0]
+        if hit.size == 0:
+            continue
+        piv = cand[hit].argmax(axis=1)
+        rows = aug[hit, piv]
+        rows = rows * _inverse_mod(rows[:, j], p)[:, None] % p
+        free[hit, piv] = False
+        # Entries stay below p < 2**15, so products stay below 2**30.
+        factor = aug[hit, :, j] * free[hit]
+        aug[hit] = (aug[hit] - factor[:, :, None] * rows[:, None, :]) % p
+    order = np.argsort(~free, axis=1, kind="stable")
+    basis = np.take_along_axis(aug[:, :, t:], order[:, :, None], axis=1)
+    return basis, free.sum(axis=1)
+
+
+def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     """Exact blow-up form of the zero-divisor graph of a two-step graded
     algebra (accepts a graded presentation or a structure-constant algebra
-    with R*R^2 = R^2*R = 0)."""
+    with R*R^2 = R^2*R = 0).
+
+    Kernel walk: for each of the c = (p^m - 1)/(p - 1) projective classes of
+    the degree-1 complement (dimension m), the map b -> a*b of its
+    representative a is an m x t matrix, where t counts the output
+    coordinates that products of complement vectors reach.  The left kernels
+    of all c matrices come from one batched elimination; every projective
+    point b of the kernel of a gives the adjacent class pair {a, b}.  Walking
+    b -> a*b for every a finds each pair with a*b = 0 or b*a = 0, so the
+    right products need no walk of their own.  A class is a clique when
+    a*a = 0.  Time grows with c * (m*t*(t+m) + m*p^k) for kernel dimension
+    k, memory with c*m^2 + p^m plus blocks of at most _BLOCK entries; no
+    c x c array is built.  Raises CapExceeded before any array is built when
+    c exceeds class_cap, and before the walk when its kernel points exceed
+    KERNEL_POINT_CAP.
+    """
     algebra = getattr(source, "algebra", source)
     if not isinstance(algebra, SCAlgebra):
         raise TypeError("compressed_graph needs an algebra or graded presentation")
@@ -295,32 +362,65 @@ def compressed_graph(source, class_cap: int = DEFAULT_ISO_CAP) -> BlowupGraph:
     s = square.dim
     # Two-step check: everything in R^2 annihilates the algebra on both sides.
     for v in square.basis:
-        if (np.einsum("j,ijk->ik", v, algebra.table) % p).any():
+        if algebra.right_mul_matrix(v).any():
             raise ValueError("algebra is not two-step graded (R * R^2 != 0)")
-        if ((v @ algebra.table.reshape(algebra.dim, -1)) % p).any():
+        if algebra.left_mul_matrix(v).any():
             raise ValueError("algebra is not two-step graded (R^2 * R != 0)")
-    pivots = set()
-    for row in square.basis:
-        pivots.add(int(np.nonzero(row)[0][0]))
+    pivots = {int(np.nonzero(row)[0][0]) for row in square.basis}
     comp = [i for i in range(algebra.dim) if i not in pivots]
     m = len(comp)
     universal = p**s - 1
     if m == 0:
         return BlowupGraph(universal, [], [])
-    reps = _projective_reps(p, m)
-    c = reps.shape[0]
+    c = (p**m - 1) // (p - 1)
     if c > class_cap:
         raise CapExceeded(f"{c} projective classes exceed cap {class_cap}")
-    lifted = np.zeros((c, algebra.dim), dtype=np.int64)
-    lifted[:, comp] = reps
-    # Pair products of lifted representatives; zero-ness is lift-independent
-    # because the degree-2 parts of the factors never contribute.
-    zero = _zero_product_matrix(lifted, algebra.table, p)
-    either = zero | zero.T
+    reps = _projective_reps(p, m)
+    # Products of the degree-1 parts only: the degree-2 parts of the factors
+    # never contribute, so adjacency does not depend on the lift.
+    prod = algebra.table[np.ix_(comp, comp)]
+    prod = prod[:, :, prod.any(axis=(0, 1))]
+    t = prod.shape[2]
+    clique = np.empty(c, dtype=bool)
+    basis = np.empty((c, m, m), dtype=np.int64)
+    dims = np.empty(c, dtype=np.int64)
+    step = max(1, _BLOCK // (m * (t + m)))
+    for lo in range(0, c, step):
+        a = reps[lo : lo + step]
+        left = np.einsum("ai,ijk->ajk", a, prod) % p
+        clique[lo : lo + step] = ~(np.einsum("aj,ajk->ak", a, left) % p).any(axis=1)
+        basis[lo : lo + step], dims[lo : lo + step] = _left_kernels(left, p)
+    points = int(((p**dims - 1) // (p - 1)).sum())
+    if points > KERNEL_POINT_CAP:
+        raise CapExceeded(f"{points} kernel points exceed cap {KERNEL_POINT_CAP}")
     mult = (p - 1) * p**s
-    classes = [(mult, bool(zero[i, i])) for i in range(c)]
-    cross = [(i, j) for i in range(c) for j in range(i + 1, c) if either[i, j]]
-    return BlowupGraph(universal, classes, cross)
+    classes = [(mult, f) for f in clique.tolist()]
+    return BlowupGraph(universal, classes, _kernel_pairs(reps, basis, dims, p))
+
+
+def _kernel_pairs(reps: np.ndarray, basis: np.ndarray, dims: np.ndarray, p: int):
+    """Class pairs (i, j), i < j, with j a projective point of the kernel
+    stored for i (or the reverse), walked in blocks of representatives."""
+    c, m = reps.shape
+    code = p ** np.arange(m - 1, -1, -1)  # position in _all_vectors order
+    class_of = np.zeros(p**m, dtype=np.int64)
+    for scalar in range(1, p):
+        class_of[(scalar * reps % p) @ code] = np.arange(c)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for k in range(1, m + 1):
+        members = np.nonzero(dims == k)[0]
+        if members.size == 0:
+            continue
+        coeffs = _projective_reps(p, k)
+        step = max(1, _BLOCK // (len(coeffs) * m))
+        for lo in range(0, members.size, step):
+            a = members[lo : lo + step]
+            b = class_of[(np.matmul(coeffs, basis[a, :k]) % p) @ code]
+            a = np.broadcast_to(a[:, None], b.shape)
+            off = a != b
+            keys.append(np.minimum(a, b)[off] * c + np.maximum(a, b)[off])
+    keys = np.unique(np.concatenate(keys))
+    return zip((keys // c).tolist(), (keys % c).tolist())
 
 
 def expand(blowup: BlowupGraph, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:

@@ -282,13 +282,6 @@ def i_union(members):
     return ("I", tuple(sorted(counts.items())))
 
 
-def label_size(lab) -> int:
-    """Number of expanded vertices a label stands for."""
-    if lab[0] in ("K", "I"):
-        return sum(label_size(child) * c for child, c in lab[1])
-    return 1
-
-
 def collapse_twins(adj, labels):
     """Iteratively merge twin classes of a labeled graph.
 
@@ -302,9 +295,12 @@ def collapse_twins(adj, labels):
     labels = list(labels)
     while True:
         n = len(adj)
+        # Bytes keys: hash(2**v) repeats with period 61, so int keys of
+        # sparse neighbourhoods pile into few buckets.
+        width = (n + 7) // 8
         closed = defaultdict(list)
         for v in range(n):
-            closed[adj[v] | (1 << v)].append(v)
+            closed[(adj[v] | (1 << v)).to_bytes(width, "little")].append(v)
         merges = []
         taken = set()
         for mem in closed.values():
@@ -314,7 +310,7 @@ def collapse_twins(adj, labels):
         opened = defaultdict(list)
         for v in range(n):
             if v not in taken:
-                opened[adj[v]].append(v)
+                opened[adj[v].to_bytes(width, "little")].append(v)
         for mem in opened.values():
             if len(mem) >= 2:
                 merges.append(("I", mem))

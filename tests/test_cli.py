@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from zdgforge.cli import main
 
 
@@ -57,6 +59,16 @@ def test_compare_pair(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["profiles"]["isomorphic"] is True
+
+
+@pytest.mark.parametrize("pair", ["A1B1", "A2B2"])
+def test_compare_pair_at_p7(capsys, pair):
+    code, out = run_cli(capsys, "compare", "--pair", pair, "--p", "7")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["profiles"]["isomorphic"] is True
+    assert len(report["profiles"]["first"]["classes"]) == (7**6 - 1) // 6
 
 
 def test_compare_cross_family_expectation(capsys):

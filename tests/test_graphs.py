@@ -1,10 +1,15 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
+
+from zdgforge import graphs
 
 from zdgforge.algebra import direct_sum, field_algebra, zero_mul_algebra
 from zdgforge.constructions import construct
 from zdgforge.errors import CapExceeded
+from zdgforge.fpcore import PrimeField
 from zdgforge.graphs import (
     BlowupGraph,
     ZdGraph,
@@ -15,6 +20,7 @@ from zdgforge.graphs import (
     fingerprint,
     graphs_isomorphic,
 )
+from zdgforge.algebra import SCAlgebra
 from zdgforge.rings import zn_ring
 
 
@@ -72,6 +78,92 @@ def test_compressed_zero_multiplication_is_one_clique():
     # every pair multiplies to zero: expansion is complete
     g = expand(b)
     assert g.num_edges == 7 * 6 // 2
+
+
+def _loop_projective_reps(p, m):
+    return [
+        v for v in itertools.product(range(p), repeat=m)
+        if any(v) and next(x for x in v if x) == 1
+    ]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 2)])
+def test_projective_reps_match_loop(p, m):
+    assert graphs._projective_reps(p, m).tolist() == [list(v) for v in _loop_projective_reps(p, m)]
+
+
+def _all_pairs_reference(algebra):
+    """The all-pairs formula: zero products of every pair of lifted class
+    representatives, on every output coordinate."""
+    p = algebra.field.p
+    square = algebra.square_ideal()
+    pivots = {int(np.nonzero(row)[0][0]) for row in square.basis}
+    comp = [i for i in range(algebra.dim) if i not in pivots]
+    reps = _loop_projective_reps(p, len(comp))
+    lifted = np.zeros((len(reps), algebra.dim), dtype=np.int64)
+    lifted[:, comp] = reps
+    zero = graphs._zero_product_matrix(lifted, algebra.table, p)
+    either = zero | zero.T
+    c = len(reps)
+    return {
+        "universal": p**square.dim - 1,
+        "classes": [{"mult": (p - 1) * p**square.dim, "clique": bool(zero[i, i])} for i in range(c)],
+        "cross": [[i, j] for i in range(c) for j in range(i + 1, c) if either[i, j]],
+    }
+
+
+def _random_two_step(rng, p):
+    # Only degree-1 x degree-1 -> degree-2 products, so every triple product
+    # vanishes and the table is associative.
+    m = int(rng.integers(1, 5))
+    s = int(rng.integers(1, 4))
+    table = np.zeros((m + s, m + s, m + s), dtype=np.int64)
+    density = rng.random()
+    block = rng.integers(0, p, (m, m, s)) * (rng.random((m, m, s)) < density)
+    table[:m, :m, m:] = block
+    return SCAlgebra(PrimeField(p), table)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_compressed_matches_all_pairs_reference(p):
+    rng = np.random.default_rng(20260810 + p)
+    algebras = [_random_two_step(rng, p) for _ in range(30)]
+    algebras += [zero_mul_algebra(p, m) for m in (1, 2, 3)]
+    cross = 0
+    for algebra in algebras:
+        got = compressed_graph(algebra).to_json()
+        assert got == _all_pairs_reference(algebra), algebra.table.tolist()
+        cross += len(got["cross"])
+    assert cross > 0
+
+
+def test_compressed_builds_no_pair_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("all-pairs matrix built")
+
+    monkeypatch.setattr(graphs, "_zero_product_matrix", refuse)
+    assert len(compressed_graph(construct("A2", 3)).classes) == 364
+
+
+def test_compressed_class_cap_boundary(monkeypatch):
+    pres = construct("A1", 3)
+    assert len(compressed_graph(pres, class_cap=364).classes) == 364
+
+    def refuse(*args):
+        raise AssertionError("representatives allocated")
+
+    monkeypatch.setattr(graphs, "_projective_reps", refuse)
+    with pytest.raises(CapExceeded):
+        compressed_graph(pres, class_cap=363)
+
+
+def test_compressed_kernel_point_cap_boundary(monkeypatch):
+    # zero multiplication on F_2^3: every class kernel is all 7 classes
+    monkeypatch.setattr(graphs, "KERNEL_POINT_CAP", 49)
+    assert len(compressed_graph(zero_mul_algebra(2, 3)).cross) == 21
+    monkeypatch.setattr(graphs, "KERNEL_POINT_CAP", 48)
+    with pytest.raises(CapExceeded):
+        compressed_graph(zero_mul_algebra(2, 3))
 
 
 def test_compressed_rejects_non_graded():
