@@ -312,8 +312,7 @@ def _left_kernels(left: np.ndarray, p: int):
     Gaussian elimination on [left[i] | I] runs on the whole batch at once,
     one column at a time; the rows that never become pivots end with a zero
     left part, and their identity part spans the kernel.  Returns
-    (basis, dims): the first dims[i] rows of basis[i] span
-    {b : b @ left[i] == 0 mod p}.
+    (ident, free): the rows ident[i][free[i]] span {b : b @ left[i] == 0 mod p}.
     """
     n, m, t = left.shape
     aug = np.concatenate([left, np.broadcast_to(np.eye(m, dtype=np.int64), (n, m, m))], axis=2)
@@ -330,9 +329,7 @@ def _left_kernels(left: np.ndarray, p: int):
         # Entries stay below p < 2**15, so products stay below 2**30.
         factor = aug[hit, :, j] * free[hit]
         aug[hit] = (aug[hit] - factor[:, :, None] * rows[:, None, :]) % p
-    order = np.argsort(~free, axis=1, kind="stable")
-    basis = np.take_along_axis(aug[:, :, t:], order[:, :, None], axis=1)
-    return basis, free.sum(axis=1)
+    return aug[:, :, t:], free
 
 
 def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
@@ -382,31 +379,32 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     prod = prod[:, :, prod.any(axis=(0, 1))]
     t = prod.shape[2]
     clique = np.empty(c, dtype=bool)
-    basis = np.empty((c, m, m), dtype=np.int64)
-    dims = np.empty(c, dtype=np.int64)
+    ident = np.empty((c, m, m), dtype=np.int64)
+    free = np.empty((c, m), dtype=bool)
     step = max(1, _BLOCK // (m * (t + m)))
     for lo in range(0, c, step):
         a = reps[lo : lo + step]
         left = np.einsum("ai,ijk->ajk", a, prod) % p
         clique[lo : lo + step] = ~(np.einsum("aj,ajk->ak", a, left) % p).any(axis=1)
-        basis[lo : lo + step], dims[lo : lo + step] = _left_kernels(left, p)
-    points = int(((p**dims - 1) // (p - 1)).sum())
+        ident[lo : lo + step], free[lo : lo + step] = _left_kernels(left, p)
+    points = int(((p ** free.sum(axis=1) - 1) // (p - 1)).sum())
     if points > KERNEL_POINT_CAP:
         raise CapExceeded(f"{points} kernel points exceed cap {KERNEL_POINT_CAP}")
     mult = (p - 1) * p**s
     classes = [(mult, f) for f in clique.tolist()]
-    return BlowupGraph(universal, classes, _kernel_pairs(reps, basis, dims, p))
+    return BlowupGraph(universal, classes, _kernel_pairs(reps, ident, free, p))
 
 
-def _kernel_pairs(reps: np.ndarray, basis: np.ndarray, dims: np.ndarray, p: int):
-    """Class pairs (i, j), i < j, with j a projective point of the kernel
-    stored for i (or the reverse), walked in blocks of representatives."""
+def _kernel_pairs(reps: np.ndarray, ident: np.ndarray, free: np.ndarray, p: int):
+    """Yield class pairs (i, j), i != j, with j a projective point of the
+    kernel of i, walked in blocks of representatives.  A pair found from both
+    ends is yielded twice; BlowupGraph keeps one copy."""
     c, m = reps.shape
     code = p ** np.arange(m - 1, -1, -1)  # position in _all_vectors order
     class_of = np.zeros(p**m, dtype=np.int64)
     for scalar in range(1, p):
         class_of[(scalar * reps % p) @ code] = np.arange(c)
-    keys = [np.zeros(0, dtype=np.int64)]
+    dims = free.sum(axis=1)
     for k in range(1, m + 1):
         members = np.nonzero(dims == k)[0]
         if members.size == 0:
@@ -415,12 +413,12 @@ def _kernel_pairs(reps: np.ndarray, basis: np.ndarray, dims: np.ndarray, p: int)
         step = max(1, _BLOCK // (len(coeffs) * m))
         for lo in range(0, members.size, step):
             a = members[lo : lo + step]
-            b = class_of[(np.matmul(coeffs, basis[a, :k]) % p) @ code]
+            i, r = np.nonzero(free[a])
+            basis = ident[a[i], r].reshape(len(a), k, m)
+            b = class_of[(np.matmul(coeffs, basis) % p) @ code]
             a = np.broadcast_to(a[:, None], b.shape)
             off = a != b
-            keys.append(np.minimum(a, b)[off] * c + np.maximum(a, b)[off])
-    keys = np.unique(np.concatenate(keys))
-    return zip((keys // c).tolist(), (keys % c).tolist())
+            yield from zip(a[off].tolist(), b[off].tolist())
 
 
 def expand(blowup: BlowupGraph, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from zdgforge import graphs
-
-from zdgforge.algebra import direct_sum, field_algebra, zero_mul_algebra
+from zdgforge.algebra import SCAlgebra, direct_sum, field_algebra, zero_mul_algebra
 from zdgforge.constructions import construct
 from zdgforge.errors import CapExceeded
 from zdgforge.fpcore import PrimeField
@@ -20,7 +19,6 @@ from zdgforge.graphs import (
     fingerprint,
     graphs_isomorphic,
 )
-from zdgforge.algebra import SCAlgebra
 from zdgforge.rings import zn_ring
 
 
