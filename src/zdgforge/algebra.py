@@ -34,7 +34,7 @@ __all__ = [
 class SCAlgebra:
     """An associative Z_p-algebra presented by structure constants."""
 
-    __slots__ = ("field", "dim", "labels", "table")
+    __slots__ = ("field", "dim", "orders", "labels", "table")
 
     def __init__(self, field: PrimeField, table, labels=None, verify: bool = True):
         self.field = field
@@ -44,6 +44,7 @@ class SCAlgebra:
         t.setflags(write=False)
         self.table = t
         self.dim = t.shape[0]
+        self.orders = (field.p,) * self.dim
         if labels is None:
             labels = tuple(f"e{i}" for i in range(self.dim))
         labels = tuple(labels)
@@ -148,16 +149,13 @@ class SCAlgebra:
 
     def ideal_generated(self, gens) -> Subspace:
         """Smallest subspace containing gens closed under basis multiplication."""
-        p = self.field.p
         rows = [g.coords if isinstance(g, AlgebraElement) else self.field.canon(g) for g in gens]
         span = Subspace(self.field, self.dim, np.array(rows) if rows else np.zeros((0, self.dim)))
         while True:
             new_rows = []
             for v in span.basis:
-                by_right = (v @ self.table.reshape(self.dim, -1)).reshape(self.dim, self.dim) % p
-                by_left = np.einsum("j,ijk->ik", v, self.table) % p
-                new_rows.append(by_right)
-                new_rows.append(by_left)
+                new_rows.append(self.left_mul_matrix(v))
+                new_rows.append(self.right_mul_matrix(v))
             if not new_rows:
                 return span
             grown = Subspace(
@@ -180,9 +178,7 @@ class SCAlgebra:
             raise ValueError("ideal does not live in this algebra")
         p = self.field.p
         for v in ideal.basis:
-            left = np.einsum("j,ijk->ik", v, self.table) % p
-            right = (v @ self.table.reshape(self.dim, -1)).reshape(self.dim, self.dim) % p
-            for row in np.vstack([left, right]):
+            for row in np.vstack([self.right_mul_matrix(v), self.left_mul_matrix(v)]):
                 if not ideal.contains(row):
                     raise NotAnIdeal("subspace is not closed under basis multiplication")
         rev, rank, rev_pivots = _rref_array(ideal.basis[:, ::-1], p)

@@ -183,6 +183,19 @@ class CatalogEntry:
         }
 
 
+def _orbit(start, images):
+    """Closure of start under images(x), which yields the generator images
+    of x: the orbit of start as a set."""
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        for img in images(frontier.pop()):
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
+
+
 def _orbit_partition(m: int, subspace_dim: int):
     """Partition all subspace_dim-subspaces of wedge^2(F_2^m) into
     GL(m, 2)-orbits by closure under the induced generator action."""
@@ -191,24 +204,19 @@ def _orbit_partition(m: int, subspace_dim: int):
     pool = {}
     for rows in enumerate_subspaces(d, subspace_dim):
         pool[_subspace_key(rows)] = rows
+
+    def images(key):
+        return (_subspace_key((pool[key] @ w.T) % 2) for w in wedges)
+
     orbits = []
     seen = set()
     for key in sorted(pool):
         if key in seen:
             continue
-        orbit = {key}
-        frontier = [pool[key]]
-        while frontier:
-            rows = frontier.pop()
-            for w in wedges:
-                img = (rows @ w.T) % 2
-                ik = _subspace_key(img)
-                if ik not in orbit:
-                    orbit.add(ik)
-                    frontier.append(pool[ik])
+        orbit = _orbit(key, images)
         seen |= orbit
         orbits.append(sorted(orbit))
-    return orbits, pool
+    return orbits
 
 
 def _rows_from_key(key: bytes, d: int) -> np.ndarray:
@@ -245,7 +253,7 @@ def enumerate_variety_rings(max_order: int = 64, jobs: int = 1):
     def run_cell(cell):
         m, k = cell
         d = len(wedge_pairs(m))
-        orbits, _ = _orbit_partition(m, d - k)
+        orbits = _orbit_partition(m, d - k)
         out = []
         for orbit in orbits:
             canon = orbit[0]
@@ -285,21 +293,12 @@ def rings_isomorphic(r: RingPresentation, s: RingPresentation) -> bool:
         return True
     d = len(wedge_pairs(r.m))
     wedges = [wedge_matrix(g, r.m) for g in _gl2_generators(r.m)]
-    target = _subspace_key(s.kernel.basis)
-    start = _subspace_key(r.kernel.basis)
-    orbit = {start}
-    frontier = [r.kernel.basis]
-    while frontier:
-        rows = frontier.pop()
-        for w in wedges:
-            img = (rows @ w.T) % 2
-            ik = _subspace_key(img)
-            if ik == target:
-                return True
-            if ik not in orbit:
-                orbit.add(ik)
-                frontier.append(_rows_from_key(ik, d))
-    return False
+
+    def images(key):
+        rows = _rows_from_key(key, d)
+        return (_subspace_key((rows @ w.T) % 2) for w in wedges)
+
+    return _subspace_key(s.kernel.basis) in _orbit(_subspace_key(r.kernel.basis), images)
 
 
 def determinacy_report(entries) -> list:
@@ -308,8 +307,8 @@ def determinacy_report(entries) -> list:
 
     Entries are validated to lie in the variety before any comparison.
     Every same-order pair is compared with the explicit-graph isomorphism
-    test; fingerprints and the blow-up comparison are recorded as
-    corroboration.  Expected outcome for this variety: no violations.
+    test, and each violation records whether the two rings are isomorphic.
+    Expected outcome for this variety: no violations.
     """
     for e in entries:
         validate_in_variety(e.presentation.algebra)
@@ -321,7 +320,6 @@ def determinacy_report(entries) -> list:
         group = by_order[order]
         violations = []
         graphs = [explicit_graph(e.presentation.algebra) for e in group]
-        blowups = [compressed_graph(e.presentation.algebra) for e in group]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 same_graph = bool(graphs_isomorphic(graphs[i], graphs[j]))
@@ -459,21 +457,16 @@ def brute_force_census(max_order: int = 16) -> dict:
     for d in range(1, max_order.bit_length()):
         valid = _oracle_valid_tables(d)
         gens = _gl2_generators(d)
+
+        def images(enc):
+            return (_oracle_transport(enc, g, d) for g in gens)
+
         seen = set()
         classes = 0
         for enc in valid:
             if enc in seen:
                 continue
             classes += 1
-            orbit = {enc}
-            frontier = [enc]
-            while frontier:
-                cur = frontier.pop()
-                for g in gens:
-                    img = _oracle_transport(cur, g, d)
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            seen |= orbit
+            seen |= _orbit(enc, images)
         counts[2**d] = classes
     return counts

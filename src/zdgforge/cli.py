@@ -301,11 +301,7 @@ def cmd_identity(args) -> int:
     report = _finish(
         "identity", {"ring": args.ring, "expr": args.expr, "mode": args.mode}, checks, started
     )
-    text = json.dumps(report, indent=2)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(report, args.report)
     # Informational command: failure of the identity is a result, not an error,
     # unless an expectation was given.
     if args.expect == "holds":

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import EvenCharacteristicUnsupported
-from .fpcore import FpMatrix, PrimeField, Subspace, _rref_array
+from .fpcore import FpMatrix, PrimeField, Subspace, _grid, _projective_reps, _rref_array
 
 __all__ = [
     "ALTERNATING",
@@ -297,8 +297,7 @@ def product_criterion(variant: str, p: int, alpha, beta, n: int = 6) -> bool:
 
 def nonzero_vectors(p: int, n: int) -> np.ndarray:
     """All p**n - 1 nonzero coordinate vectors, lexicographic, as an array."""
-    grids = np.indices((p,) * n).reshape(n, -1).T
-    return grids[1:].astype(np.int64)
+    return _grid((p,) * n)[1:]
 
 
 def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
@@ -368,10 +367,7 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     pres = construct(variant, p, n)
     algebra = pres.algebra
     square = algebra.square_ideal()
-    vs = nonzero_vectors(p, n)
-    if projective:
-        keep = [v for v in vs if v[np.nonzero(v)[0][0]] == 1]
-        vs = np.array(keep, dtype=np.int64)
+    vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
     checked = 0
     for alpha in vs:
         el = pres.element_from_linear(alpha)

@@ -6,6 +6,8 @@ stored as reduced row-echelon bases, which makes subspace equality a plain
 array comparison.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -95,6 +97,22 @@ def _rref_array(a: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     return m, r, tuple(pivots)
+
+
+def _grid(orders) -> np.ndarray:
+    """All vectors with coordinate k in range(orders[k]), in lexicographic
+    order, as rows of an int64 array."""
+    return np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T.copy()
+
+
+def _projective_reps(p: int, m: int) -> np.ndarray:
+    """Nonzero vectors with first nonzero coordinate 1: one per scalar class,
+    in lexicographic order."""
+    vs = _grid((p,) * m)[1:]
+    if p == 2:
+        return vs
+    first = vs[np.arange(vs.shape[0]), (vs != 0).argmax(axis=1)]
+    return vs[first == 1]
 
 
 class FpVector:

@@ -6,6 +6,12 @@ that kills some nonzero w on either side (z*w = 0 or w*z = 0, w = z allowed),
 and an edge between distinct x, y iff x*y = 0 or y*x = 0.  Both one- and
 two-sided zero divisors are vertices; there is no option to change that.
 
+explicit_graph reads every ring, TableRing or SCAlgebra, through the same
+dense view: additive orders per generator and an int64 product table.  The
+elements form the grid of those orders in lexicographic order, and one
+zero-product matrix, reduced mod the order of each output coordinate,
+decides every pair.
+
 For an algebra with R*R^2 = R^2*R = 0 and R^2 != 0 every element is a zero
 divisor and the graph is a clique blow-up: the p^s - 1 nonzero elements of
 R^2 (s = dim R^2) form a clique joined to everything, and the remaining
@@ -23,11 +29,13 @@ explicit graphs, and tests use it as the reference for the walk.
 """
 
 import json
+import math
 
 import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import CapExceeded
+from .fpcore import _grid, _projective_reps
 from .isomorph import (
     BASE_LABEL,
     canonical_bytes,
@@ -35,6 +43,7 @@ from .isomorph import (
     find_isomorphism,
     fnv64,
 )
+from .rings import _dense_view
 
 __all__ = [
     "DEFAULT_ELEMENT_CAP",
@@ -197,101 +206,55 @@ def _rows_to_bitmasks(mat: np.ndarray):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
     """Boolean matrix Z with Z[a, b] iff vec_a * vec_b == 0 under the table.
 
-    One float32 matmul per output coordinate: sums stay below d * (p-1)**2,
-    so the float path is exact whenever that bound is under 2**24; larger
-    moduli fall back to chunked integer contraction.
+    p is one modulus, or one per output coordinate of the table (the
+    additive orders of a TableRing).  One float32 matmul per output
+    coordinate: sums stay below d * (max(p)-1)**2, so the float path is
+    exact whenever that bound is under 2**24; larger moduli fall back to
+    chunked integer contraction.
     """
     n, d = vecs.shape
-    left = np.einsum("ai,ijk->ajk", vecs, table, optimize=True) % p
-    if d * (p - 1) ** 2 < 2**24:
+    mods = np.broadcast_to(np.asarray(p, dtype=np.int64), table.shape[2:])
+    left = np.einsum("ai,ijk->ajk", vecs, table, optimize=True) % mods
+    if d * (int(mods.max()) - 1) ** 2 < 2**24:
         vt = vecs.T.astype(np.float32)
         nonzero = np.zeros((n, n), dtype=bool)
-        for k in range(table.shape[2]):
+        # Python-int moduli keep np.mod in float32.
+        for k, mod in enumerate(mods.tolist()):
             pk = left[:, :, k].astype(np.float32) @ vt
-            nonzero |= np.mod(pk, p) != 0
+            nonzero |= np.mod(pk, mod) != 0
         return ~nonzero
     zero = np.zeros((n, n), dtype=bool)
     block = max(1, int(8_000_000 // max(1, n * d)))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        prods = np.einsum("ajk,bj->abk", left[start:stop], vecs, optimize=True) % p
+        prods = np.einsum("ajk,bj->abk", left[start:stop], vecs, optimize=True) % mods
         zero[start:stop] = ~prods.any(axis=2)
     return zero
 
 
-def _all_vectors(p: int, dim: int) -> np.ndarray:
-    if dim == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.indices((p,) * dim).reshape(dim, -1).T.astype(np.int64)
-
-
 def explicit_graph(ring, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
-    """Zero-divisor graph by direct inspection of all products."""
-    size = ring.size
+    """Zero-divisor graph by direct inspection of all products.
+
+    Vertices are labelled by their coordinate tuples, in the lexicographic
+    order of ring.elements().
+    """
+    orders, table = _dense_view(ring)
+    size = math.prod(orders)
     if size > cap:
         raise CapExceeded(f"ring has {size} elements, cap is {cap}")
-    if isinstance(ring, SCAlgebra):
-        return _explicit_graph_algebra(ring)
-    return _explicit_graph_generic(ring)
-
-
-def _explicit_graph_algebra(algebra: SCAlgebra) -> ZdGraph:
-    p = algebra.field.p
-    d = algebra.dim
-    vecs = _all_vectors(p, d)[1:]
-    n = vecs.shape[0]
-    if n == 0:
-        return ZdGraph(0, [])
-    zero = _zero_product_matrix(vecs, algebra.table, p)
+    vecs = _grid(orders)[1:]
+    if vecs.shape[0] == 0:
+        return ZdGraph(0, [], ())
+    zero = _zero_product_matrix(vecs, table, orders)
     either = zero | zero.T
     vertex_mask = either.any(axis=1)
     sub = either[np.ix_(vertex_mask, vertex_mask)].copy()
     np.fill_diagonal(sub, False)
     labels = tuple(tuple(int(x) for x in v) for v in vecs[vertex_mask])
     return ZdGraph(int(vertex_mask.sum()), _rows_to_bitmasks(sub), labels)
-
-
-def _explicit_graph_generic(ring) -> ZdGraph:
-    elems = [e for e in ring.elements()]
-    zero = ring.zero()
-    nonzero = [e for e in elems if e != zero]
-    n = len(nonzero)
-    kills = [[False] * n for _ in range(n)]
-    for i, a in enumerate(nonzero):
-        for j, b in enumerate(nonzero):
-            if ring.mul(a, b) == zero:
-                kills[i][j] = True
-    vertex = [any(kills[i][j] or kills[j][i] for j in range(n)) for i in range(n)]
-    idx = [i for i in range(n) if vertex[i]]
-    remap = {i: k for k, i in enumerate(idx)}
-    adj = [0] * len(idx)
-    for i in idx:
-        for j in idx:
-            if i != j and (kills[i][j] or kills[j][i]):
-                adj[remap[i]] |= 1 << remap[j]
-    labels = tuple(_element_label(nonzero[i]) for i in idx)
-    return ZdGraph(len(idx), adj, labels)
-
-
-def _element_label(e):
-    coords = getattr(e, "coords", e)
-    try:
-        return tuple(int(x) for x in coords)
-    except TypeError:
-        return (int(coords),)
-
-
-def _projective_reps(p: int, m: int) -> np.ndarray:
-    """Nonzero vectors with first nonzero coordinate 1: one per scalar class,
-    in lexicographic order."""
-    vs = _all_vectors(p, m)[1:]
-    if p == 2:
-        return vs
-    first = vs[np.arange(vs.shape[0]), (vs != 0).argmax(axis=1)]
-    return vs[first == 1]
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -400,7 +363,7 @@ def _kernel_pairs(reps: np.ndarray, ident: np.ndarray, free: np.ndarray, p: int)
     kernel of i, walked in blocks of representatives.  A pair found from both
     ends is yielded twice; BlowupGraph keeps one copy."""
     c, m = reps.shape
-    code = p ** np.arange(m - 1, -1, -1)  # position in _all_vectors order
+    code = p ** np.arange(m - 1, -1, -1)  # position in _grid order
     class_of = np.zeros(p**m, dtype=np.int64)
     for scalar in range(1, p):
         class_of[(scalar * reps % p) @ code] = np.arange(c)

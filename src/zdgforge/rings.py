@@ -6,11 +6,18 @@ algebras over a prime field.  Elements are coordinate tuples (a_1, ..., a_t)
 with a_k taken mod the k-th generator order; multiplication is the bilinear
 extension of the generator product table.  Structure-constant algebras
 satisfy the same element protocol (elements/add/neg/mul/int_mul/zero), so
-the identity engine and graph extraction work on either kind.
+the identity engine works on either kind.
+
+Both kinds also share one dense view: ``orders`` (the additive order of
+each generator) and ``table``, an int64 (t, t, t) array whose entry
+[i, j, k] is coordinate k of the product of generators i and j.  Graph
+extraction and direct sums read only this view.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import RingAxiomViolation
@@ -120,6 +127,14 @@ class TableRing:
     def generators(self):
         return [self._gen(i) for i in range(len(self.orders))]
 
+    @property
+    def table(self) -> np.ndarray:
+        """Generator products as a read-only int64 (t, t, t) array."""
+        t = len(self.orders)
+        table = np.array(self.prod, dtype=np.int64).reshape(t, t, t)
+        table.setflags(write=False)
+        return table
+
     def __repr__(self):
         return f"TableRing(orders={self.orders})"
 
@@ -148,42 +163,26 @@ def null_ring(n: int) -> TableRing:
     return ring_table([n], {})
 
 
-def _as_table_ring(ring) -> TableRing:
-    if isinstance(ring, TableRing):
-        return ring
-    if isinstance(ring, SCAlgebra):
-        p = ring.field.p
-        prod = {}
-        for i in range(ring.dim):
-            for j in range(ring.dim):
-                vec = tuple(int(c) for c in ring.table[i, j])
-                if any(vec):
-                    prod[(i, j)] = vec
-        return ring_table([p] * ring.dim, prod, verify=False)
-    raise TypeError(f"cannot interpret {type(ring).__name__} as a finite ring")
+def _dense_view(ring):
+    """The (orders, table) view of a TableRing or SCAlgebra."""
+    try:
+        return tuple(ring.orders), ring.table
+    except AttributeError:
+        raise TypeError(f"cannot interpret {type(ring).__name__} as a finite ring") from None
 
 
 def ring_direct_sum(a, b):
     """Direct sum of two rings; componentwise operations.
 
     Same-field structure-constant algebras keep that representation,
-    everything else goes through the generator-table form (this is how
-    mixed-characteristic sums like Z_2 (+) Z_3 arise).
+    everything else becomes a TableRing with the block-diagonal table (this
+    is how mixed-characteristic sums like Z_2 (+) Z_3 arise).
     """
     if isinstance(a, SCAlgebra) and isinstance(b, SCAlgebra) and a.field == b.field:
         return a.direct_sum(b)
-    ta, tb = _as_table_ring(a), _as_table_ring(b)
-    orders = ta.orders + tb.orders
-    off = len(ta.orders)
-    products = {}
-    for i in range(off):
-        for j in range(off):
-            vec = ta.prod[i][j]
-            if any(vec):
-                products[(i, j)] = vec + (0,) * len(tb.orders)
-    for i in range(len(tb.orders)):
-        for j in range(len(tb.orders)):
-            vec = tb.prod[i][j]
-            if any(vec):
-                products[(off + i, off + j)] = (0,) * off + vec
-    return ring_table(orders, products, verify=False)
+    (orders_a, table_a), (orders_b, table_b) = _dense_view(a), _dense_view(b)
+    d1, d2 = len(orders_a), len(orders_b)
+    table = np.zeros((d1 + d2, d1 + d2, d1 + d2), dtype=np.int64)
+    table[:d1, :d1, :d1] = table_a
+    table[d1:, d1:, d1:] = table_b
+    return TableRing(orders_a + orders_b, table.tolist(), verify=False)

@@ -6,7 +6,7 @@ import pytest
 
 from zdgforge import graphs
 from zdgforge.algebra import SCAlgebra, direct_sum, field_algebra, zero_mul_algebra
-from zdgforge.constructions import construct
+from zdgforge.constructions import construct, free_m1
 from zdgforge.errors import CapExceeded
 from zdgforge.fpcore import PrimeField
 from zdgforge.graphs import (
@@ -19,7 +19,7 @@ from zdgforge.graphs import (
     fingerprint,
     graphs_isomorphic,
 )
-from zdgforge.rings import zn_ring
+from zdgforge.rings import TableRing, null_ring, ring_direct_sum, zn_ring
 
 
 def test_explicit_trivial_rings():
@@ -352,3 +352,82 @@ def test_fingerprint_partition_is_exactly_isomorphism(n, known_classes):
         rep = bucket[0]
         for other in bucket[1:]:
             assert bool(graphs_isomorphic(rep, other))
+
+
+def _brute_force_graph(ring):
+    """Reference extractor for a TableRing: a double loop over
+    ring.elements() with ring.mul.  Returns (n, adj, labels) in the order of
+    ring.elements()."""
+    zero = ring.zero()
+    nonzero = [e for e in ring.elements() if e != zero]
+    kills = {
+        (i, j)
+        for i, a in enumerate(nonzero)
+        for j, b in enumerate(nonzero)
+        if ring.mul(a, b) == zero
+    }
+    count = len(nonzero)
+    joined = [[(i, j) in kills or (j, i) in kills for j in range(count)] for i in range(count)]
+    vertices = [i for i in range(count) if any(joined[i])]
+    adj = tuple(
+        sum(1 << k for k, j in enumerate(vertices) if j != i and joined[i][j]) for i in vertices
+    )
+    return len(vertices), adj, tuple(nonzero[i] for i in vertices)
+
+
+_REFERENCE_RINGS = {
+    "Z4+Z6": lambda: ring_direct_sum(zn_ring(4), zn_ring(6)),
+    "Z2+Z3": lambda: ring_direct_sum(zn_ring(2), zn_ring(3)),
+    "Z12": lambda: zn_ring(12),
+    "N0_8": lambda: null_ring(8),
+    "zero ring": lambda: TableRing((), ()),
+    "tower": lambda: ring_direct_sum(
+        ring_direct_sum(null_ring(2), zn_ring(4)), ring_direct_sum(field_algebra(3), zn_ring(3))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_RINGS))
+def test_explicit_graph_matches_brute_force(name):
+    ring = _REFERENCE_RINGS[name]()
+    g = explicit_graph(ring)
+    assert (g.n, g.adj, g.labels) == _brute_force_graph(ring)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: zero_mul_algebra(3, 2),
+        lambda: direct_sum(field_algebra(2), field_algebra(2)),
+        lambda: free_m1(3, 2).algebra,
+        lambda: construct("A1", 2, 4).algebra,
+    ],
+)
+def test_table_ring_of_algebra_has_same_graph(make):
+    alg = make()
+    ring = TableRing(alg.orders, alg.table.tolist(), verify=False)
+    g, h = explicit_graph(alg), explicit_graph(ring)
+    assert (g.n, g.adj, g.labels) == (h.n, h.adj, h.labels)
+    assert g.n > 0
+
+
+def test_zero_product_matrix_integer_path_matches_mul():
+    # 2 * 8191**2 >= 2**24, so the float32 path is not exact here and the
+    # chunked int64 contraction runs.
+    ring = ring_direct_sum(zn_ring(8192), zn_ring(6))
+    assert len(ring.orders) * (max(ring.orders) - 1) ** 2 >= 2**24
+    rng = np.random.default_rng(20260810)
+    # Multiples of powers of two, so many pairs multiply to zero mod 8192.
+    first = rng.integers(0, 8192, 50) * 2 ** rng.integers(0, 14, 50) % 8192
+    vecs = np.stack([first, rng.integers(0, 6, 50)], axis=1).astype(np.int64)
+    zero = graphs._zero_product_matrix(vecs, ring.table, ring.orders)
+    expected = np.array(
+        [[ring.mul(tuple(map(int, a)), tuple(map(int, b))) == ring.zero() for b in vecs] for a in vecs]
+    )
+    assert np.array_equal(zero, expected)
+    assert 0 < expected.sum() < expected.size
+
+
+def test_explicit_graph_needs_the_dense_view():
+    with pytest.raises(TypeError):
+        explicit_graph(construct("A1", 2, 4))

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from zdgforge.algebra import zero_mul_algebra
 from zdgforge.errors import RingAxiomViolation
-from zdgforge.rings import null_ring, ring_direct_sum, ring_table, zn_ring
+from zdgforge.rings import TableRing, null_ring, ring_direct_sum, ring_table, zn_ring
 
 
 def test_zn_ring_arithmetic():
@@ -63,3 +64,31 @@ def test_generators_protocol():
     assert gens == [(1,)]
     total = list(z6.elements())
     assert len(total) == 6
+
+
+def test_table_view_is_read_only_int64():
+    ring = ring_table([4, 2], {(0, 0): (2, 1)})
+    table = ring.table
+    assert table.dtype == np.int64 and table.shape == (2, 2, 2)
+    assert table.tolist() == [[list(v) for v in row] for row in ring.prod]
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1
+    assert TableRing((), ()).table.shape == (0, 0, 0)
+
+
+def test_direct_sum_is_block_diagonal():
+    a = ring_table([4, 2], {(0, 0): (1, 0), (1, 1): (0, 1)})
+    s = ring_direct_sum(a, null_ring(3))
+    assert s.orders == (4, 2, 3)
+    expected = np.zeros((3, 3, 3), dtype=np.int64)
+    expected[:2, :2, :2] = a.table
+    assert np.array_equal(s.table, expected)
+    # an algebra summand over another field contributes (p,) * dim orders
+    mixed = ring_direct_sum(zn_ring(4), zero_mul_algebra(3, 2))
+    assert mixed.orders == (4, 3, 3)
+    assert not mixed.table[1:].any()
+
+
+def test_direct_sum_rejects_objects_without_dense_view():
+    with pytest.raises(TypeError):
+        ring_direct_sum(zn_ring(2), object())
