@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import AssociativityViolation, NotAnIdeal
-from .fpcore import FpMatrix, PrimeField, Subspace, _rref_array
+from .fpcore import FpMatrix, PrimeField, Subspace, _rref_stack
 
 __all__ = [
     "SCAlgebra",
@@ -177,13 +177,14 @@ class SCAlgebra:
         if ideal.field != self.field or ideal.ambient != self.dim:
             raise ValueError("ideal does not live in this algebra")
         p = self.field.p
+        rows = [ideal.basis]
         for v in ideal.basis:
-            for row in np.vstack([self.right_mul_matrix(v), self.left_mul_matrix(v)]):
-                if not ideal.contains(row):
-                    raise NotAnIdeal("subspace is not closed under basis multiplication")
-        rev, rank, rev_pivots = _rref_array(ideal.basis[:, ::-1], p)
+            rows += [self.right_mul_matrix(v), self.left_mul_matrix(v)]
+        if Subspace(self.field, self.dim, np.vstack(rows)) != ideal:
+            raise NotAnIdeal("subspace is not closed under basis multiplication")
+        rev, rank = _rref_stack(ideal.basis[:, ::-1], p)
         elim_rows = rev[:rank, ::-1]
-        elim_cols = [self.dim - 1 - c for c in rev_pivots]
+        elim_cols = [self.dim - 1 - int(c) for c in (rev[:rank] != 0).argmax(axis=1)]
         kept = [i for i in range(self.dim) if i not in set(elim_cols)]
         q = len(kept)
         # Each eliminated coordinate pc satisfies e_pc == e_pc - row (mod ideal),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import RingAxiomViolation
-from .fpcore import PrimeField, Subspace, _rref_array
+from .fpcore import PrimeField, Subspace, _rref_stack
 from .graphs import compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
 from .identities import holds, parse
 
@@ -98,10 +98,10 @@ def enumerate_subspaces(dim: int, r: int):
             yield mat
 
 
-def _subspace_key(rows: np.ndarray) -> bytes:
-    r, _, _ = _rref_array(rows, 2)
-    rank = int((r.any(axis=1)).sum())
-    return r[:rank].astype(np.uint8).tobytes()
+def _keys(stack: np.ndarray):
+    """Canonical key of the row space of each full-rank matrix in a stack
+    over F_2: the bytes of its rref basis."""
+    return [rows.tobytes() for rows in _rref_stack(stack, 2)[0].astype(np.uint8)]
 
 
 @dataclass(frozen=True)
@@ -198,32 +198,26 @@ def _orbit(start, images):
 
 def _orbit_partition(m: int, subspace_dim: int):
     """Partition all subspace_dim-subspaces of wedge^2(F_2^m) into
-    GL(m, 2)-orbits by closure under the induced generator action."""
+    GL(m, 2)-orbits by closure under the induced generator action.  The
+    image keys of the whole pool under each generator come from one batched
+    elimination before the closure starts."""
     d = len(wedge_pairs(m))
-    wedges = [wedge_matrix(g, m) for g in _gl2_generators(m)]
-    pool = {}
-    for rows in enumerate_subspaces(d, subspace_dim):
-        pool[_subspace_key(rows)] = rows
+    pool = np.stack(list(enumerate_subspaces(d, subspace_dim)))
+    index = {key: i for i, key in enumerate(_keys(pool))}
+    image_keys = [_keys(pool @ wedge_matrix(g, m).T % 2) for g in _gl2_generators(m)]
 
     def images(key):
-        return (_subspace_key((pool[key] @ w.T) % 2) for w in wedges)
+        return (keys[index[key]] for keys in image_keys)
 
     orbits = []
     seen = set()
-    for key in sorted(pool):
+    for key in sorted(index):
         if key in seen:
             continue
         orbit = _orbit(key, images)
         seen |= orbit
         orbits.append(sorted(orbit))
     return orbits
-
-
-def _rows_from_key(key: bytes, d: int) -> np.ndarray:
-    flat = np.frombuffer(key, dtype=np.uint8).astype(np.int64)
-    if d == 0 or flat.size == 0:
-        return np.zeros((0, d), dtype=np.int64)
-    return flat.reshape(-1, d)
 
 
 def enumerate_variety_rings(max_order: int = 64, jobs: int = 1):
@@ -257,7 +251,7 @@ def enumerate_variety_rings(max_order: int = 64, jobs: int = 1):
         out = []
         for orbit in orbits:
             canon = orbit[0]
-            kernel = Subspace(_F2, d, _rows_from_key(canon, d))
+            kernel = Subspace(_F2, d, np.frombuffer(canon, dtype=np.uint8).reshape(d - k, d))
             pres = presentation_from_kernel(m, kernel)
             validate_in_variety(pres.algebra)
             out.append(
@@ -291,14 +285,12 @@ def rings_isomorphic(r: RingPresentation, s: RingPresentation) -> bool:
         return False
     if r.kernel == s.kernel:
         return True
-    d = len(wedge_pairs(r.m))
     wedges = [wedge_matrix(g, r.m) for g in _gl2_generators(r.m)]
 
-    def images(key):
-        rows = _rows_from_key(key, d)
-        return (_subspace_key((rows @ w.T) % 2) for w in wedges)
+    def images(kernel):
+        return (Subspace(_F2, kernel.ambient, kernel.basis @ w.T % 2) for w in wedges)
 
-    return _subspace_key(s.kernel.basis) in _orbit(_subspace_key(r.kernel.basis), images)
+    return s.kernel in _orbit(r.kernel, images)
 
 
 def determinacy_report(entries) -> list:
@@ -387,9 +379,9 @@ def _oracle_valid_tables(d: int):
     return valid
 
 
-def _oracle_transport(enc: int, g: np.ndarray, d: int) -> int:
+def _oracle_transport(enc: int, g: np.ndarray, ginv: np.ndarray, d: int) -> int:
     """Pull a table back along g: products of g-images re-expressed through
-    g inverse; the result is the table of an isomorphic ring."""
+    ginv, the inverse of g; the result is the table of an isomorphic ring."""
     pairs = wedge_pairs(d)
     pair_index = {pr: t for t, pr in enumerate(pairs)}
     cvec = [(enc >> (t * d)) & ((1 << d) - 1) for t in range(len(pairs))]
@@ -405,7 +397,6 @@ def _oracle_transport(enc: int, g: np.ndarray, d: int) -> int:
                 out ^= cvec[pair_index[(min(a, b), max(a, b))]]
         return out
 
-    ginv = _f2_inverse(g)
     out = 0
     for t, (i, j) in enumerate(pairs):
         gx = _col_bits(g, i)
@@ -435,15 +426,6 @@ def _matvec_bits(g: np.ndarray, v: int, d: int) -> int:
     return out
 
 
-def _f2_inverse(g: np.ndarray) -> np.ndarray:
-    d = g.shape[0]
-    aug = np.hstack([g % 2, np.eye(d, dtype=np.int64)])
-    r, rank, _ = _rref_array(aug, 2)
-    if rank < d:
-        raise ValueError("matrix is singular")
-    return r[:, d:]
-
-
 def brute_force_census(max_order: int = 16) -> dict:
     """Independent class counts per order: enumerate raw valid tables on
     total spaces of dimension d and bucket them by GL(d, 2) orbit closure.
@@ -456,10 +438,12 @@ def brute_force_census(max_order: int = 16) -> dict:
     counts = {}
     for d in range(1, max_order.bit_length()):
         valid = _oracle_valid_tables(d)
-        gens = _gl2_generators(d)
+        eye = np.eye(d, dtype=np.int64)
+        # rref([g | I]) = [I | g^-1] for invertible g.
+        gens = [(g, _rref_stack(np.hstack([g, eye]), 2)[0][:, d:]) for g in _gl2_generators(d)]
 
         def images(enc):
-            return (_oracle_transport(enc, g, d) for g in gens)
+            return (_oracle_transport(enc, g, ginv, d) for g, ginv in gens)
 
         seen = set()
         classes = 0

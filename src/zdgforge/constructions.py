@@ -24,7 +24,15 @@ import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import EvenCharacteristicUnsupported
-from .fpcore import FpMatrix, PrimeField, Subspace, _grid, _projective_reps, _rref_array
+from .fpcore import (
+    FpMatrix,
+    PrimeField,
+    Subspace,
+    _grid,
+    _left_kernel_stack,
+    _projective_reps,
+    _rref_stack,
+)
 
 __all__ = [
     "ALTERNATING",
@@ -58,6 +66,8 @@ VARIANTS = {
 }
 
 DEFAULT_SEED = 20260810
+# Largest batch, in matrix entries, of one annihilator_exhaustive elimination.
+_BLOCK = 2**18
 
 
 def _monomial_pairs(n: int, kind: str):
@@ -231,7 +241,7 @@ class RelationForm:
         self.kind = kind
 
     def rank(self) -> int:
-        return _rref_array(self.matrix, self.field.p)[1]
+        return int(_rref_stack(self.matrix, self.field.p)[1])
 
     def congruent(self, q: FpMatrix) -> "RelationForm":
         m = (q.a.T @ self.matrix @ q.a) % self.field.p
@@ -262,7 +272,7 @@ def proportional(field: PrimeField, alpha, beta) -> bool:
     b = field.canon(beta)
     if not a.any() or not b.any():
         return False
-    return _rref_array(np.vstack([a, b]), field.p)[1] == 1
+    return bool(_rref_stack(np.vstack([a, b]), field.p)[1] == 1)
 
 
 def product_criterion(variant: str, p: int, alpha, beta, n: int = 6) -> bool:
@@ -357,7 +367,10 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     Anticommutative variants: ann(a) must equal span{a} plus the square
     ideal (a consequence of the proportionality criterion).  Set projective
     to reduce to one representative per scalar class; annihilators are
-    invariant under scaling.  Returns (ok, vectors_checked).
+    invariant under scaling.  Returns (ok, vectors_checked), the count of
+    vectors before the first failure.  ann(a) is the left kernel of
+    [R_a | L_a]; one elimination per block of vectors gives canonical bases
+    to compare entrywise with those of the expected subspaces.
     """
     kind = VARIANTS[variant][0]
     if kind == SYMMETRIC and p == 2:
@@ -365,21 +378,26 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
             "the commutative-variety annihilator check requires odd p"
         )
     pres = construct(variant, p, n)
-    algebra = pres.algebra
-    square = algebra.square_ideal()
+    table = pres.algebra.table
+    dim = table.shape[0]
+    square = pres.algebra.square_ideal().basis
     vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
-    checked = 0
-    for alpha in vs:
-        el = pres.element_from_linear(alpha)
-        ann = algebra.annihilator(el)
-        if kind == SYMMETRIC:
-            expected = square
-        else:
-            expected = square.sum(Subspace(pres.field, algebra.dim, el.coords[None, :]))
-        if ann != expected:
-            return False, checked
-        checked += 1
-    return True, checked
+    step = max(1, _BLOCK // (3 * dim * dim))
+    for lo in range(0, len(vs), step):
+        a = np.pad(vs[lo : lo + step], ((0, 0), (0, dim - n)))
+        right_left = np.concatenate(
+            [np.einsum("bj,ijk->bik", a, table), np.einsum("bj,jik->bik", a, table)], axis=2
+        )
+        basis, free = _left_kernel_stack(right_left, p)
+        expected = np.broadcast_to(square, (len(a),) + square.shape)
+        if kind == ALTERNATING:
+            expected = _rref_stack(np.concatenate([expected, a[:, None, :]], axis=1), p)[0]
+        # Kernel rows are the last of basis; a zero row in expected fails.
+        e = expected.shape[1]
+        ok = (free.sum(axis=1) == e) & (basis[:, dim - e :] == expected).all(axis=(1, 2))
+        if not ok.all():
+            return False, lo + int(ok.argmin())
+    return True, len(vs)
 
 
 @dataclass(frozen=True)
@@ -433,11 +451,16 @@ def _obstruction_vector(kind: str, row: np.ndarray, p: int) -> np.ndarray:
     return w % p
 
 
-def _sample_invertible(rng, p: int, n: int) -> np.ndarray:
-    while True:
-        m = rng.integers(0, p, size=(n, n), dtype=np.int64)
-        if _rref_array(m, p)[1] == n:
-            return m
+def _sample_invertible(rng, p: int, n: int, count: int) -> list:
+    """The first count invertible n x n matrices among uniform draws from
+    rng.  Each round draws, one call per matrix, as many as are still missing
+    and ranks them in one batch: rng sees the calls of a draw-until-invertible
+    loop."""
+    out = []
+    while len(out) < count:
+        draws = [rng.integers(0, p, size=(n, n), dtype=np.int64) for _ in range(count - len(out))]
+        out.extend(m for m, rank in zip(draws, _rref_stack(draws, p)[1]) if rank == n)
+    return out
 
 
 def noniso_certificate(pair, p: int, samples: int = 1000, seed: int = DEFAULT_SEED) -> Certificate:
@@ -461,8 +484,7 @@ def noniso_certificate(pair, p: int, samples: int = 1000, seed: int = DEFAULT_SE
     run_obstruction = first != second and rank_a != rank_b
     if run_obstruction:
         rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            m = _sample_invertible(rng, p, 6)
+        for m in _sample_invertible(rng, p, 6, samples):
             w = _obstruction_vector(kind_a, m[5], p)
             if ((w @ m.T) % p).any():
                 failures += 1

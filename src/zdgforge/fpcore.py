@@ -1,12 +1,14 @@
 """Exact linear algebra over the prime field Z_p.
 
-Scalars are machine integers kept canonical in [0, p); p is restricted to
-p < 2**15 so products fit a native word before reduction.  Subspaces are
-stored as reduced row-echelon bases, which makes subspace equality a plain
-array comparison.
+Scalars are machine integers kept canonical in [0, p), p < 2**15.  One
+batched Gauss-Jordan elimination, _rref_stack, reduces whole stacks of
+matrices at once; rank, rref, kernels, subspaces and every other module's
+elimination go through it.  Subspaces are stored as reduced row-echelon
+bases, which makes subspace equality a plain array comparison.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,33 +72,66 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def _rref_array(a: np.ndarray, p: int):
-    """Reduced row-echelon form of an int64 array mod p.
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """Inverse of every nonzero residue mod p, indexed by residue (read-only)."""
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
+    inv.setflags(write=False)
+    return inv
 
-    Returns (rref, rank, pivot_columns).  Pure helper shared by the public
-    types; callers own canonicalization of the input.
+
+def _rref_stack(a, p: int):
+    """Canonical reduced row-echelon forms of a stack of matrices over Z_p.
+
+    a has shape (..., r, c); returns (rref, rank) as int64 arrays, rank of
+    shape (...,).  One column at a time, in every matrix with a nonzero entry
+    below its pivot rows, the first such row moves up, is scaled to a leading
+    1 and clears the column in every other row.  The int32 arithmetic is
+    exact: entries stay in [0, p) and p < 2**15 keeps products below 2**30.
     """
-    m = a.copy() % p
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+    if p >= 2**15:
+        raise ValueError(f"modulus {p} is not below 2**15; int32 products would overflow")
+    a = np.asarray(a, dtype=np.int64)
+    shape = a.shape
+    r, c = shape[-2:]
+    m = (a % p).astype(np.int32).reshape(math.prod(shape[:-2]), r, c)
+    rank = np.zeros(m.shape[0], dtype=np.int64)
+    below = np.arange(r)
+    inv = _inverses(p)
+    for j in range(c):
+        cand = (m[:, :, j] != 0) & (below >= rank[:, None])
+        hit = np.nonzero(cand.any(axis=1))[0]
+        if hit.size == 0:
             continue
-        k = r + int(nz[0])
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        other = np.nonzero(m[:, c])[0]
-        for i in other:
-            if i != r:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
-    return m, r, tuple(pivots)
+        at = np.arange(hit.size)
+        k = cand[hit].argmax(axis=1)
+        top = rank[hit]
+        # Entries left of column j are zero in every row that can be a pivot.
+        block = m[hit, :, j:]
+        piv = block[at, k] * inv[block[at, k, 0]][:, None] % p
+        block[at, k] = block[at, top]
+        block[at, top] = piv
+        factor = block[:, :, 0].copy()
+        factor[at, top] = 0
+        block -= factor[:, :, None] * piv[:, None, :]
+        block %= p
+        m[hit, :, j:] = block
+        rank[hit] += 1
+    return m.astype(np.int64).reshape(shape), rank.reshape(shape[:-2])
+
+
+def _left_kernel_stack(a, p: int):
+    """Left kernels {b : b @ M == 0} of a stack of (..., r, c) matrices M.
+
+    Returns (basis, free): basis is the right block of rref([M | I]) and free
+    marks its rows whose left block is zero.  Those r - rank(M) rows, the
+    last ones, are the canonical rref basis of the left kernel.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    r, c = a.shape[-2:]
+    eye = np.broadcast_to(np.eye(r, dtype=np.int64), a.shape[:-1] + (r,))
+    red, _ = _rref_stack(np.concatenate([a, eye], axis=-1), p)
+    return red[..., c:], ~red[..., :c].any(axis=-1)
 
 
 def _grid(orders) -> np.ndarray:
@@ -189,7 +224,7 @@ class FpMatrix:
         return FpMatrix(self.field, (self.a @ other.a) % self.field.p)
 
     def rank(self) -> int:
-        return _rref_array(self.a, self.field.p)[1]
+        return int(_rref_stack(self.a, self.field.p)[1])
 
     def __eq__(self, other):
         return (
@@ -207,22 +242,14 @@ class FpMatrix:
 
 def rref(m: FpMatrix):
     """Reduced row-echelon form and rank; the row span is preserved."""
-    r, rank, _ = _rref_array(m.a, m.field.p)
-    return FpMatrix(m.field, r), rank
+    r, rank = _rref_stack(m.a, m.field.p)
+    return FpMatrix(m.field, r), int(rank)
 
 
 def kernel(m: FpMatrix) -> "Subspace":
     """Right null space of m: all x with m @ x = 0, as a canonical subspace."""
-    p = m.field.p
-    r, rank, pivots = _rref_array(m.a, p)
-    cols = m.cols
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for row, fc in enumerate(free):
-        basis[row, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[row, pc] = (-r[i, fc]) % p
-    return Subspace(m.field, cols, basis)
+    basis, free = _left_kernel_stack(m.a.T, m.field.p)
+    return Subspace(m.field, m.cols, basis[free])
 
 
 def is_invertible(m: FpMatrix) -> bool:
@@ -248,7 +275,7 @@ class Subspace:
             a = np.zeros((0, self.ambient), dtype=np.int64)
         if a.ndim != 2 or a.shape[1] != self.ambient:
             raise ValueError("basis rows do not match ambient dimension")
-        r, rank, _ = _rref_array(a, field.p)
+        r, rank = _rref_stack(a, field.p)
         b = r[:rank].copy()
         b.setflags(write=False)
         self.basis = b
@@ -278,31 +305,25 @@ class Subspace:
         carry an intersection basis in their right block."""
         self._check_compatible(other)
         n = self.ambient
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, n)
         top = np.hstack([self.basis, self.basis])
         bot = np.hstack([other.basis, np.zeros_like(other.basis)])
-        r, rank, _ = _rref_array(np.vstack([top, bot]), self.field.p)
-        rows = [r[i, n:] for i in range(rank) if not r[i, :n].any()]
-        if not rows:
-            return Subspace.zero(self.field, n)
-        return Subspace(self.field, n, np.array(rows))
+        r, rank = _rref_stack(np.vstack([top, bot]), self.field.p)
+        r = r[:rank]
+        return Subspace(self.field, n, r[~r[:, :n].any(axis=1), n:])
 
     def contains(self, vector) -> bool:
         v = self.field.canon(vector)
         if v.shape != (self.ambient,):
             raise ValueError("vector does not match ambient dimension")
-        p = self.field.p
-        v = v.copy()
-        for row in self.basis:
-            pc = int(np.nonzero(row)[0][0])
-            if v[pc]:
-                v = (v - v[pc] * row) % p
-        return not v.any()
+        return self._spans(v[None, :])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains(row) for row in other.basis)
+        return self._spans(other.basis)
+
+    def _spans(self, rows: np.ndarray) -> bool:
+        """Whether adding the rows keeps the rank, so that all lie in self."""
+        return bool(_rref_stack(np.vstack([self.basis, rows]), self.field.p)[1] == self.dim)
 
     def __eq__(self, other):
         return (

@@ -20,7 +20,7 @@ cosets mod R^2, each of size (p-1) * p^s, with adjacency decided by any two
 class representatives.
 
 compressed_graph finds that adjacency by a kernel walk rather than by
-testing all pairs: one batched elimination gives, for every class
+testing all pairs: fpcore's batched elimination gives, for every class
 representative a, the kernel of b -> a*b, and the projective points of that
 kernel are the classes joined to a.  Its cost grows with c * p^k (c classes,
 k the kernel dimension) instead of c^2, and its memory with c*m^2 + p^m for a
@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import CapExceeded
-from .fpcore import _grid, _projective_reps
+from .fpcore import _grid, _left_kernel_stack, _projective_reps
 from .isomorph import (
     BASE_LABEL,
     canonical_bytes,
@@ -79,15 +79,20 @@ class ZdGraph:
         adj = tuple(int(a) for a in adj)
         if len(adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        for v, row in enumerate(adj):
-            if row >> self.n:
-                raise ValueError("adjacency bits out of range")
-            if row & (1 << v):
-                raise ValueError("self loops are not allowed")
-        for v in range(self.n):
-            for u in range(v):
-                if bool(adj[v] & (1 << u)) != bool(adj[u] & (1 << v)):
-                    raise ValueError("adjacency must be symmetric")
+        width = (self.n + 7) // 8
+        try:
+            raw = b"".join(row.to_bytes(width, "little") for row in adj)
+        except OverflowError:
+            raise ValueError("adjacency bits out of range") from None
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
+        bits = np.unpackbits(packed, axis=1, bitorder="little")
+        if bits[:, self.n :].any():
+            raise ValueError("adjacency bits out of range")
+        bits = bits[:, : self.n]
+        if bits.diagonal().any():
+            raise ValueError("self loops are not allowed")
+        if not np.array_equal(bits, bits.T):
+            raise ValueError("adjacency must be symmetric")
         self.adj = adj
         self.labels = tuple(labels) if labels is not None else None
 
@@ -257,44 +262,6 @@ def explicit_graph(ring, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
     return ZdGraph(int(vertex_mask.sum()), _rows_to_bitmasks(sub), labels)
 
 
-def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse of nonzero residues, x^(p-2) mod p."""
-    out = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * x % p
-        x = x * x % p
-        e >>= 1
-    return out
-
-
-def _left_kernels(left: np.ndarray, p: int):
-    """Left kernels of a batch of m x t matrices over Z_p.
-
-    Gaussian elimination on [left[i] | I] runs on the whole batch at once,
-    one column at a time; the rows that never become pivots end with a zero
-    left part, and their identity part spans the kernel.  Returns
-    (ident, free): the rows ident[i][free[i]] span {b : b @ left[i] == 0 mod p}.
-    """
-    n, m, t = left.shape
-    aug = np.concatenate([left, np.broadcast_to(np.eye(m, dtype=np.int64), (n, m, m))], axis=2)
-    free = np.ones((n, m), dtype=bool)
-    for j in range(t):
-        cand = (aug[:, :, j] != 0) & free
-        hit = np.nonzero(cand.any(axis=1))[0]
-        if hit.size == 0:
-            continue
-        piv = cand[hit].argmax(axis=1)
-        rows = aug[hit, piv]
-        rows = rows * _inverse_mod(rows[:, j], p)[:, None] % p
-        free[hit, piv] = False
-        # Entries stay below p < 2**15, so products stay below 2**30.
-        factor = aug[hit, :, j] * free[hit]
-        aug[hit] = (aug[hit] - factor[:, :, None] * rows[:, None, :]) % p
-    return aug[:, :, t:], free
-
-
 def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     """Exact blow-up form of the zero-divisor graph of a two-step graded
     algebra (accepts a graded presentation or a structure-constant algebra
@@ -304,7 +271,7 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     the degree-1 complement (dimension m), the map b -> a*b of its
     representative a is an m x t matrix, where t counts the output
     coordinates that products of complement vectors reach.  The left kernels
-    of all c matrices come from one batched elimination; every projective
+    of all c matrices come from fpcore's batched elimination; every projective
     point b of the kernel of a gives the adjacent class pair {a, b}.  Walking
     b -> a*b for every a finds each pair with a*b = 0 or b*a = 0, so the
     right products need no walk of their own.  A class is a clique when
@@ -349,7 +316,7 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
         a = reps[lo : lo + step]
         left = np.einsum("ai,ijk->ajk", a, prod) % p
         clique[lo : lo + step] = ~(np.einsum("aj,ajk->ak", a, left) % p).any(axis=1)
-        ident[lo : lo + step], free[lo : lo + step] = _left_kernels(left, p)
+        ident[lo : lo + step], free[lo : lo + step] = _left_kernel_stack(left, p)
     points = int(((p ** free.sum(axis=1) - 1) // (p - 1)).sum())
     if points > KERNEL_POINT_CAP:
         raise CapExceeded(f"{points} kernel points exceed cap {KERNEL_POINT_CAP}")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from zdgforge.catalog import (
+    _gl2_generators,
+    _orbit_partition,
     brute_force_census,
     determinacy_report,
     enumerate_subspaces,
@@ -28,6 +30,34 @@ def test_wedge_matrix_is_a_group_action():
         lhs = wedge_matrix((g @ h) % 2, m) % 2
         rhs = (wedge_matrix(g, m) @ wedge_matrix(h, m)) % 2
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("m, dim", [(2, 0), (3, 1), (4, 4), (4, 5)])
+def test_orbit_partition_matches_per_subspace_closure(m, dim):
+    """The batched image keys give the orbits that closing each Subspace
+    under the generator action one at a time gives."""
+    d = len(wedge_pairs(m))
+    wedges = [wedge_matrix(g, m) for g in _gl2_generators(m)]
+    orbits = []
+    left = {Subspace(F2, d, rows) for rows in enumerate_subspaces(d, dim)}
+    while left:
+        orbit = {left.pop()}
+        frontier = list(orbit)
+        while frontier:
+            u = frontier.pop()
+            for w in wedges:
+                img = Subspace(F2, d, u.basis @ w.T % 2)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        left -= orbit
+        orbits.append(orbit)
+    batched = [
+        {Subspace(F2, d, np.frombuffer(key, dtype=np.uint8).reshape(dim, d)) for key in orbit}
+        for orbit in _orbit_partition(m, dim)
+    ]
+    assert sorted(map(len, batched)) == sorted(map(len, orbits))
+    assert all(orbit in batched for orbit in orbits)
 
 
 def test_enumerate_subspaces_counts():

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from zdgforge import constructions
 from zdgforge.constructions import (
+    SYMMETRIC,
+    VARIANTS,
     Certificate,
     annihilator_exhaustive,
     construct,
@@ -16,7 +19,7 @@ from zdgforge.constructions import (
     relation_form,
 )
 from zdgforge.errors import EvenCharacteristicUnsupported
-from zdgforge.fpcore import FpMatrix, PrimeField
+from zdgforge.fpcore import FpMatrix, PrimeField, Subspace
 
 
 def test_free_m1_dimensions():
@@ -152,6 +155,51 @@ def test_annihilator_exhaustive_structures():
     assert ok and checked == 63
     ok, checked = annihilator_exhaustive("A2", 3, projective=True)
     assert ok and checked == 364
+
+
+def annihilator_loop(variant, p):
+    """One algebra.annihilator per projective class of degree-1 parts (first
+    nonzero coordinate 1, lexicographic), compared with the expected
+    subspace: the oracle for the batched check."""
+    pres = construct(variant, p)
+    algebra = pres.algebra
+    square = algebra.square_ideal()
+    checked = 0
+    for alpha in itertools.product(range(p), repeat=pres.n):
+        if not any(alpha) or alpha[np.nonzero(alpha)[0][0]] != 1:
+            continue
+        el = pres.element_from_linear(alpha)
+        expected = square
+        if VARIANTS[variant][0] != SYMMETRIC:
+            expected = square.sum(Subspace(pres.field, algebra.dim, el.coords[None, :]))
+        if algebra.annihilator(el) != expected:
+            return False, checked
+        checked += 1
+    return True, checked
+
+
+@pytest.mark.parametrize("variant", ["A1", "B1", "A2", "B2"])
+def test_annihilator_exhaustive_matches_per_vector_loop(variant):
+    loop = annihilator_loop(variant, 3)
+    assert annihilator_exhaustive(variant, 3, projective=True) == loop == (True, 364)
+    assert annihilator_exhaustive(variant, 3) == (True, 728)
+
+
+def test_annihilator_exhaustive_across_small_blocks(monkeypatch):
+    # Blocks of five vectors: 63 vectors end in a partial block.
+    dim = construct("A1", 2).algebra.dim
+    monkeypatch.setattr(constructions, "_BLOCK", 5 * 3 * dim * dim)
+    assert annihilator_exhaustive("A1", 2) == (True, 63)
+
+
+def test_annihilator_exhaustive_detects_a_wrong_expectation(monkeypatch):
+    # A1 with the symmetric kind expects ann(a) = R^2, but ann(a) also holds a.
+    pres = construct("A1", 3)
+    monkeypatch.setitem(VARIANTS, "A1", (SYMMETRIC,) + VARIANTS["A1"][1:])
+    monkeypatch.setattr(constructions, "construct", lambda variant, p, n=6: pres)
+    assert annihilator_exhaustive("A1", 3) == (False, 0)
+    assert annihilator_exhaustive("A1", 3, projective=True) == (False, 0)
+    assert annihilator_loop("A1", 3) == (False, 0)
 
 
 def test_noniso_certificate_pairs():

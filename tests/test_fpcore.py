@@ -9,6 +9,8 @@ from zdgforge.fpcore import (
     FpMatrix,
     PrimeField,
     Subspace,
+    _left_kernel_stack,
+    _rref_stack,
     is_invertible,
     kernel,
     rref,
@@ -152,3 +154,104 @@ def test_dimension_formula(a, b):
     u = Subspace(a.field, a.cols, a.a)
     v = Subspace(b.field, b.cols, b.a)
     assert u.sum(v).dim + u.intersection(v).dim == u.dim + v.dim
+
+
+def reference_rref(a, p):
+    """Row-by-row Gauss-Jordan elimination of one matrix: the oracle for the
+    batched elimination."""
+    m = np.array(a, dtype=np.int64) % p
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        m[[r, k]] = m[[k, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
+        for i in np.nonzero(m[:, c])[0]:
+            if i != r:
+                m[i] = (m[i] - m[i, c] * m[r]) % p
+        r += 1
+    return m, r
+
+
+@st.composite
+def fp_stacks(draw):
+    """A stack of matrices with many zero entries and some zero rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    count = draw(st.integers(0, 4))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    a = np.array(
+        draw(st.lists(entry, min_size=count * rows * cols, max_size=count * rows * cols)),
+        dtype=np.int64,
+    ).reshape(count, rows, cols)
+    zero_rows = draw(st.lists(st.booleans(), min_size=count * rows, max_size=count * rows))
+    a[np.array(zero_rows, dtype=bool).reshape(count, rows)] = 0
+    return a, p
+
+
+def check_against_reference(a, p):
+    red, rank = _rref_stack(a, p)
+    assert red.shape == a.shape and red.dtype == np.int64
+    assert rank.shape == a.shape[:-2]
+    for i in np.ndindex(a.shape[:-2]):
+        ref, ref_rank = reference_rref(a[i], p)
+        assert np.array_equal(red[i], ref)
+        assert rank[i] == ref_rank
+
+
+@given(fp_stacks())
+@settings(max_examples=100)
+def test_batched_rref_matches_row_by_row_reference(stack):
+    check_against_reference(*stack)
+
+
+SHAPES = [(3, 0, 4), (3, 4, 0), (0, 3, 3), (2, 2, 5), (2, 5, 2), (2, 3, 2, 4)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_batched_rref_shapes(shape, p):
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, size=shape)
+    if a.size:
+        a[..., 0, :] = 0  # a zero row
+    check_against_reference(a, p)
+
+
+@given(fp_stacks())
+@settings(max_examples=100)
+def test_left_kernel_rows_annihilate(stack):
+    a, p = stack
+    basis, free = _left_kernel_stack(a, p)
+    rank = _rref_stack(a, p)[1]
+    rows = a.shape[-2]
+    assert basis.shape == a.shape[:-1] + (rows,)
+    for i in np.ndindex(a.shape[:-2]):
+        k = basis[i][free[i]]
+        assert len(k) == rows - rank[i]
+        assert not ((k @ a[i]) % p).any()
+        # The kernel rows come out canonical: they are their own rref.
+        assert np.array_equal(reference_rref(k, p)[0], k)
+
+
+def test_elimination_refuses_moduli_past_int32_exactness():
+    _rref_stack(np.eye(2, dtype=np.int64), 32749)
+    with pytest.raises(ValueError):
+        _rref_stack(np.eye(2, dtype=np.int64), 2**15 + 3)
+
+
+def test_contains_agrees_with_enumerated_span():
+    u = Subspace(F3, 3, [[1, 2, 0], [0, 1, 1]])
+    span = {
+        tuple(int(x) for x in (c0 * u.basis[0] + c1 * u.basis[1]) % 3)
+        for c0, c1 in itertools.product(range(3), repeat=2)
+    }
+    for v in all_vectors(3, 3):
+        assert u.contains(v) == (tuple(int(x) for x in v) in span)
+    assert u.contains_subspace(Subspace(F3, 3, [[1, 0, 2]])) == ((1, 0, 2) in span)

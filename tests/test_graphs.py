@@ -297,6 +297,24 @@ def test_adjacency_validation():
         ZdGraph.from_edges(2, [(0, 0)])
 
 
+def test_adjacency_validation_across_several_words():
+    # 100 vertices: each row spans two 64-bit words.
+    n = 100
+    adj = list(ZdGraph.complete(n).adj)
+    assert ZdGraph(n, adj).num_edges == n * (n - 1) // 2
+    for u, v in ((70, 3), (3, 70), (99, 64), (0, 99)):
+        broken = list(adj)
+        broken[u] ^= 1 << v
+        with pytest.raises(ValueError, match="symmetric"):
+            ZdGraph(n, broken)
+    with pytest.raises(ValueError, match="out of range"):
+        ZdGraph(n, adj[:-1] + [adj[-1] | 1 << 102])  # inside the last byte
+    with pytest.raises(ValueError, match="out of range"):
+        ZdGraph(n, [-1] + adj[1:])
+    with pytest.raises(ValueError, match="self loops"):
+        ZdGraph(n, adj[:80] + [adj[80] | 1 << 80] + adj[81:])
+
+
 def test_all_graph_vertices_are_zero_divisors():
     # in the nilpotent constructions every nonzero element is a vertex
     pres = construct("A1", 2, n=4)
