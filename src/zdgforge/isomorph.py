@@ -4,20 +4,38 @@ verified witnesses, twin collapse, and canonical serializations.
 Graphs are adjacency bitmask lists: adj[v] is an int whose bit u is set iff
 u and v are adjacent.  No self loops.
 
-Two public capabilities sit on one refinement core:
+Both searches sit on one refinement, one target-cell rule and one node
+budget:
+
+* _refine colors vertices by their neighbor counts in each color class,
+  computed per class as one AND with the class bitmask and a popcount.  The
+  signature (color, sorted (class, count) pairs) and the global sort that
+  turns signatures into ids are those of the plain per-edge count, so color
+  ids, and everything serialized from them, do not depend on how the counts
+  are taken.
 
 * find_isomorphism: joint color refinement plus individualization
-  backtracking.  When every refinement cell is a uniform module (all members
-  share the same outside neighborhood and the induced subgraph is complete or
-  empty), a witness can be read off cell by cell: stable joint colors force
-  equal neighbor-color counts across the two graphs, so between two modules
-  the bipartite pattern is complete-or-empty and matches.  The witness is
-  verified edge-by-edge regardless before being returned.
+  backtracking, stopping at the first match.  When every refinement cell is
+  a uniform module (all members share the same outside neighborhood and the
+  induced subgraph is complete or empty), a witness can be read off cell by
+  cell: stable joint colors force equal neighbor-color counts across the two
+  graphs, so between two modules the bipartite pattern is complete-or-empty
+  and matches.  The witness is verified edge-by-edge regardless before being
+  returned.
 
 * canonical_bytes: a canonical serialization (lexicographic minimum over
   individualization branches) of a vertex-labeled graph.  Labels are nested
   tuples; within a uniform-module cell any internal order yields the same
-  bytes, so such cells never branch.
+  bytes, so such cells never branch.  The search prunes by automorphisms
+  (McKay and Piperno, "Practical graph isomorphism, II", 2014): two leaves
+  with equal bytes give an automorphism through their vertex orders, kept
+  only when verify_mapping accepts it and it preserves labels.  A node skips
+  every child in the orbit of an already searched child under the kept
+  automorphisms that fix the node's individualized vertices, and a leaf
+  equal to an earlier one abandons its branch back to where the two paths
+  part when the automorphism carries the earlier branch onto it.  Skipped
+  subtrees are automorphic images of searched ones, so the minimum, and
+  hence the bytes, are those of the full search.
 
 collapse_twins shrinks a labeled graph by repeatedly merging twin classes
 (equal closed or open neighborhoods) into single vertices whose labels record
@@ -56,18 +74,33 @@ def _bit_indices(mask: int):
 def _refine(adjs, colorss):
     """Jointly refine colorings of one or more graphs to stability.
 
-    Color ids are assigned from globally sorted signatures, so equal ids mean
-    equal refinement history across the graphs.  Signatures start with the
-    previous color, hence id order refines the previous order and the loop
-    terminates as soon as no cell splits.
+    A vertex's signature is its color and the sorted (class, count) pairs of
+    its neighbors in each color class it reaches, counted per class with the
+    class bitmask.  Color ids are assigned from globally sorted signatures,
+    so equal ids mean equal refinement history across the graphs.
+    Signatures start with the previous color, hence id order refines the
+    previous order and the loop terminates as soon as no cell splits.
     """
     while True:
         sigss = []
         for adj, colors in zip(adjs, colorss):
+            masks = {}
+            for v, c in enumerate(colors):
+                masks[c] = masks.get(c, 0) | 1 << v
+            classes = sorted(masks.items())
+            # Open twins (equal rows) and closed twins (equal rows plus
+            # self) of one color have equal signatures; blow-ups are mostly
+            # twins, so each signature is counted once per twin class.
+            opened, closed = {}, {}
             sigs = []
-            for v in range(len(adj)):
-                counts = Counter(colors[u] for u in _bit_indices(adj[v]))
-                sigs.append((colors[v], tuple(sorted(counts.items()))))
+            for v, (color, row) in enumerate(zip(colors, adj)):
+                okey, ckey = (color, row), (color, row | 1 << v)
+                sig = opened.get(okey) or closed.get(ckey)
+                if sig is None:
+                    counts = tuple((c, k) for c, mask in classes if (k := (row & mask).bit_count()))
+                    sig = (color, counts)
+                opened[okey] = closed[ckey] = sig
+                sigs.append(sig)
             sigss.append(sigs)
         ids = {sig: i for i, sig in enumerate(sorted(set().union(*map(set, sigss))))}
         new = [[ids[s] for s in sigs] for sigs in sigss]
@@ -115,6 +148,34 @@ def _uniform_module(adj, cell):
     return None
 
 
+def _target_color(adjs, cellss):
+    """The color both searches individualize in: the least color whose cell
+    has several members and is not a uniform module of one kind in every
+    graph.  None when every cell is a singleton or such a module."""
+    for color in sorted(cellss[0]):
+        if len(cellss[0][color]) > 1:
+            kinds = {_uniform_module(adj, cells[color]) for adj, cells in zip(adjs, cellss)}
+            if None in kinds or len(kinds) > 1:
+                return color
+    return None
+
+
+class _Budget:
+    """Search nodes charged against a limit; CapExceeded past it."""
+
+    __slots__ = ("limit", "nodes", "what")
+
+    def __init__(self, limit, what):
+        self.limit = limit
+        self.nodes = 0
+        self.what = what
+
+    def charge(self):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise CapExceeded(f"{self.what} search budget exceeded")
+
+
 def verify_mapping(adj_g, adj_h, mapping) -> bool:
     """Check that mapping is a bijection carrying edges both ways."""
     n = len(adj_g)
@@ -143,27 +204,15 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
     if init_h is None:
         init_h = [0] * n
     colors_g, colors_h = _normalize_keys([list(init_g), list(init_h)])
-    nodes = 0
+    spent = _Budget(budget, "isomorphism")
 
     def rec(cg, ch):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise CapExceeded("isomorphism search budget exceeded")
+        spent.charge()
         cg, ch = _refine([adj_g, adj_h], [cg, ch])
         if sorted(Counter(cg).items()) != sorted(Counter(ch).items()):
             return None
         cells_g, cells_h = _cells(cg), _cells(ch)
-        branch_color = None
-        for color in sorted(cells_g):
-            vg = cells_g[color]
-            if len(vg) == 1:
-                continue
-            mg = _uniform_module(adj_g, vg)
-            mh = _uniform_module(adj_h, cells_h[color])
-            if mg is None or mh is None or mg != mh:
-                branch_color = color
-                break
+        branch_color = _target_color([adj_g, adj_h], [cells_g, cells_h])
         if branch_color is None:
             mapping = [None] * n
             for color, vg in cells_g.items():
@@ -211,12 +260,26 @@ def _serialize(adj, order, colors, labels) -> bytes:
     return repr(payload).encode()
 
 
+def _closure(start, gens):
+    """The vertices reachable from start under the maps in gens."""
+    reach = set(start)
+    frontier = list(start)
+    while frontier:
+        v = frontier.pop()
+        for g in gens:
+            if g[v] not in reach:
+                reach.add(g[v])
+                frontier.append(g[v])
+    return reach
+
+
 def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
     """Canonical serialization of a labeled graph.
 
-    Equal bytes iff the labeled graphs are isomorphic: the search explores
+    Equal bytes iff the labeled graphs are isomorphic: the search covers
     every individualization choice within the first cell that is not a
-    uniform module and keeps the lexicographically least serialization.
+    uniform module, up to the automorphisms found on the way, and keeps the
+    lexicographically least serialization.
     """
     n = len(adj)
     if labels is None:
@@ -224,35 +287,75 @@ def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
     if n == 0:
         return repr((0, (), (), ())).encode()
     init = _normalize_keys([list(labels)])[0]
-    nodes = 0
+    spent = _Budget(budget, "canonical form")
+    autos = []  # verified automorphisms as vertex maps
+    # (bytes, vertex order, individualized path) of the first leaf and of
+    # the least leaf so far: the leaves others are compared with.
+    first = best = None
 
-    def rec(colors):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise CapExceeded("canonical form search budget exceeded")
+    def jump(earlier, order, path):
+        """Keep the automorphism earlier leaf -> this leaf (equal bytes);
+        return the level to resume at when it carries the earlier leaf's
+        branch onto this one, else None."""
+        _, earlier_order, earlier_path = earlier
+        gamma = [0] * n
+        for u, w in zip(earlier_order, order):
+            gamma[u] = w
+        if not verify_mapping(adj, adj, gamma) or any(
+            labels[v] != labels[gamma[v]] for v in range(n)
+        ):
+            return None
+        autos.append(gamma)
+        # A leaf has no children, so neither path extends the other.
+        level = next(i for i, (u, w) in enumerate(zip(earlier_path, path)) if u != w)
+        if gamma[earlier_path[level]] == path[level] and all(gamma[v] == v for v in path[:level]):
+            return level
+        return None
+
+    def rec(colors, path):
+        """Search below the node individualizing path; return None, or the
+        level whose node should resume with its next child."""
+        nonlocal first, best
+        spent.charge()
         colors = _refine([adj], [colors])[0]
         cells = _cells(colors)
-        branch_color = None
-        for color in sorted(cells):
-            cell = cells[color]
-            if len(cell) > 1 and _uniform_module(adj, cell) is None:
-                branch_color = color
-                break
-        if branch_color is None:
+        color = _target_color([adj], [cells])
+        if color is None:
             order = sorted(range(n), key=lambda v: (colors[v], v))
-            return _serialize(adj, order, colors, labels)
-        best = None
+            leaf = (_serialize(adj, order, colors, labels), order, path)
+            if first is None:
+                first = best = leaf
+                return None
+            for earlier in (first, best):
+                if earlier[0] == leaf[0]:
+                    return jump(earlier, order, path)
+            if leaf[0] < best[0]:
+                best = leaf
+            return None
+        depth = len(path)
         fresh = max(colors) + 1
-        for v in cells[branch_color]:
+        searched = []
+        gens = []
+        known = 0
+        reach = set()
+        for v in cells[color]:
+            if known < len(autos):
+                gens += [g for g in autos[known:] if all(g[u] == u for u in path)]
+                known = len(autos)
+                reach = _closure(searched, gens)
+            if v in reach:
+                continue
+            searched.append(v)
+            reach |= _closure([v], gens)
             c2 = list(colors)
             c2[v] = fresh
-            cand = rec(c2)
-            if best is None or cand < best:
-                best = cand
-        return best
+            back = rec(c2, path + (v,))
+            if back is not None and back < depth:
+                return back
+        return None
 
-    return rec(init)
+    rec(init, ())
+    return best[0]
 
 
 # -- twin collapse --------------------------------------------------------------

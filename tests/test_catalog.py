@@ -155,6 +155,58 @@ def test_determinacy_small():
     assert all(not r["violations"] for r in report)
 
 
+def _all_pairs_determinacy(entries):
+    """Reference report: explicit graphs of every same-order pair compared,
+    as determinacy_report did before it bucketed entries by fingerprint."""
+    from zdgforge.graphs import explicit_graph, graphs_isomorphic
+
+    by_order = {}
+    for e in entries:
+        by_order.setdefault(e.order, []).append(e)
+    report = []
+    for order in sorted(by_order):
+        group = by_order[order]
+        graphs = [explicit_graph(e.presentation.algebra) for e in group]
+        violations = []
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                if graphs_isomorphic(graphs[i], graphs[j]):
+                    violations.append(
+                        {
+                            "first": group[i].to_json(),
+                            "second": group[j].to_json(),
+                            "rings_isomorphic": rings_isomorphic(
+                                group[i].presentation, group[j].presentation
+                            ),
+                        }
+                    )
+        report.append({"order": order, "classes": len(group), "violations": violations})
+    return report
+
+
+def test_determinacy_buckets_match_all_pairs_reference():
+    from zdgforge.catalog import CatalogEntry
+    from zdgforge.graphs import compressed_graph, fingerprint
+
+    entries = enumerate_variety_rings(64)
+    # Relabelled copies (kernels moved by a generator cycle) give buckets
+    # with several entries, hence violations with isomorphic rings.
+    copies = []
+    for e in entries[4::2]:
+        m, d = e.m, len(wedge_pairs(e.m))
+        moved = Subspace(F2, d, e.presentation.kernel.basis @ wedge_matrix(_gl2_generators(m)[1], m).T % 2)
+        pres = presentation_from_kernel(m, moved)
+        copies.append(
+            CatalogEntry(e.order, m, e.k, moved.basis.astype(np.uint8).tobytes(),
+                         fingerprint(compressed_graph(pres.algebra)), pres)
+        )
+    mixed = sorted(entries + copies, key=lambda e: e.order)
+    report = determinacy_report(mixed)
+    assert report == _all_pairs_determinacy(mixed)
+    assert sum(len(r["violations"]) for r in report) == len(copies)
+    assert determinacy_report(entries) == _all_pairs_determinacy(entries)
+
+
 def test_determinacy_rejects_out_of_variety_entry():
     from dataclasses import replace
 

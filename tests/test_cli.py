@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,8 +170,13 @@ def test_export_graph_formats(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # The subprocess does not see pytest's pythonpath setting.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
         [sys.executable, "-m", "zdgforge.cli", "--help"],
+        env=env,
         capture_output=True,
         text=True,
     )

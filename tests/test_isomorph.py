@@ -1,0 +1,412 @@
+"""The isomorphism engine against independent references: networkx's
+is_isomorphic on seeded and strongly regular graphs, the per-edge color
+refinement it replaced, fingerprints pinned before automorphism pruning, and
+the symplectic quotient of the order-128 census."""
+
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zdgforge.catalog import (
+    _F2,
+    enumerate_variety_rings,
+    presentation_from_kernel,
+    wedge_pairs,
+)
+from zdgforge.constructions import construct
+from zdgforge.errors import CapExceeded
+from zdgforge.fpcore import Subspace
+from zdgforge.graphs import (
+    ZdGraph,
+    _blowup_quotient,
+    compressed_graph,
+    fingerprint,
+    graphs_isomorphic,
+)
+from zdgforge.isomorph import (
+    BASE_LABEL,
+    _cells,
+    _refine,
+    _serialize,
+    _uniform_module,
+    canonical_bytes,
+    collapse_twins,
+    find_isomorphism,
+)
+
+# -- graph builders -------------------------------------------------------------
+
+
+def _from_pairs(n, adjacent):
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adjacent(u, v):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return ZdGraph(n, adj)
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    adj = [0] * g.n
+    for v, row in enumerate(g.adj):
+        adj[perm[v]] = sum(1 << perm[u] for u in range(g.n) if row >> u & 1)
+    return ZdGraph(g.n, adj)
+
+
+def _flip_edge(g, rng):
+    u, v = rng.sample(range(g.n), 2)
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return ZdGraph(g.n, adj)
+
+
+def _random_graph(rng):
+    n = rng.randint(2, 9)
+    density = rng.random()
+    if rng.random() < 0.3:
+        # a blow-up of a smaller graph: twin classes for collapse_twins
+        base = [[rng.random() < density for _ in range(4)] for _ in range(4)]
+        sizes = [rng.randint(1, 3) for _ in range(4)]
+        cliques = [rng.random() < 0.5 for _ in range(4)]
+        owner = [b for b in range(4) for _ in range(sizes[b])]
+        return _from_pairs(
+            len(owner),
+            lambda u, v: cliques[owner[u]] if owner[u] == owner[v]
+            else base[min(owner[u], owner[v])][max(owner[u], owner[v])],
+        )
+    return _from_pairs(n, lambda u, v: rng.random() < density)
+
+
+def _paley(q):
+    """Paley graph on GF(q), q in {5, 9, 13, 17}: x ~ y iff x - y is a
+    nonzero square.  GF(9) is F_3[i] with i^2 = -1, element a + 3b."""
+    if q == 9:
+        def mul(x, y):
+            a, b, c, d = x % 3, x // 3, y % 3, y // 3
+            return (a * c - b * d) % 3 + 3 * ((a * d + b * c) % 3)
+
+        def sub(x, y):
+            return (x % 3 - y % 3) % 3 + 3 * ((x // 3 - y // 3) % 3)
+    else:
+        def mul(x, y):
+            return x * y % q
+
+        def sub(x, y):
+            return (x - y) % q
+    squares = {mul(x, x) for x in range(1, q)}
+    return _from_pairs(q, lambda u, v: sub(u, v) in squares)
+
+
+def _symplectic(m):
+    """Nonzero vectors of F_2^(2m), joined when distinct and orthogonal under
+    the form sum x_(2i) y_(2i+1) + x_(2i+1) y_(2i): the graph of Sp(2m, 2)."""
+    def form(x, y):
+        return sum((x >> 2 * i & 1) * (y >> 2 * i + 1 & 1) + (x >> 2 * i + 1 & 1) * (y >> 2 * i & 1)
+                   for i in range(m)) % 2
+
+    n = 4**m - 1
+    return _from_pairs(n, lambda u, v: form(u + 1, v + 1) == 0)
+
+
+def _rook(k):
+    return _from_pairs(k * k, lambda u, v: (u // k == v // k) != (u % k == v % k))
+
+
+def _srg_parameters(g):
+    degrees = {row.bit_count() for row in g.adj}
+    common = {}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            common.setdefault(bool(g.adj[u] >> v & 1), set()).add((g.adj[u] & g.adj[v]).bit_count())
+    return g.n, degrees, common[True], common[False]
+
+
+def _nx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+# -- networkx oracle --------------------------------------------------------------
+
+
+def _agree(g, h, fp_g):
+    """One case: networkx, graphs_isomorphic and fingerprint equality agree,
+    and a positive verdict carries an edge-preserving witness."""
+    nx = pytest.importorskip("networkx")
+    expected = nx.is_isomorphic(_nx(g), _nx(h))
+    res = graphs_isomorphic(g, h)
+    assert bool(res) == expected
+    if res:
+        image = {frozenset((res.witness[u], res.witness[v])) for u, v in g.edges()}
+        assert image == {frozenset(e) for e in h.edges()}
+    assert (fp_g == fingerprint(h)) == expected
+    return expected
+
+
+def test_networkx_oracle_on_seeded_graphs():
+    pytest.importorskip("networkx")
+    rng = random.Random(20140101)
+    cases = positives = 0
+    while cases < 10_000:
+        g = _random_graph(rng)
+        fp_g = fingerprint(g)
+        partners = [_relabel(g, rng), _relabel(_flip_edge(g, rng), rng),
+                    _flip_edge(g, rng), _relabel(_random_graph(rng), rng)]
+        for h in partners:
+            if h.n == g.n:
+                positives += _agree(g, h, fp_g)
+                cases += 1
+    # both verdicts occur often enough to mean something
+    assert 2_000 < positives < cases - 2_000
+
+
+@pytest.mark.parametrize(
+    "name,graph,parameters",
+    [
+        ("Paley(5)", lambda: _paley(5), (5, {2}, {0}, {1})),
+        ("Paley(9)", lambda: _paley(9), (9, {4}, {1}, {2})),
+        ("Paley(13)", lambda: _paley(13), (13, {6}, {2}, {3})),
+        ("Paley(17)", lambda: _paley(17), (17, {8}, {3}, {4})),
+        ("Sp(4,2)", lambda: _symplectic(2), (15, {6}, {1}, {3})),
+        ("Sp(6,2)", lambda: _symplectic(3), (63, {30}, {13}, {15})),
+    ],
+)
+def test_networkx_oracle_on_strongly_regular_graphs(name, graph, parameters):
+    pytest.importorskip("networkx")
+    g = graph()
+    assert _srg_parameters(g) == parameters
+    rng = random.Random(name)
+    fp_g = fingerprint(g)
+    for _ in range(3):
+        assert _agree(g, _relabel(g, rng), fp_g)
+        assert not _agree(g, _relabel(_flip_edge(g, rng), rng), fp_g)
+
+
+def test_networkx_oracle_on_equal_parameter_pairs():
+    pytest.importorskip("networkx")
+    rng = random.Random(9)
+    # Paley(9) is the 3 x 3 rook's graph; the Shrikhande graph shares the
+    # parameters (16, 6, 2, 2) of the 4 x 4 rook's graph but not its
+    # isomorphism class.
+    shrikhande = _from_pairs(
+        16, lambda u, v: ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4)
+        in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    )
+    assert _srg_parameters(shrikhande) == _srg_parameters(_rook(4))
+    assert _agree(_paley(9), _relabel(_rook(3), rng), fingerprint(_paley(9)))
+    assert not _agree(_rook(4), _relabel(shrikhande, rng), fingerprint(_rook(4)))
+
+
+# -- refinement ---------------------------------------------------------------------
+
+
+def _refine_per_edge(adjs, colorss):
+    """The per-edge refinement the per-class one replaced, kept as the
+    reference: count each neighbor's color through a Counter."""
+    def neighbours(row):
+        while row:
+            low = row & -row
+            yield low.bit_length() - 1
+            row ^= low
+
+    while True:
+        sigss = []
+        for adj, colors in zip(adjs, colorss):
+            sigs = []
+            for v in range(len(adj)):
+                counts = Counter(colors[u] for u in neighbours(adj[v]))
+                sigs.append((colors[v], tuple(sorted(counts.items()))))
+            sigss.append(sigs)
+        ids = {sig: i for i, sig in enumerate(sorted(set().union(*map(set, sigss))))}
+        new = [[ids[s] for s in sigs] for sigs in sigss]
+        if new == colorss:
+            return colorss
+        colorss = new
+
+
+@st.composite
+def _colored_graphs(draw, n):
+    """A graph on n vertices with initial colors: either random edges or a
+    blow-up of a smaller graph, whose open and closed twins share rows."""
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    else:
+        owner = [draw(st.integers(0, 3)) for _ in range(n)]
+        base = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+        cliques = draw(st.sets(st.integers(0, 3)))
+        linked = {frozenset(e) for e in base}
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (owner[u] in cliques if owner[u] == owner[v]
+                     else frozenset((owner[u], owner[v])) in linked)]
+    adj = [0] * n
+    for u, v in edges:
+        if u != v:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    colors = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return adj, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.lists(_colored_graphs(n), min_size=1, max_size=2)))
+def test_refine_matches_per_edge_reference(graphs):
+    adjs = [adj for adj, _ in graphs]
+    colorss = [colors for _, colors in graphs]
+    assert _refine(adjs, colorss) == _refine_per_edge(adjs, colorss)
+
+
+def _canonical_unpruned(adj):
+    """The canonical search without automorphism pruning: the least leaf
+    over every individualization in the first non-module cell."""
+    n = len(adj)
+
+    def rec(colors):
+        colors = _refine([adj], [colors])[0]
+        cells = _cells(colors)
+        color = next((c for c in sorted(cells)
+                      if len(cells[c]) > 1 and _uniform_module(adj, cells[c]) is None), None)
+        if color is None:
+            order = sorted(range(n), key=lambda v: (colors[v], v))
+            return _serialize(adj, order, colors, [BASE_LABEL] * n)
+        fresh = max(colors) + 1
+        return min(rec([fresh if u == v else c for u, c in enumerate(colors)]) for v in cells[color])
+
+    return rec([0] * n)
+
+
+def _symmetric_graphs():
+    """Graphs with many automorphisms that the unpruned search still
+    finishes: small strongly regular graphs, circulants and unions of
+    cycles."""
+    rng = random.Random(2007)
+    petersen = _from_pairs(10, lambda u, v: (u < 5 and v == u + 5)
+                           or (v < 5 and (v - u) % 5 in (1, 4))
+                           or (u >= 5 and (v - u) % 5 in (2, 3)))
+    out = [petersen, _paley(13), _symplectic(2), _rook(3), _rook(4)]
+    for _ in range(40):
+        n = rng.randint(5, 10)
+        shifts = {s for s in range(1, n) if rng.random() < 0.3}
+        out.append(_from_pairs(n, lambda u, v, n=n, shifts=shifts: (v - u) % n in shifts | {n - s for s in shifts}))
+    for _ in range(40):
+        sizes = [rng.randint(3, 4) for _ in range(rng.randint(2, 3))]
+        owner = [i for i, k in enumerate(sizes) for _ in range(k)]
+        out.append(_from_pairs(len(owner), lambda u, v, o=owner, sz=sizes: o[u] == o[v]
+                               and (v - u) % sz[o[u]] in (1, sz[o[u]] - 1)))
+    return out
+
+
+def test_pruned_canonical_form_is_the_unpruned_minimum():
+    rng = random.Random(35)
+    for g in _symmetric_graphs():
+        want = _canonical_unpruned(list(g.adj))
+        assert canonical_bytes(list(g.adj)) == want
+        assert canonical_bytes(list(_relabel(g, rng).adj)) == want
+
+
+# -- pinned fingerprints ------------------------------------------------------------
+
+# fnv64 fingerprints of the blow-ups at p = 2, 3, 5, and of every census
+# entry to order 64, as the canonical search computed them before it pruned
+# by automorphisms.
+PAIR_FINGERPRINTS = {
+    "A1": ("45e35023142fa21c", "a7d170b613481b28", "a3f0703832dc7765"),
+    "B1": ("45e35023142fa21c", "a7d170b613481b28", "a3f0703832dc7765"),
+    "A2": ("8dbd682b11435eba", "74ea5eabc4f07843", "9d51bdbcacd5aa5e"),
+    "B2": ("8dbd682b11435eba", "74ea5eabc4f07843", "9d51bdbcacd5aa5e"),
+}
+
+CENSUS_64_FINGERPRINTS = [
+    (2, 1, 0, "e646321fbc53433b"),
+    (4, 2, 0, "e30aeb41cee787a8"),
+    (8, 2, 1, "2a8a5ebcbada9904"),
+    (8, 3, 0, "ad91805bac7cb60c"),
+    (16, 3, 1, "1a84d328397012e0"),
+    (16, 4, 0, "1df112c02e14eb99"),
+    (32, 3, 2, "23ef25d58df53285"),
+    (32, 4, 1, "1dd65636e6f92628"),
+    (32, 4, 1, "2c8c7e3a86b02bc8"),
+    (32, 5, 0, "63ecc81670c6a8b3"),
+    (64, 3, 3, "386ad2cb5ed8c4fc"),
+    (64, 4, 2, "90d2d617ddfb33ac"),
+    (64, 4, 2, "a2e3b9ad5352836b"),
+    (64, 4, 2, "58d81fa554d878dd"),
+    (64, 4, 2, "45c8df6717a0ea6b"),
+    (64, 5, 1, "0f3b347149c2ade4"),
+    (64, 5, 1, "f12c02084d96480f"),
+    (64, 6, 0, "e9cd4490608066fe"),
+]
+
+
+@pytest.mark.parametrize("variant", sorted(PAIR_FINGERPRINTS))
+def test_pair_fingerprints_are_pinned(variant):
+    got = tuple(fingerprint(compressed_graph(construct(variant, p))) for p in (2, 3, 5))
+    assert got == PAIR_FINGERPRINTS[variant]
+
+
+def test_census_fingerprints_are_pinned():
+    got = [(e.order, e.m, e.k, e.fingerprint) for e in enumerate_variety_rings(64)]
+    assert got == CENSUS_64_FINGERPRINTS
+
+
+# -- the rank-6 symplectic quotient ---------------------------------------------
+
+
+def _rank6_quotient():
+    """Twin-free labeled quotient of the (6, 1) census ring whose product is
+    the rank-6 alternating form e12 + e34 + e56: its kernel is the form's
+    orthogonal hyperplane in wedge^2(F_2^6)."""
+    pairs = wedge_pairs(6)
+    form = [p in {(0, 1), (2, 3), (4, 5)} for p in pairs]
+    lead = form.index(True)
+    rows = []
+    for i, on in enumerate(form):
+        if i != lead:
+            row = np.zeros(len(pairs), dtype=np.int64)
+            row[i] = 1
+            row[lead] = int(on)
+            rows.append(row)
+    pres = presentation_from_kernel(6, Subspace(_F2, len(pairs), np.array(rows)))
+    assert (pres.m, pres.k) == (6, 1)
+    adj, labels = collapse_twins(*_blowup_quotient(compressed_graph(pres.algebra)))
+    return list(adj), list(labels)
+
+
+def test_rank6_quotient_canonical_form_within_budget():
+    adj, labels = _rank6_quotient()
+    n = len(adj)
+    # Sp(6, 2) plus the vertex of R^2, joined to everything
+    hub = next(v for v in range(n) if adj[v].bit_count() == n - 1)
+    rest = [v for v in range(n) if v != hub]
+    index = {v: i for i, v in enumerate(rest)}
+    sp = ZdGraph(n - 1, [sum(1 << index[u] for u in rest if adj[v] >> u & 1) for v in rest])
+    assert bool(graphs_isomorphic(sp, _symplectic(3)))
+    canon = canonical_bytes(adj, labels, budget=2_000)
+    rng = random.Random(128)
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = [0] * n
+        moved_labels = [None] * n
+        for v in range(n):
+            moved[perm[v]] = sum(1 << perm[u] for u in range(n) if adj[v] >> u & 1)
+            moved_labels[perm[v]] = labels[v]
+        assert canonical_bytes(moved, moved_labels, budget=2_000) == canon
+
+
+def test_search_budgets_raise_cap_exceeded():
+    g = _symplectic(2)
+    with pytest.raises(CapExceeded, match="canonical form search budget"):
+        canonical_bytes(list(g.adj), budget=2)
+    with pytest.raises(CapExceeded, match="isomorphism search budget"):
+        find_isomorphism(list(g.adj), list(_relabel(g, random.Random(1)).adj), budget=2)
