@@ -316,43 +316,49 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
 
     Returns (ok, pairs_checked, mismatches).  Vectorized: for each degree-2
     coordinate of the quotient the coefficient array over all pairs is
-    accumulated from the pairwise 2x2 minors (or symmetrized products), so
-    memory stays at a few arrays of shape (N, N).
+    accumulated from the pairwise 2x2 minors (or symmetrized products).  The
+    arithmetic runs in place on three int16 (N, N) buffers; every
+    intermediate value stays below 2 p^2, which the int16 range bounds.
     """
     kind = VARIANTS[variant][0]
     if kind == SYMMETRIC and p == 2:
         raise EvenCharacteristicUnsupported(
             "the commutative-variety product criterion requires odd p"
         )
+    if 2 * p * p >= 2**15:
+        raise ValueError("the exhaustive product criterion needs 2 p^2 < 2**15 (int16)")
     pres = construct(variant, p, n)
     v = nonzero_vectors(p, n)
     cnt = v.shape[0]
-    cols = [v[:, i].astype(np.int64) for i in range(n)]
+    cols = [v[:, i].astype(np.int16) for i in range(n)]
+    coef, block, tmp = (np.empty((cnt, cnt), dtype=np.int16) for _ in range(3))
 
-    def minor(i, j):
-        return (np.outer(cols[i], cols[j]) - np.outer(cols[j], cols[i])) % p
-
-    def sym(i, j):
-        if i == j:
-            return np.outer(cols[i], cols[i]) % p
-        return (np.outer(cols[i], cols[j]) + np.outer(cols[j], cols[i])) % p
+    def pair_block(i, j):
+        """block = the minor (or symmetrized product) of columns i, j mod p."""
+        np.multiply.outer(cols[i], cols[j], out=block)
+        if kind == ALTERNATING:
+            np.subtract(block, np.multiply.outer(cols[j], cols[i], out=tmp), out=block)
+        elif i != j:
+            np.add(block, np.multiply.outer(cols[j], cols[i], out=tmp), out=block)
+        return np.remainder(block, p, out=block)
 
     zero_mask = np.ones((cnt, cnt), dtype=bool)
     for qcol in range(pres.proj_deg2.shape[1]):
-        coef = np.zeros((cnt, cnt), dtype=np.int64)
+        coef.fill(0)
         for row, (i, j) in enumerate(pres.monomials):
-            w = int(pres.proj_deg2[row, qcol])
+            w = int(pres.proj_deg2[row, qcol]) % p
             if w == 0:
                 continue
-            block = minor(i, j) if kind == ALTERNATING else sym(i, j)
-            coef = (coef + w * block) % p
+            np.multiply(pair_block(i, j), w, out=block)
+            np.add(coef, block, out=coef)
+            np.remainder(coef, p, out=coef)
         zero_mask &= coef == 0
 
     if kind == ALTERNATING:
         expected = np.ones((cnt, cnt), dtype=bool)
         for i in range(n):
             for j in range(i + 1, n):
-                expected &= minor(i, j) == 0
+                expected &= pair_block(i, j) == 0
     else:
         expected = np.zeros((cnt, cnt), dtype=bool)
 

@@ -38,6 +38,7 @@ from .errors import CapExceeded
 from .fpcore import _grid, _left_kernel_stack, _projective_reps
 from .isomorph import (
     BASE_LABEL,
+    _bit_matrix,
     canonical_bytes,
     collapse_twins,
     find_isomorphism,
@@ -79,16 +80,7 @@ class ZdGraph:
         adj = tuple(int(a) for a in adj)
         if len(adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        width = (self.n + 7) // 8
-        try:
-            raw = b"".join(row.to_bytes(width, "little") for row in adj)
-        except OverflowError:
-            raise ValueError("adjacency bits out of range") from None
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width)
-        bits = np.unpackbits(packed, axis=1, bitorder="little")
-        if bits[:, self.n :].any():
-            raise ValueError("adjacency bits out of range")
-        bits = bits[:, : self.n]
+        bits = _bit_matrix(adj, self.n)
         if bits.diagonal().any():
             raise ValueError("self loops are not allowed")
         if not np.array_equal(bits, bits.T):

@@ -46,6 +46,8 @@ isomorphic inputs collapse to isomorphic labeled quotients.
 
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from .errors import CapExceeded
 
 __all__ = [
@@ -62,6 +64,8 @@ __all__ = [
 BASE_LABEL = ("b",)
 
 _SEARCH_BUDGET = 500_000
+# Unpacked adjacency entries per block of verify_mapping.
+_VERIFY_BLOCK = 2**12
 
 
 def _bit_indices(mask: int):
@@ -69,6 +73,26 @@ def _bit_indices(mask: int):
         low = mask & (-mask)
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _packed_rows(adj, n: int) -> np.ndarray:
+    """Bitmask rows as a (len(adj), ceil(n / 8)) uint8 array, bit u of a row
+    at byte u // 8, bit u % 8; ValueError if a row is negative or has a bit
+    at position n or above."""
+    width = (n + 7) // 8
+    try:
+        raw = b"".join(row.to_bytes(width, "little") for row in adj)
+    except OverflowError:
+        raise ValueError("adjacency bits out of range") from None
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(adj), width)
+    if n % 8 and (packed[:, -1] >> (n % 8)).any():
+        raise ValueError("adjacency bits out of range")
+    return packed
+
+
+def _bit_matrix(adj, n: int) -> np.ndarray:
+    """Bitmask rows unpacked to a (len(adj), n) 0/1 uint8 matrix."""
+    return np.unpackbits(_packed_rows(adj, n), axis=1, count=n, bitorder="little")
 
 
 def _refine(adjs, colorss):
@@ -177,16 +201,24 @@ class _Budget:
 
 
 def verify_mapping(adj_g, adj_h, mapping) -> bool:
-    """Check that mapping is a bijection carrying edges both ways."""
+    """Check that mapping is a bijection carrying edges both ways: row v of
+    g equals row mapping[v] of h with its columns permuted by mapping.  Rows
+    are compared as bit arrays, a block of rows at a time.  Rows with bits
+    outside the vertex range never verify."""
     n = len(adj_g)
     if len(adj_h) != n or sorted(mapping) != list(range(n)):
         return False
-    for v in range(n):
-        image = 0
-        for u in _bit_indices(adj_g[v]):
-            image |= 1 << mapping[u]
-        if image != adj_h[mapping[v]]:
-            return False
+    perm = np.asarray(mapping, dtype=np.intp)
+    step = max(1, _VERIFY_BLOCK // max(n, 1))
+    try:
+        for lo in range(0, n, step):
+            rows_g = _packed_rows(adj_g[lo : lo + step], n)
+            rows_h = _bit_matrix([adj_h[w] for w in mapping[lo : lo + step]], n)
+            image = np.packbits(rows_h[:, perm], axis=1, bitorder="little")
+            if not np.array_equal(image, rows_g):
+                return False
+    except ValueError:
+        return False
     return True
 
 

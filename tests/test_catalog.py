@@ -3,6 +3,7 @@ import pytest
 
 from zdgforge.catalog import (
     _gl2_generators,
+    _oracle_valid_tables,
     _orbit_partition,
     brute_force_census,
     determinacy_report,
@@ -93,6 +94,84 @@ def test_enumeration_counts_match_oracle_small():
         counts[e.order] = counts.get(e.order, 0) + 1
     assert counts == {2: 1, 4: 1, 8: 2}
     assert brute_force_census(8) == counts
+
+
+def _oracle_chunked_reference(d):
+    """The filter over all 2**(d * C(d, 2)) encoded tables that the
+    pair-by-pair enumeration replaced."""
+    pairs = wedge_pairs(d)
+    npairs = len(pairs)
+    pair_index = {pr: t for t, pr in enumerate(pairs)}
+    total = 1 << (d * npairs)
+    mask = (1 << d) - 1
+    valid = []
+    chunk = 1 << 22
+    for start in range(0, total, chunk):
+        enc = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        for t in range(npairs):
+            if enc.size == 0:
+                break
+            cv = (enc >> (t * d)) & mask
+            ok = np.ones(enc.size, dtype=bool)
+            for k in range(d):
+                res = np.zeros(enc.size, dtype=np.int64)
+                for l in range(d):
+                    if l == k:
+                        continue
+                    other = pair_index[(min(l, k), max(l, k))]
+                    res ^= ((cv >> l) & 1) * ((enc >> (other * d)) & mask)
+                ok &= res == 0
+            enc = enc[ok]
+        valid.extend(int(e) for e in enc)
+    return valid
+
+
+@pytest.fixture(scope="module")
+def oracle_tables():
+    return {d: _oracle_valid_tables(d) for d in range(1, 6)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_oracle_tables_match_chunked_reference(oracle_tables, d):
+    assert oracle_tables[d] == _oracle_chunked_reference(d)
+
+
+def test_oracle_table_counts_are_pinned(oracle_tables):
+    assert [len(oracle_tables[d]) for d in range(1, 6)] == [1, 1, 8, 106, 8464]
+    for tables in oracle_tables.values():
+        assert tables == sorted(set(tables))
+
+
+def _xyz_holds(enc, d):
+    """For each encoded table, whether every triple product (e_i e_j) e_k of
+    basis vectors vanishes, computed from the decoded products e_i e_j."""
+    enc = np.asarray(enc, dtype=np.int64)
+    prod = np.zeros((len(enc), d, d, d), dtype=np.int64)
+    for t, (i, j) in enumerate(wedge_pairs(d)):
+        bits = (enc[:, None] >> (t * d + np.arange(d))) & 1
+        prod[:, i, j] = prod[:, j, i] = bits
+    triple = np.einsum("nijl,nlkm->nijkm", prod, prod) % 2
+    return ~triple.reshape(len(enc), -1).any(axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_oracle_tables_satisfy_xyz_on_basis_vectors(oracle_tables, d):
+    assert _xyz_holds(oracle_tables[d], d).all()
+
+
+def test_oracle_tables_are_all_xyz_tables_at_d3(oracle_tables):
+    every = np.arange(1 << 9)
+    assert every[_xyz_holds(every, 3)].tolist() == oracle_tables[3]
+
+
+def test_oracle_refuses_tables_beyond_int64():
+    with pytest.raises(ValueError):
+        _oracle_valid_tables(6)
+
+
+def test_oracle_agrees_at_order_32():
+    structured = sum(1 for e in enumerate_variety_rings(32) if e.order == 32)
+    assert brute_force_census(32)[32] == 4 == structured
 
 
 def test_enumeration_order_16():

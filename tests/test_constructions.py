@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -116,6 +117,87 @@ def test_product_criterion_exhaustive(variant, p):
     assert ok
     assert pairs == (p**6 - 1) ** 2
     assert mismatches == 0
+
+
+def _product_criterion_reference(variant, p, n=6):
+    """The int64 whole-array product criterion that the in-place int16
+    version replaced."""
+    kind = VARIANTS[variant][0]
+    pres = constructions.construct(variant, p, n)
+    v = constructions.nonzero_vectors(p, n)
+    cnt = v.shape[0]
+    cols = [v[:, i].astype(np.int64) for i in range(n)]
+
+    def minor(i, j):
+        return (np.outer(cols[i], cols[j]) - np.outer(cols[j], cols[i])) % p
+
+    def sym(i, j):
+        if i == j:
+            return np.outer(cols[i], cols[i]) % p
+        return (np.outer(cols[i], cols[j]) + np.outer(cols[j], cols[i])) % p
+
+    zero_mask = np.ones((cnt, cnt), dtype=bool)
+    for qcol in range(pres.proj_deg2.shape[1]):
+        coef = np.zeros((cnt, cnt), dtype=np.int64)
+        for row, (i, j) in enumerate(pres.monomials):
+            w = int(pres.proj_deg2[row, qcol])
+            if w == 0:
+                continue
+            block = minor(i, j) if kind == constructions.ALTERNATING else sym(i, j)
+            coef = (coef + w * block) % p
+        zero_mask &= coef == 0
+    if kind == constructions.ALTERNATING:
+        expected = np.ones((cnt, cnt), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected &= minor(i, j) == 0
+    else:
+        expected = np.zeros((cnt, cnt), dtype=bool)
+    mismatches = int(np.count_nonzero(zero_mask != expected))
+    return mismatches == 0, cnt * cnt, mismatches
+
+
+@pytest.mark.parametrize(
+    "variant,p,n",
+    [("A1", 2, 6), ("B1", 2, 6), ("A1", 3, 6), ("B1", 3, 6), ("A2", 3, 6), ("B2", 3, 6),
+     ("A1", 5, 4), ("A2", 5, 4)],
+)
+def test_product_criterion_exhaustive_matches_reference(variant, p, n):
+    assert product_criterion_exhaustive(variant, p, n) == _product_criterion_reference(variant, p, n)
+
+
+def _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, n, proj):
+    wrong = dataclasses.replace(constructions.construct(variant, p, n), proj_deg2=proj)
+    monkeypatch.setattr(constructions, "construct", lambda *args: wrong)
+    got = product_criterion_exhaustive(variant, p, n)
+    assert got == _product_criterion_reference(variant, p, n)
+    assert not got[0] and got[2] > 0
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("variant,p", [("A1", 2), ("B1", 3), ("A2", 3), ("B2", 3)])
+def test_product_criterion_exhaustive_catches_a_killed_monomial(monkeypatch, variant, p):
+    # x_0 x_1 projected to zero: x_0 x_1 = 0 with x_0, x_1 not proportional.
+    n = VARIANTS[variant][2]
+    pres = construct(variant, p, n)
+    proj = pres.proj_deg2.copy()
+    proj[pres.monomials.index((0, 1))] = 0
+    _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, n, proj)
+
+
+@pytest.mark.parametrize("variant,p", [("A1", 2), ("A1", 5), ("A2", 3), ("A2", 5)])
+def test_product_criterion_exhaustive_catches_random_projections(monkeypatch, variant, p):
+    # Degree-2 parts projected at random onto three coordinates.
+    rng = np.random.default_rng(p)
+    monomials = len(construct(variant, p, 4).monomials)
+    for _ in range(3):
+        proj = rng.integers(0, p, (monomials, 3))
+        _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, 4, proj)
+
+
+def test_product_criterion_exhaustive_refuses_int16_overflow():
+    with pytest.raises(ValueError):
+        product_criterion_exhaustive("A1", 131, 4)
 
 
 def test_relation_form_ranks():

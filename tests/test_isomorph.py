@@ -27,6 +27,7 @@ from zdgforge.graphs import (
     fingerprint,
     graphs_isomorphic,
 )
+from zdgforge import isomorph
 from zdgforge.isomorph import (
     BASE_LABEL,
     _cells,
@@ -36,6 +37,7 @@ from zdgforge.isomorph import (
     canonical_bytes,
     collapse_twins,
     find_isomorphism,
+    verify_mapping,
 )
 
 # -- graph builders -------------------------------------------------------------
@@ -209,6 +211,60 @@ def test_networkx_oracle_on_equal_parameter_pairs():
 
 
 # -- refinement ---------------------------------------------------------------------
+
+
+def _verify_mapping_reference(adj_g, adj_h, mapping):
+    """The row-by-row check that the bit-matrix verify_mapping replaced."""
+    n = len(adj_g)
+    if len(adj_h) != n or sorted(mapping) != list(range(n)):
+        return False
+    for v in range(n):
+        image = 0
+        for u in range(n):
+            if adj_g[v] >> u & 1:
+                image |= 1 << mapping[u]
+        if image != adj_h[mapping[v]]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("block", [isomorph._VERIFY_BLOCK, 8])
+def test_verify_mapping_matches_reference(monkeypatch, block):
+    # A block of 8 entries splits every graph of more than 8 vertices into
+    # one row per block.
+    monkeypatch.setattr(isomorph, "_VERIFY_BLOCK", block)
+    rng = random.Random(1998)
+    accepted = 0
+    for _ in range(1_000):
+        g = _random_graph(rng)
+        n = g.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        image = [0] * n
+        for v, row in enumerate(g.adj):
+            image[perm[v]] = sum(1 << perm[u] for u in range(n) if row >> u & 1)
+        h = ZdGraph(n, image)
+        swapped = list(perm)
+        i, j = rng.sample(range(n), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        cases = [
+            (g.adj, h.adj, perm),
+            (g.adj, _flip_edge(h, rng).adj, perm),
+            (g.adj, h.adj, swapped),
+            (g.adj, h.adj, perm[:-1]),
+            (g.adj, h.adj, perm[:-1] + [perm[0]]),
+            (g.adj, h.adj + (0,), perm + [n]),
+            (g.adj, h.adj[:-1], perm),
+        ]
+        for adj_g, adj_h, mapping in cases:
+            got = verify_mapping(list(adj_g), list(adj_h), mapping)
+            assert got == _verify_mapping_reference(list(adj_g), list(adj_h), mapping)
+            accepted += got
+    assert verify_mapping([], [], [])
+    # a bit outside the vertex range is no edge of a graph on 2 vertices
+    assert not verify_mapping([0b101, 0], [0b101, 0], [0, 1])
+    # every relabelling verifies; a swap verifies only by symmetry
+    assert 1_000 <= accepted < 2_000
 
 
 def _refine_per_edge(adjs, colorss):
