@@ -31,6 +31,30 @@ __all__ = [
     "algebra_from_json",
 ]
 
+
+def _exact_dtype(orders):
+    """int64 when sums of t products of residues stay exact, that is when
+    t * (max order - 1)**2 < 2**63; Python ints (object arrays) otherwise."""
+    top = max(orders, default=1) - 1
+    return np.int64 if len(orders) * top * top < 2**63 else object
+
+
+def associativity_failure(orders, table):
+    """First generator triple (i, j, k), in row-major order, with
+    (e_i e_j) e_k != e_i (e_j e_k) modulo the additive orders, or None.
+
+    table[i, j] holds the coordinates of e_i e_j; bilinearity carries
+    associativity on generator triples to all elements.
+    """
+    dtype = _exact_dtype(orders)
+    mod = np.array(orders, dtype=dtype)
+    t = table.astype(dtype)
+    left = np.einsum("ijl,lkm->ijkm", t, t) % mod
+    right = np.einsum("jkl,ilm->ijkm", t, t) % mod
+    bad = np.argwhere((left != right).any(axis=3))
+    return tuple(int(x) for x in bad[0]) if bad.size else None
+
+
 class SCAlgebra:
     """An associative Z_p-algebra presented by structure constants."""
 
@@ -58,15 +82,9 @@ class SCAlgebra:
 
     def verify_associativity(self):
         """Check (e_i e_j) e_k == e_i (e_j e_k) for all basis triples."""
-        if self.dim == 0:
-            return
-        t = self.table
-        p = self.field.p
-        left = np.einsum("ijl,lkm->ijkm", t, t) % p
-        right = np.einsum("jkl,ilm->ijkm", t, t) % p
-        if not np.array_equal(left, right):
-            bad = np.argwhere((left != right).any(axis=3))[0]
-            raise AssociativityViolation(int(bad[0]), int(bad[1]), int(bad[2]))
+        bad = associativity_failure(self.orders, self.table)
+        if bad:
+            raise AssociativityViolation(*bad)
 
     # -- elements ------------------------------------------------------------
 
@@ -109,23 +127,6 @@ class SCAlgebra:
     def right_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> x*a acting on row coordinate vectors."""
         return np.einsum("j,ijk->ik", a, self.table) % self.field.p
-
-    # -- ring protocol (shared with rings.TableRing) --------------------------
-
-    def add(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
-        return a + b
-
-    def neg(self, a: "AlgebraElement") -> "AlgebraElement":
-        return -a
-
-    def mul(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
-        return a * b
-
-    def int_mul(self, c: int, a: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self, (c % self.field.p) * a.coords)
-
-    def additive_exponent(self) -> int:
-        return self.field.p
 
     def generators(self):
         return [self.basis_element(i) for i in range(self.dim)]

@@ -27,6 +27,7 @@ from .errors import RingAxiomViolation
 from .fpcore import PrimeField, Subspace, _rref_stack
 from .graphs import compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
 from .identities import holds, parse
+from .isomorph import _orbit
 
 __all__ = [
     "RingPresentation",
@@ -181,19 +182,6 @@ class CatalogEntry:
             "fingerprint": self.fingerprint,
             "counts_are": "derived",
         }
-
-
-def _orbit(start, images):
-    """Closure of start under images(x), which yields the generator images
-    of x: the orbit of start as a set."""
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        for img in images(frontier.pop()):
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return orbit
 
 
 def _orbit_partition(m: int, subspace_dim: int):
@@ -371,50 +359,25 @@ def _oracle_valid_tables(d: int):
     return sorted(int(x) for x in np.bitwise_or.reduce(tables << shifts, axis=1))
 
 
-def _oracle_transport(enc: int, g: np.ndarray, ginv: np.ndarray, d: int) -> int:
-    """Pull a table back along g: products of g-images re-expressed through
-    ginv, the inverse of g; the result is the table of an isomorphic ring."""
-    pairs = wedge_pairs(d)
-    pair_index = {pr: t for t, pr in enumerate(pairs)}
-    cvec = [(enc >> (t * d)) & ((1 << d) - 1) for t in range(len(pairs))]
-
-    def mul_bits(x: int, y: int) -> int:
-        out = 0
-        for a in range(d):
-            if not (x >> a) & 1:
-                continue
-            for b in range(d):
-                if a == b or not (y >> b) & 1:
-                    continue
-                out ^= cvec[pair_index[(min(a, b), max(a, b))]]
-        return out
-
-    out = 0
-    for t, (i, j) in enumerate(pairs):
-        gx = _col_bits(g, i)
-        gy = _col_bits(g, j)
-        prod = mul_bits(gx, gy)
-        back = _matvec_bits(ginv, prod, d)
-        out |= back << (t * d)
-    return out
-
-
-def _col_bits(g: np.ndarray, i: int) -> int:
-    out = 0
-    for a in range(g.shape[0]):
-        if g[a, i]:
-            out |= 1 << a
-    return out
-
-
-def _matvec_bits(g: np.ndarray, v: int, d: int) -> int:
-    out = 0
-    for a in range(d):
-        acc = 0
-        for b in range(d):
-            if g[a, b] and (v >> b) & 1:
-                acc ^= 1
-        out |= acc << a
+def _oracle_images(valid, d: int):
+    """Encodings of the tables pulled back along each GL(d, 2) generator g,
+    one list per generator aligned with valid: the image table multiplies
+    x_i x_j = g^-1((g e_i)(g e_j)), the table of an isomorphic ring.  All
+    tables are decoded into full (d, d, d) product tensors at once."""
+    a, b = np.array(wedge_pairs(d), dtype=np.int64).reshape(-1, 2).T
+    shifts = d * np.arange(len(a))[:, None] + np.arange(d)
+    bits = (np.array(valid, dtype=np.int64)[:, None, None] >> shifts) & 1
+    full = np.zeros((len(valid), d, d, d), dtype=np.int64)
+    full[:, a, b] = bits
+    full[:, b, a] = bits
+    eye = np.eye(d, dtype=np.int64)
+    out = []
+    for g in _gl2_generators(d):
+        # rref([g | I]) = [I | g^-1] for invertible g.
+        ginv = _rref_stack(np.hstack([g, eye]), 2)[0][:, d:]
+        prod = np.einsum("ai,bj,nabm->nijm", g, g, full, optimize=True)
+        image = prod[:, a, b] @ ginv.T % 2
+        out.append((image << shifts).sum(axis=(1, 2)).tolist())
     return out
 
 
@@ -422,22 +385,22 @@ def brute_force_census(max_order: int = 16) -> dict:
     """Independent class counts per order: enumerate raw valid tables on
     total spaces of dimension d and bucket them by GL(d, 2) orbit closure.
 
-    The raw tables are built pair by pair (see _oracle_valid_tables): order
-    16 takes milliseconds and order 32 a few seconds, nearly all of it in the
-    orbit closure of its 8,464 tables.  Complements the structured
-    enumeration as a cross-check.
+    The raw tables are built pair by pair (see _oracle_valid_tables) and
+    their generator images in one batch per generator (see _oracle_images):
+    order 16 takes milliseconds and order 32 about a second, most of it
+    building its 8,464 tables.  Complements the structured enumeration as a
+    cross-check.
     """
     if max_order < 2 or max_order & (max_order - 1):
         raise ValueError("max_order must be a power of two, at least 2")
     counts = {}
     for d in range(1, max_order.bit_length()):
         valid = _oracle_valid_tables(d)
-        eye = np.eye(d, dtype=np.int64)
-        # rref([g | I]) = [I | g^-1] for invertible g.
-        gens = [(g, _rref_stack(np.hstack([g, eye]), 2)[0][:, d:]) for g in _gl2_generators(d)]
+        index = {enc: i for i, enc in enumerate(valid)}
+        image_encs = _oracle_images(valid, d)
 
         def images(enc):
-            return (_oracle_transport(enc, g, ginv, d) for g, ginv in gens)
+            return (encs[index[enc]] for encs in image_encs)
 
         seen = set()
         classes = 0

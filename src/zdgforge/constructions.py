@@ -100,29 +100,6 @@ class GradedPresentation:
     algebra: SCAlgebra
     proj_deg2: np.ndarray
 
-    @property
-    def deg2_dim(self) -> int:
-        return self.algebra.dim - self.n
-
-    def pair_product_free(self, alpha, beta) -> np.ndarray:
-        """Product of two degree-1 elements in free degree-2 coordinates."""
-        p = self.field.p
-        a = self.field.canon(alpha)
-        b = self.field.canon(beta)
-        out = np.zeros(len(self.monomials), dtype=np.int64)
-        for idx, (i, j) in enumerate(self.monomials):
-            if self.kind == ALTERNATING:
-                out[idx] = (a[i] * b[j] - a[j] * b[i]) % p
-            elif i == j:
-                out[idx] = (a[i] * b[i]) % p
-            else:
-                out[idx] = (a[i] * b[j] + a[j] * b[i]) % p
-        return out
-
-    def linear_product(self, alpha, beta) -> np.ndarray:
-        """Product of two degree-1 elements in quotient degree-2 coordinates."""
-        return (self.pair_product_free(alpha, beta) @ self.proj_deg2) % self.field.p
-
     def element_from_linear(self, alpha):
         coords = np.zeros(self.algebra.dim, dtype=np.int64)
         coords[: self.n] = self.field.canon(alpha)
@@ -295,7 +272,7 @@ def product_criterion(variant: str, p: int, alpha, beta, n: int = 6) -> bool:
     b = pres.field.canon(beta)
     if not a.any() or not b.any():
         raise ValueError("degree-1 parts must be nonzero")
-    actual = not pres.linear_product(a, b).any()
+    actual = (pres.element_from_linear(a) * pres.element_from_linear(b)).is_zero()
     expected = proportional(pres.field, a, b) if kind == ALTERNATING else False
     if actual != expected:
         raise AssertionError(

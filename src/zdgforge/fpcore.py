@@ -53,15 +53,6 @@ class PrimeField:
         """Return data as an int64 array reduced into [0, p)."""
         return np.asarray(data, dtype=np.int64) % self.p
 
-    def inv(self, a: int) -> int:
-        a = int(a) % self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, -1, self.p)
-
-    def neg(self, a: int) -> int:
-        return (-int(a)) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
 

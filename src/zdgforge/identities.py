@@ -6,15 +6,23 @@ sequence of variable indices; there is no unit, so constant terms are
 rejected.  Verification is semantic only: EXHAUSTIVE substitutes every
 element tuple, MULTILINEAR substitutes additive-generator tuples (sound and
 complete when every variable occurs exactly once in every word).
+
+Both modes run one evaluator on the ring's dense (orders, table) view, so
+TableRings and structure-constant algebras take the same path: blocks of
+substitutions as coordinate rows, products by precomputed
+right-multiplication matrices, int64 arithmetic where it is exact and Python
+ints where it is not.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SCAlgebra
+from .algebra import _exact_dtype
 from .errors import CapExceeded, IdentityParseError, PremiseNotSatisfied
+from .fpcore import _grid
+from .rings import _dense_view, ring_direct_sum
 
 __all__ = [
     "Identity",
@@ -29,6 +37,11 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP = 10**8
+# Largest size in bytes of the rows and right-multiplication matrices of
+# one check.
+_EVAL_BYTES = 2**28
+# Largest number of gathered right-matrix entries per substitution block.
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -258,94 +271,72 @@ class HoldsResult:
         return f"HoldsResult(False, counterexample={self.counterexample!r})"
 
 
-def _eval_term(ring, word, subst):
-    value = subst[word[0] - 1]
-    for v in word[1:]:
-        value = ring.mul(value, subst[v - 1])
-    return value
+def _first_failure(orders, table, rows, f: Identity):
+    """Index tuple of the first substitution, in itertools.product order over
+    the coordinate rows, on which f does not vanish; None if there is none.
 
-
-def _eval_identity(ring, f: Identity, subst, exponent: int):
-    total = ring.zero()
-    for coef, word in f.terms:
-        c = coef % exponent
-        if not c:
-            continue
-        total = ring.add(total, ring.int_mul(c, _eval_term(ring, word, subst)))
-    return total
-
-
-def _holds_exhaustive(ring, f: Identity) -> HoldsResult:
-    count = ring.size ** f.nvars
-    if count > EXHAUSTIVE_CAP:
-        raise CapExceeded(
-            f"{count} substitutions exceed the exhaustive cap; "
-            f"use multilinear mode if the identity allows it"
-        )
-    exponent = ring.additive_exponent()
-    zero = ring.zero()
-    elems = list(ring.elements())
-    for subst in itertools.product(elems, repeat=f.nvars):
-        if _eval_identity(ring, f, subst, exponent) != zero:
-            return HoldsResult(False, tuple(subst))
-    return HoldsResult(True)
-
-
-def _word_tensor(algebra: SCAlgebra, word) -> np.ndarray:
-    """Values of a multilinear word on all basis tuples.
-
-    Axes are (x1 slot, x2 slot, ..., coordinates): entry [i1, ..., id, :]
-    is the product with basis element i_v substituted for variable v.
+    right[e][i] is the coordinates of e_i * rows[e], so each later letter of
+    a word costs one gather of right matrices and one (t, t) contraction per
+    substitution, reduced mod the orders.  Substitutions run in blocks of
+    _BLOCK // t**2 of them (at least one).
     """
-    p = algebra.field.p
-    cur = algebra.table  # axes: (first letter, second letter, coords)
-    for _ in word[2:]:
-        cur = np.einsum("...k,kjm->...jm", cur, algebra.table, optimize=True) % p
-    # cur axes follow word positions; permute into variable order.
-    perm = [word.index(v) for v in range(1, len(word) + 1)]
-    return np.transpose(cur, perm + [len(word)])
-
-
-def _holds_multilinear(ring, f: Identity) -> HoldsResult:
-    if not f.is_multilinear():
-        raise ValueError("multilinear mode needs every variable once per word")
-    exponent = ring.additive_exponent()
-    if isinstance(ring, SCAlgebra):
-        p = ring.field.p
-        total = None
-        for coef, word in f.terms:
-            if len(word) == 1:
-                block = (coef % p) * np.eye(ring.dim, dtype=np.int64)
-            else:
-                block = (coef % p) * _word_tensor(ring, word)
-            total = block if total is None else total + block
-        total %= p
-        bad = np.argwhere(total.any(axis=-1))
+    n, t = rows.shape
+    dtype = _exact_dtype(orders)
+    mod = np.array(orders, dtype=dtype)
+    rows = rows.astype(dtype)
+    right = np.einsum("ej,ijk->eik", rows, table.astype(dtype)) % mod
+    terms = [(np.array([c % o for o in orders], dtype=dtype), w) for c, w in f.terms]
+    count = n**f.nvars
+    step = max(1, _BLOCK // max(1, t * t))
+    for start in range(0, count, step):
+        idx = np.unravel_index(np.arange(start, min(start + step, count)), (n,) * f.nvars)
+        total = 0
+        for coef, word in terms:
+            value = rows[idx[word[0] - 1]]
+            for v in word[1:]:
+                value = np.einsum("bi,bik->bk", value, right[idx[v - 1]]) % mod
+            total = (total + coef * value % mod) % mod
+        bad = np.flatnonzero((total != 0).any(axis=1))
         if bad.size:
-            idx = bad[0]
-            return HoldsResult(False, tuple(ring.basis_element(int(i)) for i in idx))
-        return HoldsResult(True)
-    gens = ring.generators()
-    zero = ring.zero()
-    for subst in itertools.product(gens, repeat=f.nvars):
-        if _eval_identity(ring, f, subst, exponent) != zero:
-            return HoldsResult(False, tuple(subst))
-    return HoldsResult(True)
+            return tuple(int(i[bad[0]]) for i in idx)
+    return None
 
 
 def holds(ring, f: Identity, mode: str = "exhaustive") -> HoldsResult:
     """Whether f vanishes identically on the ring.
 
-    EXHAUSTIVE loops over all |R|**d substitutions (cap 10**8) and reports
-    the first counterexample.  MULTILINEAR substitutes additive-generator
-    tuples only, which is complete exactly for multilinear identities.
-    Deterministic and substitution-order independent in both modes.
+    EXHAUSTIVE substitutes all |R|**d element tuples (cap 10**8), the
+    coordinate grid of the ring in lexicographic order.  MULTILINEAR
+    substitutes generator tuples only, which is complete exactly for
+    multilinear identities.  Both report the first counterexample in
+    itertools.product order; only its entries are built as ring elements.
+    The caps are checked before anything is allocated.
     """
+    orders, table = _dense_view(ring)
+    t = len(orders)
     if mode == "exhaustive":
-        return _holds_exhaustive(ring, f)
-    if mode == "multilinear":
-        return _holds_multilinear(ring, f)
-    raise ValueError(f"unknown mode {mode!r}")
+        n = math.prod(orders)
+        if n**f.nvars > EXHAUSTIVE_CAP:
+            raise CapExceeded(
+                f"{n**f.nvars} substitutions exceed the exhaustive cap; "
+                f"use multilinear mode if the identity allows it"
+            )
+    elif mode == "multilinear":
+        if not f.is_multilinear():
+            raise ValueError("multilinear mode needs every variable once per word")
+        n = t
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    # The right matrices and rows: 8-byte int64 entries, or a pointer and
+    # an int object each on the exact Python-int path.
+    size = n * t * (t + 1) * (8 if _exact_dtype(orders) is np.int64 else 48)
+    if size > _EVAL_BYTES:
+        raise CapExceeded(f"{size} bytes of right-multiplication matrices exceed the cap")
+    rows = _grid(orders) if mode == "exhaustive" else np.eye(t, dtype=np.int64)
+    bad = _first_failure(orders, table, rows, f)
+    if bad is None:
+        return HoldsResult(True)
+    return HoldsResult(False, tuple(ring.element(rows[i]) for i in bad))
 
 
 def direct_sum_degree(n: int, m: int) -> int:
@@ -362,8 +353,6 @@ def verify_sum_lemma(ring_a, n: int, ring_b, m: int) -> HoldsResult:
     (raising PremiseNotSatisfied on failure, distinct from a failing
     conclusion) and then tests x(y - y^N) with N = (n-1)(m-1)+1 on A (+) B.
     """
-    from .rings import ring_direct_sum
-
     if not holds(ring_a, power_identity(n)):
         raise PremiseNotSatisfied(f"first ring does not satisfy x(y - y^{n}) = 0")
     if not holds(ring_b, power_identity(m)):

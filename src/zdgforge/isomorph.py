@@ -292,17 +292,17 @@ def _serialize(adj, order, colors, labels) -> bytes:
     return repr(payload).encode()
 
 
-def _closure(start, gens):
-    """The vertices reachable from start under the maps in gens."""
-    reach = set(start)
-    frontier = list(start)
+def _orbit(start, images):
+    """Closure of start under images(x), which yields the generator images
+    of x: the orbit of start as a set."""
+    orbit = {start}
+    frontier = [start]
     while frontier:
-        v = frontier.pop()
-        for g in gens:
-            if g[v] not in reach:
-                reach.add(g[v])
-                frontier.append(g[v])
-    return reach
+        for img in images(frontier.pop()):
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
 
 
 def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
@@ -370,15 +370,19 @@ def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
         gens = []
         known = 0
         reach = set()
+
+        def images(u):
+            return (g[u] for g in gens)
+
         for v in cells[color]:
             if known < len(autos):
                 gens += [g for g in autos[known:] if all(g[u] == u for u in path)]
                 known = len(autos)
-                reach = _closure(searched, gens)
+                reach = set().union(*(_orbit(u, images) for u in searched))
             if v in reach:
                 continue
             searched.append(v)
-            reach |= _closure([v], gens)
+            reach |= _orbit(v, images)
             c2 = list(colors)
             c2[v] = fresh
             back = rec(c2, path + (v,))

@@ -4,14 +4,14 @@ generator products.
 This covers composite-additive-order rings such as Z_6, which are not
 algebras over a prime field.  Elements are coordinate tuples (a_1, ..., a_t)
 with a_k taken mod the k-th generator order; multiplication is the bilinear
-extension of the generator product table.  Structure-constant algebras
-satisfy the same element protocol (elements/add/neg/mul/int_mul/zero), so
-the identity engine works on either kind.
+extension of the generator product table.
 
-Both kinds also share one dense view: ``orders`` (the additive order of
-each generator) and ``table``, an int64 (t, t, t) array whose entry
-[i, j, k] is coordinate k of the product of generators i and j.  Graph
-extraction and direct sums read only this view.
+TableRing and the structure-constant algebras share one dense view:
+``orders`` (the additive order of each generator) and ``table``, an int64
+(t, t, t) array whose entry [i, j, k] is coordinate k of the product of
+generators i and j.  Graph extraction, direct sums, identity checks and the
+associativity check read only this view; ``element(coords)`` turns a
+coordinate row back into a ring element for reports.
 """
 
 import itertools
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import SCAlgebra
+from .algebra import SCAlgebra, _exact_dtype, associativity_failure
 from .errors import RingAxiomViolation
 
 __all__ = [
@@ -56,32 +56,28 @@ class TableRing:
 
     def _verify(self):
         t = len(self.orders)
+        dtype = _exact_dtype(self.orders)
+        orders = np.array(self.orders, dtype=dtype)
+        table = np.array(self.prod, dtype=dtype).reshape(t, t, t)
         # Bilinear extension is well defined only if each product is killed
         # by both factors' additive orders; this is where incompatible
-        # (distributivity-breaking) tables get rejected.
-        for i in range(t):
-            for j in range(t):
-                for n in (self.orders[i], self.orders[j]):
-                    scaled = tuple(
-                        (n * c) % self.orders[k] for k, c in enumerate(self.prod[i][j])
-                    )
-                    if any(scaled):
-                        raise RingAxiomViolation(
-                            f"product of generators {i}, {j} is not annihilated "
-                            f"by their additive orders",
-                            witness=(i, j),
-                        )
-        # Associativity on generator triples; bilinearity carries it to all
-        # elements.
-        for i in range(t):
-            for j in range(t):
-                for k in range(t):
-                    gi, gj, gk = self._gen(i), self._gen(j), self._gen(k)
-                    if self.mul(self.mul(gi, gj), gk) != self.mul(gi, self.mul(gj, gk)):
-                        raise RingAxiomViolation(
-                            f"associativity fails on generator triple ({i}, {j}, {k})",
-                            witness=(i, j, k),
-                        )
+        # (distributivity-breaking) tables get rejected.  rem[i, k] is
+        # orders[i] mod orders[k].
+        rem = orders[:, None] % orders
+        killed = (rem[:, None] * table % orders == 0) & (rem[None, :] * table % orders == 0)
+        bad = np.argwhere(~killed.all(axis=2))
+        if bad.size:
+            i, j = (int(x) for x in bad[0])
+            raise RingAxiomViolation(
+                f"product of generators {i}, {j} is not annihilated by their additive orders",
+                witness=(i, j),
+            )
+        triple = associativity_failure(self.orders, table)
+        if triple:
+            raise RingAxiomViolation(
+                "associativity fails on generator triple ({}, {}, {})".format(*triple),
+                witness=triple,
+            )
 
     def _gen(self, i):
         return tuple(1 if k == i else 0 for k in range(len(self.orders)))
@@ -99,14 +95,11 @@ class TableRing:
     def zero(self):
         return (0,) * len(self.orders)
 
+    def element(self, coords):
+        return tuple(int(c) % n for c, n in zip(coords, self.orders))
+
     def add(self, a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-    def neg(self, a):
-        return tuple((-x) % n for x, n in zip(a, self.orders))
-
-    def int_mul(self, c, a):
-        return tuple((c * x) % n for x, n in zip(a, self.orders))
 
     def mul(self, a, b):
         out = [0] * len(self.orders)

@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from zdgforge.algebra import (
+    SCAlgebra,
     algebra_from_json,
     algebra_to_json,
     direct_sum,
@@ -173,3 +175,28 @@ def test_annihilator_contains_square_ideal_in_graded_algebras():
         for _ in range(10):
             x = a.element(rng.integers(0, p, a.dim))
             assert a.annihilator(x).contains_subspace(sq)
+
+
+def test_verify_associativity_reports_first_failing_triple():
+    rng = np.random.default_rng(20261018)
+    outcomes = set()
+    for _ in range(200):
+        p = int(rng.choice([2, 3, 5]))
+        dim = int(rng.integers(1, 4))
+        table = rng.integers(0, p, (dim, dim, dim)) * (rng.random((dim, dim, dim)) < 0.2)
+        alg = SCAlgebra(PrimeField(p), table, verify=False)
+        # Reference: the triples one by one through products of basis elements.
+        expected = None
+        for i, j, k in itertools.product(range(dim), repeat=3):
+            e = [alg.basis_element(x) for x in (i, j, k)]
+            if (e[0] * e[1]) * e[2] != e[0] * (e[1] * e[2]):
+                expected = (i, j, k)
+                break
+        try:
+            alg.verify_associativity()
+            got = None
+        except AssociativityViolation as exc:
+            got = exc.triple
+        assert got == expected
+        outcomes.add(got is None)
+    assert outcomes == {True, False}

@@ -1,8 +1,11 @@
 import itertools
+import math
+import random
+import tracemalloc
 
 import pytest
 
-from zdgforge.algebra import field_algebra, zero_mul_algebra
+from zdgforge.algebra import SCAlgebra, field_algebra, zero_mul_algebra
 from zdgforge.constructions import construct, free_m1, free_m2
 from zdgforge.errors import CapExceeded, IdentityParseError, PremiseNotSatisfied
 from zdgforge.identities import (
@@ -14,7 +17,7 @@ from zdgforge.identities import (
     power_identity,
     verify_sum_lemma,
 )
-from zdgforge.rings import null_ring, ring_direct_sum, zn_ring
+from zdgforge.rings import TableRing, null_ring, ring_direct_sum, ring_table, zn_ring
 
 
 def test_parse_basic_word():
@@ -183,3 +186,170 @@ def test_zero_mul_algebra_satisfies_everything_of_degree_2():
     n = zero_mul_algebra(3)
     assert holds(n, parse("x1x2"))
     assert holds(n, power_identity(5))
+
+
+# -- the dense evaluator against the element-by-element one it replaced ---------
+
+
+def _element_ops(ring):
+    """add, mul and integer multiple on the elements a ring reports."""
+    if isinstance(ring, SCAlgebra):
+        return (lambda a, b: a + b), (lambda a, b: a * b), (lambda c, a: c * a)
+    return ring.add, ring.mul, lambda c, a: tuple(c * x % n for x, n in zip(a, ring.orders))
+
+
+def _holds_reference(ring, f, mode):
+    """Substitute element tuples one by one in itertools.product order and
+    evaluate every word with the ring's own operations; returns (verdict,
+    repr of the first counterexample)."""
+    add, mul, int_mul = _element_ops(ring)
+    exponent = math.lcm(*ring.orders)
+    elems = list(ring.elements()) if mode == "exhaustive" else ring.generators()
+    zero = ring.zero()
+    for subst in itertools.product(elems, repeat=f.nvars):
+        total = zero
+        for coef, word in f.terms:
+            c = coef % exponent
+            if not c:
+                continue
+            value = subst[word[0] - 1]
+            for v in word[1:]:
+                value = mul(value, subst[v - 1])
+            total = add(total, int_mul(c, value))
+        if total != zero:
+            return False, repr(tuple(subst))
+    return True, repr(None)
+
+
+def _upper_triangular(n):
+    """2x2 upper-triangular matrices over Z_n on e11, e12, e22."""
+    return ring_table(
+        [n] * 3, {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (1, 2): (0, 1, 0), (2, 2): (0, 0, 1)}
+    )
+
+
+def _random_table_ring(rng):
+    pieces = [
+        lambda: zn_ring(rng.randint(2, 12)),
+        lambda: null_ring(rng.randint(2, 9)),
+        lambda: _upper_triangular(rng.randint(2, 3)),
+    ]
+    ring = rng.choice(pieces)()
+    for _ in range(rng.randint(0, 2)):
+        if ring.size > 24:
+            break
+        ring = ring_direct_sum(ring, rng.choice(pieces)())
+    return ring
+
+
+def _random_quotient(rng):
+    """A quotient of a small free algebra by the ideal of a random element,
+    or A1 on four generators at p = 2."""
+    p = rng.choice([2, 3])
+    if rng.random() < 0.2:
+        return construct("A1", 2, 4).algebra
+    free = (free_m1 if rng.random() < 0.5 else free_m2)(p, 2 if p == 3 else rng.randint(2, 3))
+    alg = free.algebra
+    gen = [rng.randrange(p) for _ in range(alg.dim)]
+    return alg.quotient(alg.ideal_generated([gen]))[0]
+
+
+def _random_identity(rng, nvars):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        word = "".join(
+            f"x{rng.randint(1, nvars)}" + (f"^{rng.randint(2, 3)}" if rng.random() < 0.3 else "")
+            for _ in range(rng.randint(1, 3))
+        )
+        coef = rng.choice(["", "", "2", "3", "5"])
+        terms.append(("-" if rng.random() < 0.4 else "+") + coef + word)
+    try:
+        return parse("".join(terms))
+    except IdentityParseError:  # all terms cancelled
+        return parse(f"x{nvars}")
+
+
+def _random_multilinear(rng, nvars):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        word = list(range(1, nvars + 1))
+        rng.shuffle(word)
+        terms.append((rng.choice([1, -1, 2, 3, 4]), word))
+    try:
+        return Identity.from_terms(terms)
+    except ValueError:  # all terms cancelled
+        return parse("x1x2x3"[: 2 * nvars])
+
+
+def _battery_rings(rng):
+    rings = [_random_table_ring(rng) for _ in range(25)]
+    rings += [_random_quotient(rng) for _ in range(12)]
+    rings += [TableRing((), ()), field_algebra(3), zero_mul_algebra(2, 3)]
+    return rings
+
+
+def test_exhaustive_matches_element_reference():
+    rng = random.Random(20261018)
+    for ring in _battery_rings(rng):
+        for _ in range(4):
+            nvars = rng.randint(1, 3)
+            while ring.size**nvars > 1500:
+                nvars -= 1
+            f = _random_identity(rng, max(nvars, 1))
+            if ring.size**f.nvars > 1500:
+                continue
+            got = holds(ring, f)
+            assert (bool(got), repr(got.counterexample)) == _holds_reference(ring, f, "exhaustive"), (
+                ring,
+                str(f),
+            )
+
+
+def test_multilinear_matches_element_reference():
+    rng = random.Random(20261019)
+    rings = _battery_rings(rng) + [free_m1(3, 3).algebra, free_m2(2, 3).algebra]
+    for ring in rings:
+        for nvars in (1, 2, 3):
+            f = _random_multilinear(rng, nvars)
+            got = holds(ring, f, mode="multilinear")
+            assert (bool(got), repr(got.counterexample)) == _holds_reference(ring, f, "multilinear"), (
+                ring,
+                str(f),
+            )
+
+
+def test_exact_answers_for_large_orders():
+    big = zn_ring(2**40)
+    assert holds(big, parse("x1x2 - x2x1"), mode="multilinear")
+    assert holds(big, parse("x1x2x3 - x3x1x2"), mode="multilinear")
+    assert not holds(big, Identity.from_terms([(2**39, (1,))]), mode="multilinear")
+    assert holds(big, Identity.from_terms([(2**40, (1, 2))]), mode="multilinear")
+    # Z_N (+) Z_N on the basis g0 = (1, 1), g1 = (c, d): g1 g1 = -cd g0 + (c + d) g1,
+    # so products of coordinates reach 2**80 before reduction.
+    n = 2**40 - 87
+    c, d = 2**39 + 12345, 2**38 + 777
+    ring = ring_table(
+        [n, n], {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (-c * d, c + d)}
+    )
+    for expr in ("x1x2 - x2x1", "x1x2x3 - x2x3x1", "x1x2x3"):
+        f = parse(expr)
+        got = holds(ring, f, mode="multilinear")
+        assert (bool(got), repr(got.counterexample)) == _holds_reference(ring, f, "multilinear")
+    with pytest.raises(CapExceeded):
+        holds(big, parse("x1"))
+
+
+def test_caps_refuse_before_allocating():
+    big = construct("A1", 2).algebra  # 2^20 elements, 20 generators
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            holds(big, parse("x1x2"), mode="exhaustive")
+        # One variable passes the substitution cap, but the right matrices
+        # of 2^20 elements would take 3.5 GB.
+        with pytest.raises(CapExceeded):
+            holds(big, parse("x1^2"), mode="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

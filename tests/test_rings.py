@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -92,3 +95,72 @@ def test_direct_sum_is_block_diagonal():
 def test_direct_sum_rejects_objects_without_dense_view():
     with pytest.raises(TypeError):
         ring_direct_sum(zn_ring(2), object())
+
+
+def _verify_reference(ring):
+    """The generator-by-generator axiom check the dense one replaced: order
+    compatibility of every product, then associativity of every triple
+    through ring.mul, in row-major order."""
+    t = len(ring.orders)
+    for i in range(t):
+        for j in range(t):
+            for n in (ring.orders[i], ring.orders[j]):
+                if any(n * c % ring.orders[k] for k, c in enumerate(ring.prod[i][j])):
+                    raise RingAxiomViolation(
+                        f"product of generators {i}, {j} is not annihilated "
+                        f"by their additive orders",
+                        witness=(i, j),
+                    )
+    gens = ring.generators()
+    for i, j, k in itertools.product(range(t), repeat=3):
+        gi, gj, gk = gens[i], gens[j], gens[k]
+        if ring.mul(ring.mul(gi, gj), gk) != ring.mul(gi, ring.mul(gj, gk)):
+            raise RingAxiomViolation(
+                f"associativity fails on generator triple ({i}, {j}, {k})",
+                witness=(i, j, k),
+            )
+
+
+def _violation(check, *args):
+    try:
+        check(*args)
+    except RingAxiomViolation as exc:
+        return exc.witness, str(exc)
+    return None
+
+
+def _assert_verify_matches_reference(orders, prod):
+    unchecked = TableRing(orders, prod, verify=False)
+    assert _violation(TableRing, orders, prod) == _violation(_verify_reference, unchecked)
+
+
+def test_verify_matches_reference_on_random_tables():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(300):
+        t = rng.randint(1, 3)
+        orders = [rng.choice([2, 3, 4, 6]) for _ in range(t)]
+        # Mostly sparse tables, so that associative ones occur too.
+        prod = [
+            [[rng.randrange(orders[k]) if rng.random() < 0.2 else 0 for k in range(t)] for _ in range(t)]
+            for _ in range(t)
+        ]
+        _assert_verify_matches_reference(orders, prod)
+        found = _violation(TableRing, orders, prod)
+        outcomes.add(None if found is None else len(found[0]))
+    assert outcomes == {None, 2, 3}
+    _assert_verify_matches_reference((), ())
+
+
+def test_verify_exact_for_orders_near_2_40():
+    # Z_N (+) Z_N on the basis g0 = (1, 1), g1 = (c, d): associative, with
+    # coordinate products near 2**80 before reduction.
+    n = 2**40 - 87
+    c, d = 2**39 + 12345, 2**38 + 777
+    prod = [[(1, 0), (0, 1)], [(0, 1), (-c * d % n, (c + d) % n)]]
+    _assert_verify_matches_reference([n, n], prod)
+    assert _violation(TableRing, [n, n], prod) is None
+    # e0 e0 = c e1 and e1 e0 = d e0: (e0 e0) e0 = cd e0 but e0 (e0 e0) = 0.
+    prod = [[(0, c), (0, 0)], [(d, 0), (0, 0)]]
+    _assert_verify_matches_reference([n, n], prod)
+    assert _violation(TableRing, [n, n], prod)[0] == (0, 0, 0)
