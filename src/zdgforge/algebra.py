@@ -39,6 +39,15 @@ def _exact_dtype(orders):
     return np.int64 if len(orders) * top * top < 2**63 else object
 
 
+def _check_int64_exact(terms: int, p: int, factors: int = 2):
+    """Raise ValueError unless a sum of `terms` products of `factors` residues
+    mod p, each below p, is exact in int64: terms * (p - 1)**factors < 2**63."""
+    if terms * (p - 1) ** factors >= 2**63:
+        raise ValueError(
+            f"sums of {terms} products of {factors} residues mod {p} overflow int64"
+        )
+
+
 def associativity_failure(orders, table):
     """First generator triple (i, j, k), in row-major order, with
     (e_i e_j) e_k != e_i (e_j e_k) modulo the additive orders, or None.
@@ -118,6 +127,7 @@ class SCAlgebra:
             coords[i] += 1
 
     def mul_coords(self, a, b) -> np.ndarray:
+        _check_int64_exact(self.dim * self.dim, self.field.p, factors=3)
         return np.einsum("i,j,ijk->k", a, b, self.table) % self.field.p
 
     def left_mul_matrix(self, a) -> np.ndarray:
@@ -195,12 +205,18 @@ class SCAlgebra:
             proj[i, col] = 1
         for row, pc in zip(elim_rows, elim_cols):
             proj[pc] = (-row[kept]) % p
+        # Every contraction below, the homomorphism check's pairwise ones
+        # reduced in between, sums at most dim products of two residues.
+        _check_int64_exact(self.dim, p)
         sub_table = self.table[np.ix_(kept, kept)].reshape(q * q, self.dim)
         new_table = ((sub_table @ proj) % p).reshape(q, q, q)
         labels = tuple(self.labels[i] for i in kept)
         quot = SCAlgebra(self.field, new_table, labels=labels, verify=True)
         lhs = np.einsum("ijk,kq->ijq", self.table, proj) % p
-        rhs = np.einsum("ia,jb,abq->ijq", proj, proj, new_table) % p
+        right = np.einsum("jb,abq->ajq", proj, new_table)
+        right %= p
+        rhs = np.einsum("ia,ajq->ijq", proj, right)
+        rhs %= p
         if not np.array_equal(lhs, rhs):
             raise AssertionError("quotient projection failed the homomorphism check")
         return quot, FpMatrix(self.field, proj)

@@ -29,7 +29,6 @@ from .fpcore import (
     PrimeField,
     Subspace,
     _grid,
-    _left_kernel_stack,
     _projective_reps,
     _rref_stack,
 )
@@ -162,9 +161,17 @@ def _relation_vector(pres: GradedPresentation, coeffs: dict) -> np.ndarray:
     return vec
 
 
-@lru_cache(maxsize=None)
 def construct(variant: str, p: int, n: int = 6) -> GradedPresentation:
-    """Build one of the four named quotients on n generators (default 6)."""
+    """Build one of the four named quotients on n generators (default 6).
+
+    Built once per (variant, p, n), however n is passed; construct.cache_clear()
+    empties the cache.
+    """
+    return _construct(variant, p, n)
+
+
+@lru_cache(maxsize=None)
+def _construct(variant: str, p: int, n: int) -> GradedPresentation:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}")
     kind, coeffs, min_n = VARIANTS[variant]
@@ -184,6 +191,9 @@ def construct(variant: str, p: int, n: int = 6) -> GradedPresentation:
         algebra=quot,
         proj_deg2=proj.a[free.n:, free.n:],
     )
+
+
+construct.cache_clear = _construct.cache_clear
 
 
 class RelationForm:
@@ -346,14 +356,24 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
 def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = False):
     """Check the annihilator structure over every nonzero degree-1 part.
 
-    Commutative variants: ann(a) must equal the square ideal exactly.
-    Anticommutative variants: ann(a) must equal span{a} plus the square
-    ideal (a consequence of the proportionality criterion).  Set projective
-    to reduce to one representative per scalar class; annihilators are
-    invariant under scaling.  Returns (ok, vectors_checked), the count of
-    vectors before the first failure.  ann(a) is the left kernel of
-    [R_a | L_a]; one elimination per block of vectors gives canonical bases
-    to compare entrywise with those of the expected subspaces.
+    Commutative variants: ann(a) must equal the square ideal R^2 exactly.
+    Anticommutative variants: ann(a) must equal span{a} + R^2 (a consequence
+    of the proportionality criterion).  Set projective to reduce to one
+    representative per scalar class; annihilators are invariant under
+    scaling.  Returns (ok, vectors_checked), the count of vectors before the
+    first failure.
+
+    The quotients are graded: every structure constant takes two generators
+    to degree 2, and R^2 is the whole degree-2 part.  For a with degree-1
+    part alpha, x*a and a*x then depend only on the degree-1 part of x, so
+    ann(a) = ker_left(M) + R^2, where M = [core.alpha | alpha.core] is the
+    n x 2*d2 degree-1 block of [R_a | L_a] and core = table[:n, :n, n:].
+    ann(a) is as expected iff rank M = n (commutative), or alpha.M = 0 and
+    rank M = n - 1 (anticommutative, where alpha.M = 0 says a*a = 0).  The
+    ranks come from one elimination of the transposes per block of vectors.
+    Both facts the reduction rests on, the grading and R^2 = span{e_n, ...,
+    e_(dim-1)}, are checked once per call; if either fails the call raises
+    AssertionError.
     """
     kind = VARIANTS[variant][0]
     if kind == SYMMETRIC and p == 2:
@@ -363,21 +383,27 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     pres = construct(variant, p, n)
     table = pres.algebra.table
     dim = table.shape[0]
-    square = pres.algebra.square_ideal().basis
-    vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
-    step = max(1, _BLOCK // (3 * dim * dim))
-    for lo in range(0, len(vs), step):
-        a = np.pad(vs[lo : lo + step], ((0, 0), (0, dim - n)))
-        right_left = np.concatenate(
-            [np.einsum("bj,ijk->bik", a, table), np.einsum("bj,jik->bik", a, table)], axis=2
+    outside = table % p
+    outside[:n, :n, n:] = 0
+    if outside.any():
+        raise AssertionError(
+            f"{variant}, p={p}: a structure constant lies outside degree-1 x degree-1 -> degree 2"
         )
-        basis, free = _left_kernel_stack(right_left, p)
-        expected = np.broadcast_to(square, (len(a),) + square.shape)
+    if not np.array_equal(pres.algebra.square_ideal().basis, np.eye(dim, dtype=np.int64)[n:]):
+        raise AssertionError(f"{variant}, p={p}: the square ideal is not the whole degree-2 part")
+    core = table[:n, :n, n:]
+    rank = n - 1 if kind == ALTERNATING else n
+    vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
+    step = max(1, _BLOCK // (2 * (dim - n) * n))
+    for lo in range(0, len(vs), step):
+        a = vs[lo : lo + step]
+        # M transposed, (2*d2, n) per vector: n column steps in the elimination.
+        mt = np.concatenate(
+            [np.einsum("bj,ijk->bki", a, core), np.einsum("bj,jik->bki", a, core)], axis=1
+        ) % p
+        ok = _rref_stack(mt, p)[1] == rank
         if kind == ALTERNATING:
-            expected = _rref_stack(np.concatenate([expected, a[:, None, :]], axis=1), p)[0]
-        # Kernel rows are the last of basis; a zero row in expected fails.
-        e = expected.shape[1]
-        ok = (free.sum(axis=1) == e) & (basis[:, dim - e :] == expected).all(axis=(1, 2))
+            ok &= ~(np.einsum("bki,bi->bk", mt, a) % p).any(axis=1)
         if not ok.all():
             return False, lo + int(ok.argmin())
     return True, len(vs)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zdgforge import constructions
+from zdgforge.algebra import SCAlgebra
 from zdgforge.constructions import (
     SYMMETRIC,
     VARIANTS,
@@ -20,7 +21,14 @@ from zdgforge.constructions import (
     relation_form,
 )
 from zdgforge.errors import EvenCharacteristicUnsupported
-from zdgforge.fpcore import FpMatrix, PrimeField, Subspace
+from zdgforge.fpcore import (
+    FpMatrix,
+    PrimeField,
+    Subspace,
+    _left_kernel_stack,
+    _projective_reps,
+    _rref_stack,
+)
 
 
 def test_free_m1_dimensions():
@@ -74,6 +82,13 @@ def test_construct_requires_enough_generators():
     with pytest.raises(ValueError):
         construct("B1", 2, n=4)
     assert construct("A1", 2, n=4).algebra.dim == 4 + 6 - 1
+
+
+def test_construct_builds_each_quotient_once():
+    pres = construct("A1", 3)
+    assert construct("A1", 3, 6) is pres
+    assert construct("A1", 3, n=6) is pres
+    assert construct(variant="A1", p=3) is pres
 
 
 def test_products_ignore_degree_two_parts():
@@ -263,15 +278,96 @@ def annihilator_loop(variant, p):
 @pytest.mark.parametrize("variant", ["A1", "B1", "A2", "B2"])
 def test_annihilator_exhaustive_matches_per_vector_loop(variant):
     loop = annihilator_loop(variant, 3)
-    assert annihilator_exhaustive(variant, 3, projective=True) == loop == (True, 364)
-    assert annihilator_exhaustive(variant, 3) == (True, 728)
+    reference = _annihilator_reference(variant, 3, projective=True)
+    assert annihilator_exhaustive(variant, 3, projective=True) == loop == reference == (True, 364)
+    assert annihilator_exhaustive(variant, 3) == _annihilator_reference(variant, 3) == (True, 728)
 
 
 def test_annihilator_exhaustive_across_small_blocks(monkeypatch):
-    # Blocks of five vectors: 63 vectors end in a partial block.
+    # Blocks of five vectors of n x 2*d2 entries: 63 vectors end in a partial block.
     dim = construct("A1", 2).algebra.dim
-    monkeypatch.setattr(constructions, "_BLOCK", 5 * 3 * dim * dim)
+    monkeypatch.setattr(constructions, "_BLOCK", 5 * 2 * (dim - 6) * 6)
+    sizes = []
+    rref = constructions._rref_stack
+    monkeypatch.setattr(constructions, "_rref_stack", lambda a, p: sizes.append(len(a)) or rref(a, p))
     assert annihilator_exhaustive("A1", 2) == (True, 63)
+    assert sizes == [5] * 12 + [3]
+
+
+def _annihilator_reference(variant, p, n=6, projective=False):
+    """The whole-algebra check that the degree-1 block check replaced: ann(a)
+    as the left kernel of the dim x 2*dim matrix [R_a | L_a], one
+    elimination of [R_a | L_a | I] for all vectors, compared entrywise with
+    the canonical basis of R^2 (plus span{a} for the anticommutative kind)."""
+    kind = VARIANTS[variant][0]
+    pres = constructions.construct(variant, p, n)
+    table = pres.algebra.table
+    dim = table.shape[0]
+    square = pres.algebra.square_ideal().basis
+    vs = _projective_reps(p, n) if projective else constructions.nonzero_vectors(p, n)
+    a = np.pad(vs, ((0, 0), (0, dim - n)))
+    right_left = np.concatenate(
+        [np.einsum("bj,ijk->bik", a, table), np.einsum("bj,jik->bik", a, table)], axis=2
+    )
+    basis, free = _left_kernel_stack(right_left, p)
+    expected = np.broadcast_to(square, (len(a),) + square.shape)
+    if kind == constructions.ALTERNATING:
+        expected = _rref_stack(np.concatenate([expected, a[:, None, :]], axis=1), p)[0]
+    e = expected.shape[1]
+    ok = (free.sum(axis=1) == e) & (basis[:, dim - e :] == expected).all(axis=(1, 2))
+    return (True, len(vs)) if ok.all() else (False, int(ok.argmin()))
+
+
+def _with_table(pres, table):
+    algebra = SCAlgebra(pres.field, table, labels=pres.algebra.labels, verify=False)
+    return dataclasses.replace(pres, algebra=algebra)
+
+
+def test_annihilator_exhaustive_matches_reference_on_perturbed_tables(monkeypatch):
+    # Seeded bumps of one degree-1 x degree-1 -> degree-2 constant keep the
+    # grading and R^2, so both checks run to a verdict.  Those on the
+    # anticommutative quotients fail, at vectors past the first.
+    outcomes = []
+    for variant in ("A1", "B1", "A2", "B2"):
+        pres = construct(variant, 3)
+        rng = np.random.default_rng(sum(map(ord, variant)))
+        for _ in range(3):
+            table = pres.algebra.table.copy()
+            i, j = rng.integers(0, 6, 2)
+            table[i, j, rng.integers(6, pres.algebra.dim)] += rng.integers(1, 3)
+            monkeypatch.setattr(constructions, "construct", lambda *args, t=table: _with_table(pres, t))
+            for projective in (False, True):
+                got = annihilator_exhaustive(variant, 3, projective=projective)
+                assert got == _annihilator_reference(variant, 3, projective=projective)
+                outcomes.append(got)
+            monkeypatch.undo()
+    assert {ok for ok, _ in outcomes} == {True, False}
+    assert all(index > 0 for ok, index in outcomes if not ok)
+    # At p = 2, x5 x5 = x5 x6 leaves ann(x5) one degree-1 vector, x5 + x6, so
+    # only a*a != 0 tells it from span{x5}: the second vector fails.
+    pres = construct("A1", 2)
+    table = pres.algebra.table.copy()
+    table[4, 4, pres.algebra.labels.index("x5x6")] = 1
+    monkeypatch.setattr(constructions, "construct", lambda *args: _with_table(pres, table))
+    assert annihilator_exhaustive("A1", 2) == _annihilator_reference("A1", 2) == (False, 1)
+
+
+@pytest.mark.parametrize("variant", ["A1", "A2"])
+def test_annihilator_exhaustive_refuses_an_ungraded_table(monkeypatch, variant):
+    pres = construct(variant, 3)
+    graded = pres.algebra.table
+    # A nonzero degree-2 x degree-1 product.
+    table = graded.copy()
+    table[6, 0, 7] = 1
+    monkeypatch.setattr(constructions, "construct", lambda *args: _with_table(pres, table))
+    with pytest.raises(AssertionError, match="outside"):
+        annihilator_exhaustive(variant, 3)
+    # Graded, but x1 x2 is no product at all, so R^2 misses a degree-2 coordinate.
+    table = graded.copy()
+    table[:, :, 6] = 0
+    monkeypatch.setattr(constructions, "construct", lambda *args: _with_table(pres, table))
+    with pytest.raises(AssertionError, match="square ideal"):
+        annihilator_exhaustive(variant, 3)
 
 
 def test_annihilator_exhaustive_detects_a_wrong_expectation(monkeypatch):
