@@ -9,8 +9,14 @@ two-sided zero divisors are vertices; there is no option to change that.
 explicit_graph reads every ring, TableRing or SCAlgebra, through the same
 dense view: additive orders per generator and an int64 product table.  The
 elements form the grid of those orders in lexicographic order, and one
-zero-product matrix, reduced mod the order of each output coordinate,
-decides every pair.
+zero-product kernel decides every pair.  It contracts only the output
+coordinates the table reaches, a block of rows at a time: one matmul per
+block gives the integer products of the block's rows with every element,
+which are reduced in place mod each coordinate's order.  The products are
+exact in float32 while d * (max order - 1)**2 < 2**24 and in int64 while it
+stays below 2**63; past that the kernel raises ValueError.  explicit_graph
+estimates its peak bytes from the vertex count and raises CapExceeded before
+it allocates anything when they exceed _GRAPH_BYTES.
 
 For an algebra with R*R^2 = R^2*R = 0 and R^2 != 0 every element is a zero
 divisor and the graph is a clique blow-up: the p^s - 1 nonzero elements of
@@ -24,7 +30,7 @@ testing all pairs: fpcore's batched elimination gives, for every class
 representative a, the kernel of b -> a*b, and the projective points of that
 kernel are the classes joined to a.  Its cost grows with c * p^k (c classes,
 k the kernel dimension) instead of c^2, and its memory with c*m^2 + p^m for a
-complement of dimension m.  The all-pairs zero-product matrix remains for
+complement of dimension m.  The all-pairs zero-product kernel remains for
 explicit graphs, and tests use it as the reference for the walk.
 """
 
@@ -33,12 +39,12 @@ import math
 
 import numpy as np
 
-from .algebra import SCAlgebra
+from .algebra import SCAlgebra, _check_int64_exact
 from .errors import CapExceeded
 from .fpcore import _grid, _left_kernel_stack, _projective_reps
 from .isomorph import (
     BASE_LABEL,
-    _bit_matrix,
+    _packed_rows,
     canonical_bytes,
     collapse_twins,
     find_isomorphism,
@@ -66,8 +72,14 @@ DEFAULT_ELEMENT_CAP = 2**16
 DEFAULT_ISO_CAP = 4096
 DEFAULT_CLASS_CAP = 2**15
 KERNEL_POINT_CAP = 2**21
-# Largest temporary block, in array entries, of the compressed-graph walk.
+# Largest temporary block, in array entries, of the compressed-graph walk
+# and of the explicit graph's boolean and bit-row passes.
 _BLOCK = 2**20
+# Products per row block of the zero-product kernel; blocks that stay in
+# cache ran about twice as fast as 2**20 on free_m1(2, 4).
+_PRODUCT_BLOCK = 2**17
+# Largest estimated peak, in bytes, of one explicit graph.
+_GRAPH_BYTES = 2**31
 
 
 class ZdGraph:
@@ -80,11 +92,7 @@ class ZdGraph:
         adj = tuple(int(a) for a in adj)
         if len(adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        bits = _bit_matrix(adj, self.n)
-        if bits.diagonal().any():
-            raise ValueError("self loops are not allowed")
-        if not np.array_equal(bits, bits.T):
-            raise ValueError("adjacency must be symmetric")
+        _check_simple(_packed_rows(adj, self.n))
         self.adj = adj
         self.labels = tuple(labels) if labels is not None else None
 
@@ -104,15 +112,16 @@ class ZdGraph:
         return cls(n, [full ^ (1 << v) for v in range(n)])
 
     def edges(self):
+        """Pairs (v, u) with v < u, sorted, read off the packed rows a block
+        at a time."""
+        n = self.n
+        packed = _packed_rows(self.adj, n)
         out = []
-        for v in range(self.n):
-            row = self.adj[v] >> (v + 1)
-            u = v + 1
-            while row:
-                if row & 1:
-                    out.append((v, u))
-                row >>= 1
-                u += 1
+        step = max(1, _BLOCK // max(n, 1))
+        for lo in range(0, n, step):
+            bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
+            v, u = np.nonzero(np.triu(bits, lo + 1))
+            out.extend(zip((v + lo).tolist(), u.tolist()))
         return out
 
     @property
@@ -198,60 +207,127 @@ class IsoResult:
         return f"IsoResult({self.isomorphic})"
 
 
-def _rows_to_bitmasks(mat: np.ndarray):
-    packed = np.packbits(mat.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _check_simple(packed: np.ndarray):
+    """ValueError unless the n packed bit rows have no self loop and are
+    symmetric.  Each block of rows is compared with the matching columns of
+    all rows; no n x n array is unpacked."""
+    n = packed.shape[0]
+    v = np.arange(n)
+    if (packed[v, v >> 3] >> (v & 7) & 1).any():
+        raise ValueError("self loops are not allowed")
+    step = 8 * max(1, _BLOCK // (8 * max(n, 1)))
+    for lo in range(0, n, step):
+        rows = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
+        cols = np.unpackbits(packed[:, lo // 8 : (lo + step) // 8], axis=1, bitorder="little")
+        if not np.array_equal(rows, cols[:, : rows.shape[0]].T):
+            raise ValueError("adjacency must be symmetric")
+
+
+def _check_exact(dtype, terms: int, top: int):
+    """Raise ValueError unless sums of `terms` products of two integers below
+    `top` are exact in dtype: under 2**24 in float32, which holds every
+    integer up to 2**24, and under 2**63 in int64."""
+    if dtype != np.float32:
+        _check_int64_exact(terms, top)
+    elif terms * (top - 1) ** 2 >= 2**24:
+        raise ValueError(f"sums of {terms} products of residues below {top} overflow float32")
+
+
+def _zero_rows(block: np.ndarray, table: np.ndarray, mods: np.ndarray, right: np.ndarray, top: int):
+    """Boolean rows Z[a, b] iff a * b == 0 for the rows a of block and the
+    columns b of right (the elements, transposed, in the product dtype).
+    Every coordinate, table entry and modulus is below top."""
+    r, d = block.shape
+    _check_exact(right.dtype, d, top)
+    k = mods.size
+    left = np.tensordot(block, table, axes=(1, 0)).transpose(0, 2, 1) % mods[:, None]
+    prods = left.reshape(r * k, d).astype(right.dtype) @ right
+    if prods.dtype == np.float32:
+        prods = prods.astype(np.int32)  # exact integers below 2**24
+    prods = prods.reshape(r, k, -1)
+    # Floor division by one scalar modulus is several times faster than a
+    # broadcast remainder.
+    for i, mod in enumerate(mods.tolist()):
+        col = prods[:, i]
+        q = col // mod
+        q *= mod
+        col -= q
+    return ~prods.any(axis=1)
 
 
 def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
     """Boolean matrix Z with Z[a, b] iff vec_a * vec_b == 0 under the table.
 
     p is one modulus, or one per output coordinate of the table (the
-    additive orders of a TableRing).  One float32 matmul per output
-    coordinate: sums stay below d * (max(p)-1)**2, so the float path is
-    exact whenever that bound is under 2**24; larger moduli fall back to
-    chunked integer contraction.
+    additive orders of a TableRing).  Only the k output coordinates the
+    table reaches are contracted.  A block of r rows costs one
+    (r*k, d) @ (d, n) matmul, whose exact integer products are reduced in
+    place mod each coordinate's order; every temporary holds at most about
+    _PRODUCT_BLOCK entries.  With M the largest of the reached orders and of
+    max |vec| + 1, every sum is below d * (M - 1)**2: the matmul runs in
+    float32 when that is under 2**24, in int64 when it is under 2**63, and
+    raises ValueError otherwise.
     """
     n, d = vecs.shape
     mods = np.broadcast_to(np.asarray(p, dtype=np.int64), table.shape[2:])
-    left = np.einsum("ai,ijk->ajk", vecs, table, optimize=True) % mods
-    if d * (int(mods.max()) - 1) ** 2 < 2**24:
-        vt = vecs.T.astype(np.float32)
-        nonzero = np.zeros((n, n), dtype=bool)
-        # Python-int moduli keep np.mod in float32.
-        for k, mod in enumerate(mods.tolist()):
-            pk = left[:, :, k].astype(np.float32) @ vt
-            nonzero |= np.mod(pk, mod) != 0
-        return ~nonzero
-    zero = np.zeros((n, n), dtype=bool)
-    block = max(1, int(8_000_000 // max(1, n * d)))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        prods = np.einsum("ajk,bj->abk", left[start:stop], vecs, optimize=True) % mods
-        zero[start:stop] = ~prods.any(axis=2)
+    table = table % mods
+    reached = table.any(axis=(0, 1))
+    table, mods = table[:, :, reached], mods[reached]
+    zero = np.ones((n, n), dtype=bool)
+    if mods.size == 0 or n == 0:
+        return zero
+    top = max(int(mods.max()), int(np.abs(vecs).max()) + 1)
+    right = vecs.T.astype(np.float32 if d * (top - 1) ** 2 < 2**24 else np.int64)
+    step = max(1, _PRODUCT_BLOCK // (mods.size * n))
+    for lo in range(0, n, step):
+        zero[lo : lo + step] = _zero_rows(vecs[lo : lo + step], table, mods, right, top)
     return zero
+
+
+def _explicit_bytes(n: int, d: int) -> int:
+    """Upper estimate of the peak bytes of an explicit graph on n candidate
+    vertices with d coordinates: the n x n boolean matrix and the bitmask
+    ints packed from it (ZdGraph's check, after the matrix is freed, holds
+    less), the element grid, its transpose and the labels, and the blocks of
+    the kernel and of the bit-row passes."""
+    width = (n + 7) // 8
+    return n * n + 2 * n * width + n * (200 + 64 * d) + 4 * _BLOCK
 
 
 def explicit_graph(ring, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
     """Zero-divisor graph by direct inspection of all products.
 
     Vertices are labelled by their coordinate tuples, in the lexicographic
-    order of ring.elements().
+    order of ring.elements().  Raises CapExceeded before allocating when the
+    ring has more than cap elements or the graph's estimated peak exceeds
+    _GRAPH_BYTES.  The zero-product matrix is the only n x n array: it is
+    made symmetric in place and packed into bitmask rows, a block of rows at
+    a time, and freed before ZdGraph checks the rows.
     """
     orders, table = _dense_view(ring)
     size = math.prod(orders)
     if size > cap:
         raise CapExceeded(f"ring has {size} elements, cap is {cap}")
+    need = _explicit_bytes(size - 1, len(orders))
+    if need > _GRAPH_BYTES:
+        raise CapExceeded(f"explicit graph needs about {need} bytes, cap is {_GRAPH_BYTES}")
     vecs = _grid(orders)[1:]
     if vecs.shape[0] == 0:
         return ZdGraph(0, [], ())
     zero = _zero_product_matrix(vecs, table, orders)
-    either = zero | zero.T
-    vertex_mask = either.any(axis=1)
-    sub = either[np.ix_(vertex_mask, vertex_mask)].copy()
-    np.fill_diagonal(sub, False)
-    labels = tuple(tuple(int(x) for x in v) for v in vecs[vertex_mask])
-    return ZdGraph(int(vertex_mask.sum()), _rows_to_bitmasks(sub), labels)
+    step = max(1, _BLOCK // len(vecs))
+    for lo in range(0, len(vecs), step):
+        zero[lo : lo + step] |= zero[:, lo : lo + step].T
+    vertex_mask = zero.any(axis=1)
+    np.fill_diagonal(zero, False)
+    rows = np.flatnonzero(vertex_mask)
+    adj = []
+    for lo in range(0, rows.size, step):
+        packed = np.packbits(zero[np.ix_(rows[lo : lo + step], vertex_mask)], axis=1, bitorder="little")
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    del zero
+    labels = tuple(map(tuple, vecs[vertex_mask].tolist()))
+    return ZdGraph(len(adj), adj, labels)
 
 
 def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:

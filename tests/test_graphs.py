@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from zdgforge import graphs
 from zdgforge.algebra import SCAlgebra, direct_sum, field_algebra, zero_mul_algebra
 from zdgforge.constructions import construct, free_m1
 from zdgforge.errors import CapExceeded
-from zdgforge.fpcore import PrimeField
+from zdgforge.fpcore import PrimeField, _grid
 from zdgforge.graphs import (
     BlowupGraph,
     ZdGraph,
@@ -449,3 +450,192 @@ def test_zero_product_matrix_integer_path_matches_mul():
 def test_explicit_graph_needs_the_dense_view():
     with pytest.raises(TypeError):
         explicit_graph(construct("A1", 2, 4))
+
+
+def _reference_zero_product_matrix(vecs, table, p):
+    """The float32 np.mod / chunked int64 einsum kernel that the row-blocked
+    kernel replaced: one n x n float32 matmul per output coordinate."""
+    n, d = vecs.shape
+    mods = np.broadcast_to(np.asarray(p, dtype=np.int64), table.shape[2:])
+    left = np.einsum("ai,ijk->ajk", vecs, table, optimize=True) % mods
+    if d * (int(mods.max()) - 1) ** 2 < 2**24:
+        vt = vecs.T.astype(np.float32)
+        nonzero = np.zeros((n, n), dtype=bool)
+        # Python-int moduli keep np.mod in float32.
+        for k, mod in enumerate(mods.tolist()):
+            pk = left[:, :, k].astype(np.float32) @ vt
+            nonzero |= np.mod(pk, mod) != 0
+        return ~nonzero
+    zero = np.zeros((n, n), dtype=bool)
+    block = max(1, int(8_000_000 // max(1, n * d)))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        prods = np.einsum("ajk,bj->abk", left[start:stop], vecs, optimize=True) % mods
+        zero[start:stop] = ~prods.any(axis=2)
+    return zero
+
+
+def _kernel_battery():
+    """(name, vecs, table, moduli) cases for the zero-product kernel."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for p in (2, 3, 5, 7):
+        for i in range(6):
+            alg = _random_two_step(rng, p)
+            vecs = rng.integers(0, p, (int(rng.integers(1, 200)), alg.dim))
+            twin = TableRing(alg.orders, alg.table.tolist(), verify=False)
+            cases.append((f"two-step p={p} #{i}", vecs, alg.table, p))
+            cases.append((f"table twin p={p} #{i}", vecs, twin.table, twin.orders))
+    for ring in (
+        ring_direct_sum(ring_direct_sum(zn_ring(4), zn_ring(6)), zn_ring(20)),
+        ring_direct_sum(null_ring(4), zn_ring(6)),  # first coordinate unreached
+        null_ring(8),  # no coordinate reached
+        free_m1(3, 2).algebra,
+    ):
+        cases.append((repr(ring.orders), _grid(ring.orders)[1:], ring.table, ring.orders))
+    big = ring_direct_sum(zn_ring(8192), zn_ring(6))
+    first = rng.integers(0, 8192, 60) * 2 ** rng.integers(0, 14, 60) % 8192
+    cases.append(("Z8192+Z6", np.stack([first, rng.integers(0, 6, 60)], axis=1), big.table, big.orders))
+    # d * (top - 1)**2 just under and at 2**24: 4 * 2047**2 < 2**24 = 4 * 2048**2.
+    for top in (2048, 2049):
+        table = rng.integers(0, top, (4, 4, 2))
+        vecs = np.vstack([rng.integers(0, top, (40, 4)), np.full((1, 4), top - 1)])
+        cases.append((f"switch top={top}", vecs, table, top))
+    return cases
+
+
+def test_zero_product_kernel_matches_reference(monkeypatch):
+    dtypes = []
+    real = graphs._zero_rows
+
+    def record(block, table, mods, right, top):
+        dtypes.append(right.dtype)
+        return real(block, table, mods, right, top)
+
+    monkeypatch.setattr(graphs, "_zero_rows", record)
+    cases = _kernel_battery()
+    zeros = 0
+    for name, vecs, table, p in cases:
+        got = graphs._zero_product_matrix(vecs, table, p)
+        expected = _reference_zero_product_matrix(vecs, table, p)
+        assert got.shape == (len(vecs), len(vecs)) and got.dtype == bool, name
+        assert np.array_equal(got, expected), name
+        zeros += int(got.sum())
+    assert 0 < zeros < sum(len(v) ** 2 for _, v, _, _ in cases)
+    # The two cases at the switch ran in float32 and int64 respectively.
+    assert dtypes[-2:] == [np.float32, np.int64]
+    assert graphs._zero_product_matrix(np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0, 0), dtype=np.int64), ()).shape == (0, 0)
+
+
+def test_zero_product_kernel_row_blocks(monkeypatch):
+    # Four coordinates, three reached (the null Z4 summand is not).
+    ring = ring_direct_sum(null_ring(4), ring_direct_sum(ring_direct_sum(zn_ring(4), zn_ring(6)), zn_ring(20)))
+    vecs = _grid(ring.orders)[1:]
+    n = len(vecs)
+    assert n == 1919
+    sizes = []
+    real = graphs._zero_rows
+
+    def record(block, *args):
+        sizes.append(len(block))
+        return real(block, *args)
+
+    monkeypatch.setattr(graphs, "_zero_rows", record)
+    monkeypatch.setattr(graphs, "_PRODUCT_BLOCK", 3 * n * 7 + 5)
+    got = graphs._zero_product_matrix(vecs, ring.table, ring.orders)
+    # Seven rows of three reached coordinates per block; 1919 = 7 * 274 + 1.
+    assert sizes == [7] * 274 + [1]
+    assert np.array_equal(got, _reference_zero_product_matrix(vecs, ring.table, ring.orders))
+
+
+def test_zero_product_exactness_bounds():
+    # int64: one coordinate, sums of one product below top**2.
+    top = 3037000500
+    assert (top - 1) ** 2 < 2**63 <= top**2
+    vecs = np.array([[top - 1], [1], [0], [top - 2]], dtype=np.int64)
+    table = np.ones((1, 1, 1), dtype=np.int64)
+    got = graphs._zero_product_matrix(vecs, table, top)
+    expected = [[a * b % top == 0 for (b,) in vecs.tolist()] for (a,) in vecs.tolist()]
+    assert got.tolist() == expected
+    with pytest.raises(ValueError, match="int64"):
+        graphs._zero_product_matrix(vecs, table, top + 1)
+    with pytest.raises(ValueError, match="int64"):
+        graphs._zero_product_matrix(vecs + 1, table, top)
+    # float32: the kernel switches to int64 at the bound, and the block
+    # routine refuses float32 there.
+    # With e_0 * e_j = e_0 the sum for a = b = (t, t, t, t) is 4 * t**2,
+    # the largest the bound allows at top = t + 1.
+    table = np.zeros((4, 4, 1), dtype=np.int64)
+    table[0, :, 0] = 1
+    for top, dtype in ((2048, np.float32), (2049, np.int64)):
+        t = top - 1
+        elems = np.array([[t] * 4, [0, 1, 2, 3], [0, 0, 0, 0], [t, 0, 0, 0]], dtype=np.int64)
+        expected = [[a[0] * sum(b) % top == 0 for b in elems.tolist()] for a in elems.tolist()]
+        got = graphs._zero_rows(elems, table, np.array([top]), elems.T.astype(dtype), top)
+        assert got.tolist() == expected
+    with pytest.raises(ValueError, match="float32"):
+        graphs._zero_rows(elems, table, np.array([2049]), elems.T.astype(np.float32), 2049)
+
+
+def test_explicit_graph_refuses_before_allocating(monkeypatch):
+    ring = free_m1(2, 4).algebra
+    need = graphs._explicit_bytes(1023, ring.dim)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need)
+    assert explicit_graph(ring).n == 1023
+
+    def refuse(*args):
+        raise AssertionError("elements allocated")
+
+    monkeypatch.setattr(graphs, "_grid", refuse)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need - 1)
+    with pytest.raises(CapExceeded, match="bytes"):
+        explicit_graph(ring)
+
+
+def test_explicit_graph_caps_fit_memory():
+    big = construct("A1", 2).algebra  # 2^20 elements
+    z = zn_ring(2**16)  # within DEFAULT_ELEMENT_CAP, but 65535^2 bytes of pairs
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="bytes"):
+            explicit_graph(big, cap=2**21)
+        with pytest.raises(CapExceeded, match="bytes"):
+            explicit_graph(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _bit_loop_edges(g):
+    out = []
+    for v in range(g.n):
+        row = g.adj[v] >> (v + 1)
+        u = v + 1
+        while row:
+            if row & 1:
+                out.append((v, u))
+            row >>= 1
+            u += 1
+    return out
+
+
+@pytest.mark.parametrize("block", [graphs._BLOCK, 64])
+def test_explicit_graph_and_edges_in_small_blocks(monkeypatch, block):
+    monkeypatch.setattr(graphs, "_BLOCK", block)
+    monkeypatch.setattr(graphs, "_PRODUCT_BLOCK", max(1, block // 3))
+    for name in sorted(_REFERENCE_RINGS):
+        ring = _REFERENCE_RINGS[name]()
+        g = explicit_graph(ring)
+        assert (g.n, g.adj, g.labels) == _brute_force_graph(ring), name
+        assert g.edges() == _bit_loop_edges(g), name
+    g = explicit_graph(construct("A1", 2, 4).algebra)
+    assert g.edges() == _bit_loop_edges(g)
+    assert g.export_edge_list() == f"{g.n} {g.num_edges}\n" + "".join(f"{u} {v}\n" for u, v in _bit_loop_edges(g))
+    assert ZdGraph(0, []).edges() == []
+
+
+def test_adjacency_validation_in_small_blocks(monkeypatch):
+    # Eight rows per block of the 100-vertex check: 13 blocks, the last partial.
+    monkeypatch.setattr(graphs, "_BLOCK", 800)
+    test_adjacency_validation_across_several_words()
