@@ -43,12 +43,17 @@ from .algebra import SCAlgebra, _check_int64_exact
 from .errors import CapExceeded
 from .fpcore import _grid, _left_kernel_stack, _projective_reps
 from .isomorph import (
+    _SEARCH_BUDGET,
     BASE_LABEL,
+    _Budget,
     _packed_rows,
     canonical_bytes,
     collapse_twins,
     find_isomorphism,
     fnv64,
+    quotient_graph,
+    twin_classes,
+    verify_mapping,
 )
 from .rings import _dense_view
 
@@ -192,13 +197,21 @@ class BlowupGraph:
 
 
 class IsoResult:
-    """Boolean isomorphism verdict carrying a verified witness when true."""
+    """Boolean isomorphism verdict carrying a verified witness when true.
 
-    __slots__ = ("isomorphic", "witness")
+    search_nodes counts the nodes the search charged to its budget, and
+    quotient_vertices is the vertex count of the first graph's twin
+    quotient (None when a cheap invariant decided before any quotient was
+    built).
+    """
 
-    def __init__(self, isomorphic: bool, witness=None):
+    __slots__ = ("isomorphic", "witness", "search_nodes", "quotient_vertices")
+
+    def __init__(self, isomorphic: bool, witness=None, search_nodes=0, quotient_vertices=None):
         self.isomorphic = bool(isomorphic)
         self.witness = tuple(witness) if witness is not None else None
+        self.search_nodes = search_nodes
+        self.quotient_vertices = quotient_vertices
 
     def __bool__(self):
         return self.isomorphic
@@ -450,18 +463,44 @@ def expand(blowup: BlowupGraph, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
 
 
 def graphs_isomorphic(g: ZdGraph, h: ZdGraph, cap: int = DEFAULT_ISO_CAP) -> IsoResult:
-    """Decide graph isomorphism; any positive answer carries a witness that
-    has been verified edge-by-edge."""
+    """Decide graph isomorphism on the two graphs' twin quotients; any
+    positive answer carries a witness verified edge by edge on the full
+    graphs.
+
+    Each graph's one-level twin classes (isomorph.twin_classes) are modules,
+    so the graph is its quotient on the classes with each class labelled by
+    its kind and size.  An isomorphism of the graphs maps twin classes onto
+    twin classes of the same kind and size, and a label-preserving
+    isomorphism of the quotients lifts to one of the graphs by pairing the
+    members of matched classes in any order.  find_isomorphism matches the
+    labelled quotients and the class map is lifted.  A lift that fails
+    verify_mapping would contradict that argument, so it raises
+    AssertionError rather than report a verdict.
+    """
     if g.n > cap or h.n > cap:
         raise CapExceeded(f"graphs exceed the {cap}-vertex isomorphism cap")
     if g.n != h.n or g.num_edges != h.num_edges:
         return IsoResult(False)
     if g.degree_sequence() != h.degree_sequence():
         return IsoResult(False)
-    mapping = find_isomorphism(list(g.adj), list(h.adj))
-    if mapping is None:
-        return IsoResult(False)
-    return IsoResult(True, mapping)
+    classes_g, classes_h = twin_classes(g.adj), twin_classes(h.adj)
+    spent = _Budget(_SEARCH_BUDGET, "isomorphism")
+    class_map = find_isomorphism(
+        quotient_graph(g.adj, classes_g),
+        quotient_graph(h.adj, classes_h),
+        [(kind, len(mem)) for kind, mem in classes_g],
+        [(kind, len(mem)) for kind, mem in classes_h],
+        budget=spent,
+    )
+    if class_map is None:
+        return IsoResult(False, None, spent.nodes, len(classes_g))
+    witness = [None] * g.n
+    for (_, mem_g), j in zip(classes_g, class_map):
+        for u, w in zip(mem_g, classes_h[j][1]):
+            witness[u] = w
+    if None in witness or not verify_mapping(g.adj, h.adj, witness):
+        raise AssertionError("the witness lifted from the twin quotients failed verification")
+    return IsoResult(True, witness, spent.nodes, len(classes_g))
 
 
 def _blowup_quotient(blowup: BlowupGraph):

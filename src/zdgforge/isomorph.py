@@ -37,10 +37,15 @@ budget:
   subtrees are automorphic images of searched ones, so the minimum, and
   hence the bytes, are those of the full search.
 
-collapse_twins shrinks a labeled graph by repeatedly merging twin classes
-(equal closed or open neighborhoods) into single vertices whose labels record
-the merged structure as join ("K") or union ("I") nodes over the member
-labels, cograph-style.  The merge is deterministic and equivariant, so
+twin_classes groups a graph's vertices into its one-level twin classes
+(equal closed or open neighborhoods), each a module, and quotient_graph
+joins two classes when their members are adjacent.  graphs.graphs_isomorphic
+matches explicit graphs on these quotients, each class labelled by its kind
+and size, and lifts the class map to a vertex witness that verify_mapping
+checks on the full graphs.  collapse_twins repeats the same step: it merges
+twin classes into single vertices whose labels record the merged structure
+as join ("K") or union ("I") nodes over the member labels, cograph-style,
+until no twins remain.  The merge is deterministic and equivariant, so
 isomorphic inputs collapse to isomorphic labeled quotients.
 """
 
@@ -56,6 +61,8 @@ __all__ = [
     "verify_mapping",
     "canonical_bytes",
     "collapse_twins",
+    "twin_classes",
+    "quotient_graph",
     "fnv64",
     "k_join",
     "i_union",
@@ -226,8 +233,10 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
     """Return a vertex mapping g -> h, or None.
 
     init_g/init_h are optional per-vertex color keys (any sortable hashables)
-    that the isomorphism must respect.
+    that the isomorphism must respect.  budget is the node limit, or a
+    _Budget the search charges, whose node count the caller reads after.
     """
+    spent = budget if isinstance(budget, _Budget) else _Budget(budget, "isomorphism")
     n = len(adj_g)
     if len(adj_h) != n:
         return None
@@ -236,7 +245,6 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
     if init_h is None:
         init_h = [0] * n
     colors_g, colors_h = _normalize_keys([list(init_g), list(init_h)])
-    spent = _Budget(budget, "isomorphism")
 
     def rec(cg, ch):
         spent.charge()
@@ -421,66 +429,81 @@ def i_union(members):
     return ("I", tuple(sorted(counts.items())))
 
 
+def twin_classes(adj):
+    """The one-level twin classes of a graph as (kind, members) pairs,
+    sorted by least member.
+
+    "K" marks a closed-twin class of two or more vertices (equal closed
+    neighbourhoods, hence mutually adjacent), "I" an open-twin class of two
+    or more (equal open neighbourhoods, mutually nonadjacent), and "S" a
+    vertex with no twin.  Nontrivial classes of the two kinds are disjoint:
+    a closed twin u of v lies in N(v) = N(w) for an open twin w of v, so w
+    lies in N(u), inside N[u] = N[v]; as w != v, w would lie in N(v) = N(w),
+    a loop.  Closed classes are taken first all the same.  Every class is a
+    module: its members agree outside it.
+    """
+    n = len(adj)
+    # Bytes keys: hash(2**v) repeats with period 61, so int keys of sparse
+    # neighbourhoods pile into few buckets.
+    width = (n + 7) // 8
+    closed = defaultdict(list)
+    for v in range(n):
+        closed[(adj[v] | (1 << v)).to_bytes(width, "little")].append(v)
+    classes = [("K", mem) for mem in closed.values() if len(mem) >= 2]
+    taken = {v for _, mem in classes for v in mem}
+    opened = defaultdict(list)
+    for v in range(n):
+        if v not in taken:
+            opened[adj[v].to_bytes(width, "little")].append(v)
+    for mem in opened.values():
+        classes.append(("I", mem) if len(mem) >= 2 else ("S", mem))
+    classes.sort(key=lambda c: c[1][0])
+    return classes
+
+
+def quotient_graph(adj, classes):
+    """Adjacency of the graph on the given modules (twin_classes' output):
+    two classes are joined iff a member of one is adjacent to the other."""
+    masks = []
+    for _, mem in classes:
+        m = 0
+        for v in mem:
+            m |= 1 << v
+        masks.append(m)
+    quotient = []
+    for gi, (_, mem) in enumerate(classes):
+        row = adj[mem[0]]
+        mask = 0
+        for gj, m in enumerate(masks):
+            if gi != gj and row & m:
+                mask |= 1 << gj
+        quotient.append(mask)
+    return quotient
+
+
 def collapse_twins(adj, labels):
     """Iteratively merge twin classes of a labeled graph.
 
-    Closed twins (equal closed neighborhoods, hence mutually adjacent) merge
-    into a "K" node, then open twins (equal open neighborhoods, mutually
-    nonadjacent) among the remaining vertices merge into an "I" node.  Twin
-    classes are modules, so quotient adjacency is well defined.  Repeats
-    until no twins remain and returns (adj, labels) tuples.
+    Each round merges the classes of twin_classes: a closed-twin class into
+    a "K" node, an open-twin class into an "I" node.  Twin classes are
+    modules, so quotient adjacency is well defined.  Repeats until no twins
+    remain and returns (adj, labels) tuples.
     """
     adj = list(adj)
     labels = list(labels)
     while True:
-        n = len(adj)
-        # Bytes keys: hash(2**v) repeats with period 61, so int keys of
-        # sparse neighbourhoods pile into few buckets.
-        width = (n + 7) // 8
-        closed = defaultdict(list)
-        for v in range(n):
-            closed[(adj[v] | (1 << v)).to_bytes(width, "little")].append(v)
-        merges = []
-        taken = set()
-        for mem in closed.values():
-            if len(mem) >= 2:
-                merges.append(("K", mem))
-                taken.update(mem)
-        opened = defaultdict(list)
-        for v in range(n):
-            if v not in taken:
-                opened[adj[v].to_bytes(width, "little")].append(v)
-        for mem in opened.values():
-            if len(mem) >= 2:
-                merges.append(("I", mem))
-                taken.update(mem)
-        if not merges:
+        classes = twin_classes(adj)
+        if len(classes) == len(adj):
             return tuple(adj), tuple(labels)
-        groups = merges + [("S", [v]) for v in range(n) if v not in taken]
-        groups.sort(key=lambda g: min(g[1]))
-        masks = []
-        for _, mem in groups:
-            m = 0
-            for v in mem:
-                m |= 1 << v
-            masks.append(m)
         new_labels = []
-        for kind, mem in groups:
+        for kind, mem in classes:
             if kind == "S":
                 new_labels.append(labels[mem[0]])
             elif kind == "K":
                 new_labels.append(k_join([labels[v] for v in mem]))
             else:
                 new_labels.append(i_union([labels[v] for v in mem]))
-        new_adj = []
-        for gi, (_, mem) in enumerate(groups):
-            rep = mem[0]
-            mask = 0
-            for gj in range(len(groups)):
-                if gi != gj and adj[rep] & masks[gj]:
-                    mask |= 1 << gj
-            new_adj.append(mask)
-        adj, labels = new_adj, new_labels
+        adj, labels = quotient_graph(adj, classes), new_labels
 
 
 def fnv64(data: bytes) -> str:

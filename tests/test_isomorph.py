@@ -17,18 +17,22 @@ from zdgforge.catalog import (
     presentation_from_kernel,
     wedge_pairs,
 )
-from zdgforge.constructions import construct
+from zdgforge.constructions import construct, free_m1
 from zdgforge.errors import CapExceeded
 from zdgforge.fpcore import Subspace
+from zdgforge import graphs
 from zdgforge.graphs import (
     ZdGraph,
     _blowup_quotient,
     compressed_graph,
+    expand,
+    explicit_graph,
     fingerprint,
     graphs_isomorphic,
 )
 from zdgforge import isomorph
 from zdgforge.isomorph import (
+    _SEARCH_BUDGET,
     BASE_LABEL,
     _cells,
     _refine,
@@ -37,8 +41,12 @@ from zdgforge.isomorph import (
     canonical_bytes,
     collapse_twins,
     find_isomorphism,
+    i_union,
+    k_join,
+    twin_classes,
     verify_mapping,
 )
+from zdgforge.rings import ring_table
 
 # -- graph builders -------------------------------------------------------------
 
@@ -466,3 +474,154 @@ def test_search_budgets_raise_cap_exceeded():
         canonical_bytes(list(g.adj), budget=2)
     with pytest.raises(CapExceeded, match="isomorphism search budget"):
         find_isomorphism(list(g.adj), list(_relabel(g, random.Random(1)).adj), budget=2)
+
+
+# -- twin quotient ------------------------------------------------------------------
+
+
+def _full_graph_search(g, h):
+    """The search graphs_isomorphic ran before it matched twin quotients:
+    find_isomorphism on the whole graphs, kept as the reference."""
+    return find_isomorphism(list(g.adj), list(h.adj))
+
+
+def _two_switch(g, rng):
+    """Replace edges a-b, c-d by a-c, b-d where a-c and b-d are non-edges:
+    every degree stays, so no cheap invariant tells the graphs apart."""
+    edges = list(g.edges())
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not g.adj[a] >> c & 1 and not g.adj[b] >> d & 1:
+            adj = list(g.adj)
+            for u, v in ((a, b), (c, d), (a, c), (b, d)):
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            return ZdGraph(g.n, adj)
+
+
+def _twin_profile(g):
+    """Sizes of the groups of equal rows and of equal rows plus self: an
+    isomorphism invariant, counted without twin_classes."""
+    opened = Counter(g.adj)
+    closed = Counter(row | 1 << v for v, row in enumerate(g.adj))
+    return sorted(opened.values()), sorted(closed.values())
+
+
+def _ring_graph(name):
+    """A ring-derived graph with many twins, and the graph it must match
+    besides its relabellings (None for none).  A1 needs at least four
+    generators, and at n = 4, p = 2 it has 512 elements."""
+    if name == "A1 p=2 n=4":
+        pres = construct("A1", 2, n=4)
+        return explicit_graph(pres.algebra), expand(compressed_graph(pres))
+    if name == "Z4+Z6+Z20":
+        ring = ring_table([4, 6, 20], {(i, i): tuple(int(i == k) for k in range(3)) for i in range(3)})
+    else:
+        ring = free_m1(*{"free_m1(2,3)": (2, 3), "free_m1(2,4)": (2, 4)}[name]).algebra
+    return explicit_graph(ring), None
+
+
+@pytest.mark.parametrize("name", ["free_m1(2,3)", "free_m1(2,4)", "Z4+Z6+Z20", "A1 p=2 n=4"])
+def test_twin_quotient_agrees_with_full_graph_search(name):
+    g, partner = _ring_graph(name)
+    rng = random.Random(name)
+    positives = [partner] if partner is not None else []
+    positives += [_relabel(g, rng) for _ in range(2)]
+    flipped = _relabel(_flip_edge(g, rng), rng)
+    for h, want in [(h, True) for h in positives] + [(flipped, False)]:
+        res = graphs_isomorphic(g, h)
+        assert bool(res) == want == (_full_graph_search(g, h) is not None)
+        if res:
+            assert verify_mapping(list(g.adj), list(h.adj), list(res.witness))
+    # A degree-preserving switch breaks twin classes, and the invariant
+    # profile proves the pair apart.  The full-graph search is not run on
+    # it: it branches through the twins and did not finish in 40 s on the
+    # 63-vertex free_m1(2, 3) graph.
+    h = _relabel(_two_switch(g, rng), rng)
+    assert _twin_profile(h) != _twin_profile(g)
+    assert not graphs_isomorphic(g, h)
+
+
+def test_twin_quotient_size_and_search_nodes():
+    g = explicit_graph(free_m1(2, 4).algebra)
+    assert g.n == 1023
+    res = graphs_isomorphic(g, _relabel(g, random.Random(16)))
+    assert bool(res)
+    assert res.quotient_vertices == 16
+    assert 1 <= res.search_nodes <= _SEARCH_BUDGET
+    # a cheap invariant decides before any quotient is built
+    early = graphs_isomorphic(g, _flip_edge(g, random.Random(16)))
+    assert not early and early.quotient_vertices is None and early.search_nodes == 0
+
+
+def test_a_wrong_class_map_raises(monkeypatch):
+    """A class map whose lift fails verification is a fault, never a
+    negative verdict."""
+    path = ZdGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    blowup = explicit_graph(free_m1(2, 3).algebra)
+    for g, h, wrong in [
+        # all classes singletons: the lift is a bijection, not an isomorphism
+        (path, path, lambda n: [1, 0, 2, 3]),
+        # classes of different sizes matched: the lift leaves vertices unmapped
+        (blowup, _relabel(blowup, random.Random(3)), lambda n: list(reversed(range(n)))),
+    ]:
+        monkeypatch.setattr(graphs, "find_isomorphism", lambda qg, qh, *a, **k: wrong(len(qg)))
+        with pytest.raises(AssertionError, match="lifted"):
+            graphs_isomorphic(g, h)
+
+
+def _collapse_twins_reference(adj, labels):
+    """collapse_twins as it grouped its twins before twin_classes was
+    factored out of it, kept as the reference."""
+    adj = list(adj)
+    labels = list(labels)
+    while True:
+        n = len(adj)
+        width = (n + 7) // 8
+        closed = {}
+        for v in range(n):
+            closed.setdefault((adj[v] | (1 << v)).to_bytes(width, "little"), []).append(v)
+        merges = [("K", mem) for mem in closed.values() if len(mem) >= 2]
+        taken = {v for _, mem in merges for v in mem}
+        opened = {}
+        for v in range(n):
+            if v not in taken:
+                opened.setdefault(adj[v].to_bytes(width, "little"), []).append(v)
+        merges += [("I", mem) for mem in opened.values() if len(mem) >= 2]
+        taken.update(v for _, mem in merges for v in mem)
+        if not merges:
+            return tuple(adj), tuple(labels)
+        groups = merges + [("S", [v]) for v in range(n) if v not in taken]
+        groups.sort(key=lambda g: min(g[1]))
+        masks = [sum(1 << v for v in mem) for _, mem in groups]
+        labels = [labels[mem[0]] if kind == "S"
+                  else (k_join if kind == "K" else i_union)([labels[v] for v in mem])
+                  for kind, mem in groups]
+        adj = [sum(1 << j for j in range(len(groups)) if i != j and adj[mem[0]] & masks[j])
+               for i, (_, mem) in enumerate(groups)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 14).flatmap(_colored_graphs))
+def test_twin_classes_are_disjoint_modules(graph):
+    adj, colors = graph
+    n = len(adj)
+    closed, opened = {}, {}
+    for v in range(n):
+        closed.setdefault(adj[v] | 1 << v, []).append(v)
+        opened.setdefault(adj[v], []).append(v)
+    closed = [mem for mem in closed.values() if len(mem) > 1]
+    opened = [mem for mem in opened.values() if len(mem) > 1]
+    # nontrivial closed and open classes never meet
+    assert not {v for mem in closed for v in mem} & {v for mem in opened for v in mem}
+    classes = twin_classes(adj)
+    assert sorted(v for _, mem in classes for v in mem) == list(range(n))
+    assert [mem[0] for _, mem in classes] == sorted(mem[0] for _, mem in classes)
+    assert sorted(mem for kind, mem in classes if kind == "K") == sorted(closed)
+    assert sorted(mem for kind, mem in classes if kind == "I") == sorted(opened)
+    for kind, mem in classes:
+        assert len(mem) == 1 if kind == "S" else _uniform_module(adj, mem) == kind
+    labels = [("c", c) for c in colors]
+    assert collapse_twins(adj, labels) == _collapse_twins_reference(adj, labels)
