@@ -68,18 +68,33 @@ def _emit(report, path):
     return 0 if report.get("passed", True) else 1
 
 
+# Input checks: a bad argument is a usage error (exit 2), never a failed
+# check (exit 1).
+
+
+def _prime(p):
+    if not _is_prime(p):
+        raise ZdgError(f"{p} is not prime")
+    return p
+
+
 def _parse_primes(raw):
-    ps = []
-    for part in raw.split(","):
-        p = int(part)
-        if not _is_prime(p):
-            raise ZdgError(f"{p} is not prime")
-        ps.append(p)
-    return ps
+    try:
+        ps = [int(part) for part in raw.split(",")]
+    except ValueError:
+        raise ZdgError(f"--p takes comma-separated primes, got {raw!r}") from None
+    return [_prime(p) for p in ps]
+
+
+def _generators(variant, n):
+    least = VARIANTS[variant][2]
+    if n < least:
+        raise ZdgError(f"variant {variant} needs at least {least} generators, got {n}")
+    return n
 
 
 def cmd_construct(args) -> int:
-    pres = construct(args.variant, args.p, args.n)
+    pres = construct(args.variant, _prime(args.p), _generators(args.variant, args.n))
     data = algebra_to_json(pres.algebra)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -182,6 +197,9 @@ def cmd_verify_lemmas(args) -> int:
 def cmd_compare(args) -> int:
     started = time.perf_counter()
     first, second = _PAIRS[args.pair]
+    _prime(args.p)
+    if args.cross_validate is not None:
+        _generators(first, args.cross_validate)
     ga = compressed_graph(construct(first, args.p))
     gb = compressed_graph(construct(second, args.p))
     verdict = blowup_isomorphic(ga, gb)
@@ -234,7 +252,9 @@ def cmd_compare(args) -> int:
 def cmd_certify_noniso(args) -> int:
     started = time.perf_counter()
     pair = _PAIRS[args.pair]
-    cert = noniso_certificate(pair, args.p, samples=args.samples, seed=args.seed)
+    if args.samples < 0:
+        raise ZdgError(f"--samples must be at least 0, got {args.samples}")
+    cert = noniso_certificate(pair, _prime(args.p), samples=args.samples, seed=args.seed)
     checks = [
         _check(
             f"rank-invariant/{args.pair}/p={args.p}",
@@ -266,10 +286,12 @@ def cmd_certify_noniso(args) -> int:
 
 
 def _load_ring(spec: str):
-    if spec.startswith("Z") and spec[1:].isdigit():
-        return zn_ring(int(spec[1:]))
-    if spec.startswith("N0_") and spec[3:].isdigit():
-        return null_ring(int(spec[3:]))
+    for prefix, ring in (("Z", zn_ring), ("N0_", null_ring)):
+        if spec.startswith(prefix) and spec[len(prefix):].isdigit():
+            n = int(spec[len(prefix):])
+            if n < 1:
+                raise ZdgError(f"ring {spec}: the additive order must be at least 1")
+            return ring(n)
     with open(spec, encoding="utf-8") as fh:
         data = json.load(fh)
     if "orders" in data:
@@ -313,6 +335,8 @@ def cmd_identity(args) -> int:
 
 def cmd_census(args) -> int:
     started = time.perf_counter()
+    if args.max_order < 2 or args.max_order & (args.max_order - 1):
+        raise ZdgError(f"--max-order must be a power of two, at least 2, got {args.max_order}")
     entries = enumerate_variety_rings(args.max_order)
     report_rows = determinacy_report(entries)
     total_violations = sum(len(r["violations"]) for r in report_rows)
@@ -357,7 +381,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
-    pres = construct(args.variant, args.p, args.n)
+    pres = construct(args.variant, _prime(args.p), _generators(args.variant, args.n))
     if args.format == "blowup":
         payload = json.dumps(compressed_graph(pres).to_json(), indent=2) + "\n"
     else:

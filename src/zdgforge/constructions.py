@@ -478,6 +478,8 @@ def noniso_certificate(pair, p: int, samples: int = 1000, seed: int = DEFAULT_SE
     The canonical pairs are ("A1", "B1") and ("A2", "B2"); a same-variant
     pair is accepted for diagnostics and yields equal ranks, no certificate.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     first, second = pair
     kind_a = VARIANTS[first][0]
     kind_b = VARIANTS[second][0]

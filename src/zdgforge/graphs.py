@@ -199,10 +199,10 @@ class BlowupGraph:
 class IsoResult:
     """Boolean isomorphism verdict carrying a verified witness when true.
 
-    search_nodes counts the nodes the search charged to its budget, and
-    quotient_vertices is the vertex count of the first graph's twin
-    quotient (None when a cheap invariant decided before any quotient was
-    built).
+    search_nodes counts the nodes of both canonical searches, charged to one
+    budget, and quotient_vertices is the vertex count of the first graph's
+    twin quotient (None when a cheap invariant decided before any quotient
+    was built).
     """
 
     __slots__ = ("isomorphic", "witness", "search_nodes", "quotient_vertices")
@@ -472,8 +472,9 @@ def graphs_isomorphic(g: ZdGraph, h: ZdGraph, cap: int = DEFAULT_ISO_CAP) -> Iso
     its kind and size.  An isomorphism of the graphs maps twin classes onto
     twin classes of the same kind and size, and a label-preserving
     isomorphism of the quotients lifts to one of the graphs by pairing the
-    members of matched classes in any order.  find_isomorphism matches the
-    labelled quotients and the class map is lifted.  A lift that fails
+    members of matched classes in any order.  find_isomorphism compares the
+    canonical forms of the labelled quotients and reads the class map off
+    their canonical orders, and the class map is lifted.  A lift that fails
     verify_mapping would contradict that argument, so it raises
     AssertionError rather than report a verdict.
     """

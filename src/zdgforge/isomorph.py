@@ -1,27 +1,16 @@
-"""Graph isomorphism engine: color refinement, individualization search with
-verified witnesses, twin collapse, and canonical serializations.
+"""Graph isomorphism engine: color refinement, one individualization
+search with automorphism pruning, twin collapse, and canonical
+serializations.
 
 Graphs are adjacency bitmask lists: adj[v] is an int whose bit u is set iff
 u and v are adjacent.  No self loops.
 
-Both searches sit on one refinement, one target-cell rule and one node
-budget:
-
 * _refine colors vertices by their neighbor counts in each color class,
   computed per class as one AND with the class bitmask and a popcount.  The
-  signature (color, sorted (class, count) pairs) and the global sort that
-  turns signatures into ids are those of the plain per-edge count, so color
-  ids, and everything serialized from them, do not depend on how the counts
-  are taken.
-
-* find_isomorphism: joint color refinement plus individualization
-  backtracking, stopping at the first match.  When every refinement cell is
-  a uniform module (all members share the same outside neighborhood and the
-  induced subgraph is complete or empty), a witness can be read off cell by
-  cell: stable joint colors force equal neighbor-color counts across the two
-  graphs, so between two modules the bipartite pattern is complete-or-empty
-  and matches.  The witness is verified edge-by-edge regardless before being
-  returned.
+  signature (color, sorted (class, count) pairs) and the sort that turns
+  signatures into ids are those of the plain per-edge count, so color ids,
+  and everything serialized from them, do not depend on how the counts are
+  taken.
 
 * canonical_bytes: a canonical serialization (lexicographic minimum over
   individualization branches) of a vertex-labeled graph.  Labels are nested
@@ -36,6 +25,11 @@ budget:
   part when the automorphism carries the earlier branch onto it.  Skipped
   subtrees are automorphic images of searched ones, so the minimum, and
   hence the bytes, are those of the full search.
+
+find_isomorphism is no second search: it compares the canonical forms of
+the two graphs and, when they are equal, maps the two least leaves' vertex
+orders onto each other position by position, a map it verifies edge by edge
+before returning it.
 
 twin_classes groups a graph's vertices into its one-level twin classes
 (equal closed or open neighborhoods), each a module, and quotient_graph
@@ -102,48 +96,42 @@ def _bit_matrix(adj, n: int) -> np.ndarray:
     return np.unpackbits(_packed_rows(adj, n), axis=1, count=n, bitorder="little")
 
 
-def _refine(adjs, colorss):
-    """Jointly refine colorings of one or more graphs to stability.
+def _refine(adj, colors):
+    """Refine a coloring of a graph to stability.
 
     A vertex's signature is its color and the sorted (class, count) pairs of
     its neighbors in each color class it reaches, counted per class with the
-    class bitmask.  Color ids are assigned from globally sorted signatures,
-    so equal ids mean equal refinement history across the graphs.
+    class bitmask.  Color ids are assigned from sorted signatures.
     Signatures start with the previous color, hence id order refines the
     previous order and the loop terminates as soon as no cell splits.
     """
     while True:
-        sigss = []
-        for adj, colors in zip(adjs, colorss):
-            masks = {}
-            for v, c in enumerate(colors):
-                masks[c] = masks.get(c, 0) | 1 << v
-            classes = sorted(masks.items())
-            # Open twins (equal rows) and closed twins (equal rows plus
-            # self) of one color have equal signatures; blow-ups are mostly
-            # twins, so each signature is counted once per twin class.
-            opened, closed = {}, {}
-            sigs = []
-            for v, (color, row) in enumerate(zip(colors, adj)):
-                okey, ckey = (color, row), (color, row | 1 << v)
-                sig = opened.get(okey) or closed.get(ckey)
-                if sig is None:
-                    counts = tuple((c, k) for c, mask in classes if (k := (row & mask).bit_count()))
-                    sig = (color, counts)
-                opened[okey] = closed[ckey] = sig
-                sigs.append(sig)
-            sigss.append(sigs)
-        ids = {sig: i for i, sig in enumerate(sorted(set().union(*map(set, sigss))))}
-        new = [[ids[s] for s in sigs] for sigs in sigss]
-        if new == colorss:
-            return colorss
-        colorss = new
+        masks = {}
+        for v, c in enumerate(colors):
+            masks[c] = masks.get(c, 0) | 1 << v
+        classes = sorted(masks.items())
+        # Open twins (equal rows) and closed twins (equal rows plus self) of
+        # one color have equal signatures; blow-ups are mostly twins, so each
+        # signature is counted once per twin class.
+        opened, closed = {}, {}
+        sigs = []
+        for v, (color, row) in enumerate(zip(colors, adj)):
+            okey, ckey = (color, row), (color, row | 1 << v)
+            sig = opened.get(okey) or closed.get(ckey)
+            if sig is None:
+                counts = tuple((c, k) for c, mask in classes if (k := (row & mask).bit_count()))
+                sig = (color, counts)
+            opened[okey] = closed[ckey] = sig
+            sigs.append(sig)
+        new = _normalize_keys(sigs)
+        if new == colors:
+            return colors
+        colors = new
 
 
-def _normalize_keys(keyss):
-    allkeys = sorted(set().union(*map(set, keyss)))
-    ids = {k: i for i, k in enumerate(allkeys)}
-    return [[ids[k] for k in keys] for keys in keyss]
+def _normalize_keys(keys):
+    ids = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [ids[k] for k in keys]
 
 
 def _cells(colors):
@@ -179,15 +167,13 @@ def _uniform_module(adj, cell):
     return None
 
 
-def _target_color(adjs, cellss):
-    """The color both searches individualize in: the least color whose cell
-    has several members and is not a uniform module of one kind in every
-    graph.  None when every cell is a singleton or such a module."""
-    for color in sorted(cellss[0]):
-        if len(cellss[0][color]) > 1:
-            kinds = {_uniform_module(adj, cells[color]) for adj, cells in zip(adjs, cellss)}
-            if None in kinds or len(kinds) > 1:
-                return color
+def _target_color(adj, cells):
+    """The color the search individualizes in: the least color whose cell
+    has several members and is not a uniform module.  None when every cell
+    is a singleton or such a module."""
+    for color in sorted(cells):
+        if len(cells[color]) > 1 and _uniform_module(adj, cells[color]) is None:
+            return color
     return None
 
 
@@ -229,58 +215,6 @@ def verify_mapping(adj_g, adj_h, mapping) -> bool:
     return True
 
 
-def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDGET):
-    """Return a vertex mapping g -> h, or None.
-
-    init_g/init_h are optional per-vertex color keys (any sortable hashables)
-    that the isomorphism must respect.  budget is the node limit, or a
-    _Budget the search charges, whose node count the caller reads after.
-    """
-    spent = budget if isinstance(budget, _Budget) else _Budget(budget, "isomorphism")
-    n = len(adj_g)
-    if len(adj_h) != n:
-        return None
-    if init_g is None:
-        init_g = [0] * n
-    if init_h is None:
-        init_h = [0] * n
-    colors_g, colors_h = _normalize_keys([list(init_g), list(init_h)])
-
-    def rec(cg, ch):
-        spent.charge()
-        cg, ch = _refine([adj_g, adj_h], [cg, ch])
-        if sorted(Counter(cg).items()) != sorted(Counter(ch).items()):
-            return None
-        cells_g, cells_h = _cells(cg), _cells(ch)
-        branch_color = _target_color([adj_g, adj_h], [cells_g, cells_h])
-        if branch_color is None:
-            mapping = [None] * n
-            for color, vg in cells_g.items():
-                for u, w in zip(vg, cells_h[color]):
-                    mapping[u] = w
-            if verify_mapping(adj_g, adj_h, mapping):
-                return mapping
-            # Module reasoning should make this unreachable; stay complete.
-            branch_color = next(
-                (c for c in sorted(cells_g) if len(cells_g[c]) > 1), None
-            )
-            if branch_color is None:
-                return None
-        v = cells_g[branch_color][0]
-        fresh = max(max(cg), max(ch)) + 1
-        for w in cells_h[branch_color]:
-            cg2 = list(cg)
-            ch2 = list(ch)
-            cg2[v] = fresh
-            ch2[w] = fresh
-            found = rec(cg2, ch2)
-            if found is not None:
-                return found
-        return None
-
-    return rec(colors_g, colors_h)
-
-
 def _serialize(adj, order, colors, labels) -> bytes:
     pos = {v: i for i, v in enumerate(order)}
     n = len(order)
@@ -313,21 +247,16 @@ def _orbit(start, images):
     return orbit
 
 
-def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
-    """Canonical serialization of a labeled graph.
+def _canonical(adj, labels, spent):
+    """The least leaf of the canonical search on a labeled graph, as its
+    serialization and its vertex order; spent is the _Budget it charges.
 
-    Equal bytes iff the labeled graphs are isomorphic: the search covers
-    every individualization choice within the first cell that is not a
-    uniform module, up to the automorphisms found on the way, and keeps the
-    lexicographically least serialization.
+    The search covers every individualization choice within the first cell
+    that is not a uniform module, up to the automorphisms found on the way,
+    and keeps the lexicographically least serialization.
     """
     n = len(adj)
-    if labels is None:
-        labels = [BASE_LABEL] * n
-    if n == 0:
-        return repr((0, (), (), ())).encode()
-    init = _normalize_keys([list(labels)])[0]
-    spent = _Budget(budget, "canonical form")
+    init = _normalize_keys(list(labels))
     autos = []  # verified automorphisms as vertex maps
     # (bytes, vertex order, individualized path) of the first leaf and of
     # the least leaf so far: the leaves others are compared with.
@@ -357,9 +286,9 @@ def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
         level whose node should resume with its next child."""
         nonlocal first, best
         spent.charge()
-        colors = _refine([adj], [colors])[0]
+        colors = _refine(adj, colors)
         cells = _cells(colors)
-        color = _target_color([adj], [cells])
+        color = _target_color(adj, cells)
         if color is None:
             order = sorted(range(n), key=lambda v: (colors[v], v))
             leaf = (_serialize(adj, order, colors, labels), order, path)
@@ -399,7 +328,49 @@ def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
         return None
 
     rec(init, ())
-    return best[0]
+    return best[0], best[1]
+
+
+def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
+    """Canonical serialization of a labeled graph (unlabeled vertices get
+    BASE_LABEL): equal bytes iff the labeled graphs are isomorphic."""
+    if labels is None:
+        labels = [BASE_LABEL] * len(adj)
+    return _canonical(adj, labels, _Budget(budget, "canonical form"))[0]
+
+
+def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDGET):
+    """Return a vertex mapping g -> h, or None.
+
+    init_g/init_h are optional per-vertex labels (sortable hashables) that
+    the isomorphism must respect.  budget is the node limit, or a _Budget
+    the search charges, whose node count the caller reads after.
+
+    The labeled graphs are isomorphic iff their canonical forms are equal,
+    and then the vertex at position i of g's canonical order maps to the one
+    at position i of h's: equal bytes mean equal labels and edges by
+    position.  Both canonical searches charge the one budget.  A map that
+    fails verify_mapping, or moves a vertex to one of another label, would
+    contradict that argument, so it raises AssertionError.
+    """
+    spent = budget if isinstance(budget, _Budget) else _Budget(budget, "isomorphism")
+    n = len(adj_g)
+    if len(adj_h) != n:
+        return None
+    labels_g = [BASE_LABEL] * n if init_g is None else list(init_g)
+    labels_h = [BASE_LABEL] * n if init_h is None else list(init_h)
+    bytes_g, order_g = _canonical(adj_g, labels_g, spent)
+    bytes_h, order_h = _canonical(adj_h, labels_h, spent)
+    if bytes_g != bytes_h:
+        return None
+    mapping = [0] * n
+    for u, w in zip(order_g, order_h):
+        mapping[u] = w
+    if not verify_mapping(adj_g, adj_h, mapping) or any(
+        labels_g[u] != labels_h[w] for u, w in zip(order_g, order_h)
+    ):
+        raise AssertionError("equal canonical forms gave a mapping that failed verification")
+    return mapping
 
 
 # -- twin collapse --------------------------------------------------------------

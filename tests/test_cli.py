@@ -100,6 +100,33 @@ def test_certify_noniso_gates_even_p(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--pair", "A1B1", "--p", "4"],
+        ["compare", "--pair", "A1B1", "--p", "2", "--cross-validate", "2"],
+        ["verify-lemmas", "--p", "3,x"],
+        ["verify-lemmas", "--p", "3,,5"],
+        ["construct", "--variant", "A1", "--p", "3", "--n", "2"],
+        ["export-graph", "--variant", "B1", "--p", "2", "--n", "4"],
+        ["certify-noniso", "--pair", "A1B1", "--p", "4"],
+        ["certify-noniso", "--pair", "A1B1", "--p", "3", "--samples", "-1"],
+        ["census", "--max-order", "12"],
+        ["identity", "--ring", "Z0", "--expr", "x1"],
+        ["identity", "--ring", "N0_0", "--expr", "x1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    # Exit 1 means a check failed; bad input exits 2 with one error line
+    # and no report.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_identity_command(tmp_path, capsys):
     code, _ = run_cli(
         capsys, "identity", "--ring", "Z6", "--expr", "x1(x2 - x2^3)", "--expect", "holds"

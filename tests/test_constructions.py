@@ -405,6 +405,12 @@ def test_noniso_certificate_gates_even_p():
         noniso_certificate(("A1", "B2"), 3)
 
 
+def test_noniso_certificate_refuses_negative_samples():
+    # A negative count would replay nothing and report a failed replay.
+    with pytest.raises(ValueError, match="samples"):
+        noniso_certificate(("A1", "B1"), 3, samples=-1)
+
+
 def test_certificate_reproducible():
     a = noniso_certificate(("A1", "B1"), 3, samples=50, seed=123)
     b = noniso_certificate(("A1", "B1"), 3, samples=50, seed=123)

@@ -78,6 +78,22 @@ def _flip_edge(g, rng):
     return ZdGraph(g.n, adj)
 
 
+def _two_switch(g, rng):
+    """Replace edges a-b, c-d by a-c, b-d where a-c and b-d are non-edges:
+    every degree stays, so no cheap invariant tells the graphs apart."""
+    edges = list(g.edges())
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not g.adj[a] >> c & 1 and not g.adj[b] >> d & 1:
+            adj = list(g.adj)
+            for u, v in ((a, b), (c, d), (a, c), (b, d)):
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            return ZdGraph(g.n, adj)
+
+
 def _random_graph(rng):
     n = rng.randint(2, 9)
     density = rng.random()
@@ -275,7 +291,7 @@ def test_verify_mapping_matches_reference(monkeypatch, block):
     assert 1_000 <= accepted < 2_000
 
 
-def _refine_per_edge(adjs, colorss):
+def _refine_per_edge(adj, colors):
     """The per-edge refinement the per-class one replaced, kept as the
     reference: count each neighbor's color through a Counter."""
     def neighbours(row):
@@ -285,18 +301,13 @@ def _refine_per_edge(adjs, colorss):
             row ^= low
 
     while True:
-        sigss = []
-        for adj, colors in zip(adjs, colorss):
-            sigs = []
-            for v in range(len(adj)):
-                counts = Counter(colors[u] for u in neighbours(adj[v]))
-                sigs.append((colors[v], tuple(sorted(counts.items()))))
-            sigss.append(sigs)
-        ids = {sig: i for i, sig in enumerate(sorted(set().union(*map(set, sigss))))}
-        new = [[ids[s] for s in sigs] for sigs in sigss]
-        if new == colorss:
-            return colorss
-        colorss = new
+        sigs = [(colors[v], tuple(sorted(Counter(colors[u] for u in neighbours(adj[v])).items())))
+                for v in range(len(adj))]
+        ids = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [ids[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
 
 
 @st.composite
@@ -323,11 +334,10 @@ def _colored_graphs(draw, n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 14).flatmap(lambda n: st.lists(_colored_graphs(n), min_size=1, max_size=2)))
-def test_refine_matches_per_edge_reference(graphs):
-    adjs = [adj for adj, _ in graphs]
-    colorss = [colors for _, colors in graphs]
-    assert _refine(adjs, colorss) == _refine_per_edge(adjs, colorss)
+@given(st.integers(1, 14).flatmap(_colored_graphs))
+def test_refine_matches_per_edge_reference(graph):
+    adj, colors = graph
+    assert _refine(adj, colors) == _refine_per_edge(adj, colors)
 
 
 def _canonical_unpruned(adj):
@@ -336,7 +346,7 @@ def _canonical_unpruned(adj):
     n = len(adj)
 
     def rec(colors):
-        colors = _refine([adj], [colors])[0]
+        colors = _refine(adj, colors)
         cells = _cells(colors)
         color = next((c for c in sorted(cells)
                       if len(cells[c]) > 1 and _uniform_module(adj, cells[c]) is None), None)
@@ -472,33 +482,95 @@ def test_search_budgets_raise_cap_exceeded():
     g = _symplectic(2)
     with pytest.raises(CapExceeded, match="canonical form search budget"):
         canonical_bytes(list(g.adj), budget=2)
+    h = _relabel(g, random.Random(1))
     with pytest.raises(CapExceeded, match="isomorphism search budget"):
-        find_isomorphism(list(g.adj), list(_relabel(g, random.Random(1)).adj), budget=2)
+        find_isomorphism(list(g.adj), list(h.adj), budget=2)
+    # the one budget counts the nodes of both canonical searches
+    nodes = []
+    for x in (g, h):
+        spent = isomorph._Budget(_SEARCH_BUDGET, "canonical form")
+        isomorph._canonical(list(x.adj), [BASE_LABEL] * x.n, spent)
+        nodes.append(spent.nodes)
+    spent = isomorph._Budget(_SEARCH_BUDGET, "isomorphism")
+    assert find_isomorphism(list(g.adj), list(h.adj), budget=spent) is not None
+    assert spent.nodes == sum(nodes)
+
+
+def test_switched_symplectic_pair_is_decided_within_budget():
+    """Sp(6, 2) against a relabelled copy with one degree-preserving edge
+    switch: both graphs are regular and twin-free, and colour refinement
+    never splits them, so only automorphism pruning keeps the search
+    small."""
+    g = _symplectic(3)
+    rng = random.Random(0)
+    h = _relabel(_two_switch(g, rng), rng)
+    assert find_isomorphism(list(g.adj), list(h.adj), budget=3_000) is None
 
 
 # -- twin quotient ------------------------------------------------------------------
 
 
-def _full_graph_search(g, h):
-    """The search graphs_isomorphic ran before it matched twin quotients:
-    find_isomorphism on the whole graphs, kept as the reference."""
-    return find_isomorphism(list(g.adj), list(h.adj))
-
-
-def _two_switch(g, rng):
-    """Replace edges a-b, c-d by a-c, b-d where a-c and b-d are non-edges:
-    every degree stays, so no cheap invariant tells the graphs apart."""
-    edges = list(g.edges())
+def _refine_jointly(adjs, colorss):
+    """The per-class refinement of several graphs at once that the
+    first-match search below ran: color ids come from the signatures of all
+    the graphs sorted together, so equal ids mean equal refinement history
+    across the graphs."""
     while True:
-        (a, b), (c, d) = rng.sample(edges, 2)
-        if rng.random() < 0.5:
-            c, d = d, c
-        if len({a, b, c, d}) == 4 and not g.adj[a] >> c & 1 and not g.adj[b] >> d & 1:
-            adj = list(g.adj)
-            for u, v in ((a, b), (c, d), (a, c), (b, d)):
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-            return ZdGraph(g.n, adj)
+        sigss = []
+        for adj, colors in zip(adjs, colorss):
+            masks = {}
+            for v, c in enumerate(colors):
+                masks[c] = masks.get(c, 0) | 1 << v
+            classes = sorted(masks.items())
+            sigss.append([(color, tuple((c, k) for c, mask in classes if (k := (row & mask).bit_count())))
+                          for color, row in zip(colors, adj)])
+        ids = {sig: i for i, sig in enumerate(sorted(set().union(*map(set, sigss))))}
+        new = [[ids[s] for s in sigs] for sigs in sigss]
+        if new == colorss:
+            return colorss
+        colorss = new
+
+
+def _full_graph_search(g, h):
+    """The search graphs_isomorphic ran before it matched twin quotients, and
+    find_isomorphism before it compared canonical forms, kept as the
+    reference: joint refinement of the whole graphs, individualizing the
+    first vertex of g's target cell against each vertex of h's, stopping at
+    the first match.  When every cell is a singleton or a uniform module of
+    one kind in both graphs, the cells are matched in order."""
+    adj_g, adj_h = list(g.adj), list(h.adj)
+    n = len(adj_g)
+
+    def target(cells_g, cells_h):
+        for color in sorted(cells_g):
+            if len(cells_g[color]) > 1:
+                kinds = {_uniform_module(adj_g, cells_g[color]), _uniform_module(adj_h, cells_h[color])}
+                if None in kinds or len(kinds) > 1:
+                    return color
+        return None
+
+    def rec(cg, ch):
+        cg, ch = _refine_jointly([adj_g, adj_h], [cg, ch])
+        if sorted(Counter(cg).items()) != sorted(Counter(ch).items()):
+            return None
+        cells_g, cells_h = _cells(cg), _cells(ch)
+        color = target(cells_g, cells_h)
+        if color is None:
+            mapping = [None] * n
+            for c, vg in cells_g.items():
+                for u, w in zip(vg, cells_h[c]):
+                    mapping[u] = w
+            return mapping if verify_mapping(adj_g, adj_h, mapping) else None
+        v = cells_g[color][0]
+        fresh = max(max(cg), max(ch)) + 1
+        for w in cells_h[color]:
+            found = rec([fresh if u == v else c for u, c in enumerate(cg)],
+                        [fresh if u == w else c for u, c in enumerate(ch)])
+            if found is not None:
+                return found
+        return None
+
+    return rec([0] * n, [0] * n)
 
 
 def _twin_profile(g):
@@ -570,6 +642,17 @@ def test_a_wrong_class_map_raises(monkeypatch):
         monkeypatch.setattr(graphs, "find_isomorphism", lambda qg, qh, *a, **k: wrong(len(qg)))
         with pytest.raises(AssertionError, match="lifted"):
             graphs_isomorphic(g, h)
+
+
+def test_equal_canonical_forms_with_a_wrong_order_raise(monkeypatch):
+    """find_isomorphism checks the map it reads off the canonical orders: a
+    map that breaks an edge or a label is a fault, never a verdict."""
+    monkeypatch.setattr(isomorph, "_canonical", lambda adj, labels, spent: (b"", list(range(len(adj)))))
+    path = [0b010, 0b101, 0b010]  # 0 - 1 - 2
+    star = [0b110, 0b001, 0b001]  # 1 - 0 - 2
+    for adj_h, labels_g, labels_h in [(star, None, None), (path, "aba", "bba")]:
+        with pytest.raises(AssertionError, match="failed verification"):
+            find_isomorphism(path, adj_h, labels_g, labels_h)
 
 
 def _collapse_twins_reference(adj, labels):
