@@ -292,8 +292,14 @@ def _load_ring(spec: str):
             if n < 1:
                 raise ZdgError(f"ring {spec}: the additive order must be at least 1")
             return ring(n)
-    with open(spec, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ZdgError(f"ring {spec}: {exc}") from None
+    keys = ("orders",) if isinstance(data, dict) and "orders" in data else ("p", "dim", "mul")
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise ZdgError(f"ring {spec}: a ring file needs 'orders', or 'p', 'dim' and 'mul'")
     if "orders" in data:
         products = {}
         for key, vec in data.get("products", {}).items():

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import SCAlgebra
-from .errors import EvenCharacteristicUnsupported
+from .errors import CapExceeded, EvenCharacteristicUnsupported
 from .fpcore import (
     FpMatrix,
     PrimeField,
@@ -32,6 +32,7 @@ from .fpcore import (
     _projective_reps,
     _rref_stack,
 )
+from .graphs import _GRAPH_BYTES, _zero_product_matrix
 
 __all__ = [
     "ALTERNATING",
@@ -301,55 +302,40 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
     """Check the product criterion over every ordered pair of nonzero
     degree-1 vectors at once.
 
-    Returns (ok, pairs_checked, mismatches).  Vectorized: for each degree-2
-    coordinate of the quotient the coefficient array over all pairs is
-    accumulated from the pairwise 2x2 minors (or symmetrized products).  The
-    arithmetic runs in place on three int16 (N, N) buffers; every
-    intermediate value stays below 2 p^2, which the int16 range bounds.
+    Returns (ok, pairs_checked, mismatches).  The degree-1 core table sends
+    x_i x_j to row (i, j) of proj_deg2 and x_j x_i to its negative
+    (anticommutative) or to itself (commutative), and graphs' zero-product
+    kernel decides every pair.  Two nonzero vectors are proportional iff
+    they agree once each is scaled to lead with 1.  Raises CapExceeded,
+    before any vector is built, when the N x N boolean matrices for the
+    N = p**n - 1 vectors exceed _GRAPH_BYTES.
     """
     kind = VARIANTS[variant][0]
     if kind == SYMMETRIC and p == 2:
         raise EvenCharacteristicUnsupported(
             "the commutative-variety product criterion requires odd p"
         )
-    if 2 * p * p >= 2**15:
-        raise ValueError("the exhaustive product criterion needs 2 p^2 < 2**15 (int16)")
+    cnt = p**n - 1
+    if 3 * cnt * cnt > _GRAPH_BYTES:
+        raise CapExceeded(
+            f"{cnt} vectors need {3 * cnt * cnt} bytes of pair matrices, cap is {_GRAPH_BYTES}"
+        )
     pres = construct(variant, p, n)
+    proj = pres.proj_deg2 % p
+    core = np.zeros((n, n, proj.shape[1]), dtype=np.int64)
+    for row, (i, j) in enumerate(pres.monomials):
+        core[j, i] = -proj[row] if kind == ALTERNATING else proj[row]
+        core[i, j] = proj[row]
     v = nonzero_vectors(p, n)
-    cnt = v.shape[0]
-    cols = [v[:, i].astype(np.int16) for i in range(n)]
-    coef, block, tmp = (np.empty((cnt, cnt), dtype=np.int16) for _ in range(3))
-
-    def pair_block(i, j):
-        """block = the minor (or symmetrized product) of columns i, j mod p."""
-        np.multiply.outer(cols[i], cols[j], out=block)
-        if kind == ALTERNATING:
-            np.subtract(block, np.multiply.outer(cols[j], cols[i], out=tmp), out=block)
-        elif i != j:
-            np.add(block, np.multiply.outer(cols[j], cols[i], out=tmp), out=block)
-        return np.remainder(block, p, out=block)
-
-    zero_mask = np.ones((cnt, cnt), dtype=bool)
-    for qcol in range(pres.proj_deg2.shape[1]):
-        coef.fill(0)
-        for row, (i, j) in enumerate(pres.monomials):
-            w = int(pres.proj_deg2[row, qcol]) % p
-            if w == 0:
-                continue
-            np.multiply(pair_block(i, j), w, out=block)
-            np.add(coef, block, out=coef)
-            np.remainder(coef, p, out=coef)
-        zero_mask &= coef == 0
-
+    zero = _zero_product_matrix(v, core, p)
     if kind == ALTERNATING:
-        expected = np.ones((cnt, cnt), dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                expected &= pair_block(i, j) == 0
+        inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+        lead = v[np.arange(cnt), (v != 0).argmax(axis=1)]
+        keys = (v * inverse[lead][:, None] % p) @ p ** np.arange(n)
+        expected = keys[:, None] == keys[None, :]
     else:
         expected = np.zeros((cnt, cnt), dtype=bool)
-
-    mismatches = int(np.count_nonzero(zero_mask != expected))
+    mismatches = int(np.count_nonzero(zero != expected))
     return mismatches == 0, cnt * cnt, mismatches
 
 

@@ -1,9 +1,20 @@
-"""Graph isomorphism engine: color refinement, one individualization
-search with automorphism pruning, twin collapse, and canonical
+"""Graph isomorphism engine: twin collapse, color refinement, one
+individualization search with automorphism pruning, and canonical
 serializations.
 
 Graphs are adjacency bitmask lists: adj[v] is an int whose bit u is set iff
 u and v are adjacent.  No self loops.
+
+* collapse_twins is the only twin reduction.  Each round groups the graph's
+  twin classes (twin_classes: equal closed or open neighborhoods, each a
+  module), joins two classes when their members are adjacent
+  (quotient_graph), and merges each class into one vertex whose label
+  records the merged structure as a join ("K") or union ("I") node over the
+  member labels, cograph-style, until no twins remain.  The merge is
+  deterministic and equivariant, so isomorphic inputs collapse to
+  isomorphic labeled quotients.  Every search below runs on such a
+  quotient, so no color cell of two or more vertices is made of twins and
+  none needs special treatment.
 
 * _refine colors vertices by their neighbor counts in each color class,
   computed per class as one AND with the class bitmask and a popcount.  The
@@ -13,34 +24,24 @@ u and v are adjacent.  No self loops.
   taken.
 
 * canonical_bytes: a canonical serialization (lexicographic minimum over
-  individualization branches) of a vertex-labeled graph.  Labels are nested
-  tuples; within a uniform-module cell any internal order yields the same
-  bytes, so such cells never branch.  The search prunes by automorphisms
-  (McKay and Piperno, "Practical graph isomorphism, II", 2014): two leaves
-  with equal bytes give an automorphism through their vertex orders, kept
-  only when verify_mapping accepts it and it preserves labels.  A node skips
-  every child in the orbit of an already searched child under the kept
+  individualization branches) of the collapsed vertex-labeled graph.
+  Labels are nested tuples.  The search prunes by automorphisms (McKay and
+  Piperno, "Practical graph isomorphism, II", 2014): two leaves with equal
+  bytes give an automorphism through their vertex orders, kept only when
+  verify_mapping accepts it and it preserves labels.  A node skips every
+  child in the orbit of an already searched child under the kept
   automorphisms that fix the node's individualized vertices, and a leaf
   equal to an earlier one abandons its branch back to where the two paths
   part when the automorphism carries the earlier branch onto it.  Skipped
   subtrees are automorphic images of searched ones, so the minimum, and
   hence the bytes, are those of the full search.
 
-find_isomorphism is no second search: it compares the canonical forms of
-the two graphs and, when they are equal, maps the two least leaves' vertex
-orders onto each other position by position, a map it verifies edge by edge
-before returning it.
-
-twin_classes groups a graph's vertices into its one-level twin classes
-(equal closed or open neighborhoods), each a module, and quotient_graph
-joins two classes when their members are adjacent.  graphs.graphs_isomorphic
-matches explicit graphs on these quotients, each class labelled by its kind
-and size, and lifts the class map to a vertex witness that verify_mapping
-checks on the full graphs.  collapse_twins repeats the same step: it merges
-twin classes into single vertices whose labels record the merged structure
-as join ("K") or union ("I") nodes over the member labels, cograph-style,
-until no twins remain.  The merge is deterministic and equivariant, so
-isomorphic inputs collapse to isomorphic labeled quotients.
+find_isomorphism is no second search: it collapses both graphs, compares
+the canonical forms of the quotients and, when they are equal, maps the two
+least leaves' vertex orders onto each other position by position.  The
+collapse lists each quotient vertex's original vertices in an order its
+label fixes, so the quotient map lifts member by member to a vertex map,
+which is verified edge by edge before it is returned.
 """
 
 from collections import Counter, defaultdict
@@ -110,19 +111,10 @@ def _refine(adj, colors):
         for v, c in enumerate(colors):
             masks[c] = masks.get(c, 0) | 1 << v
         classes = sorted(masks.items())
-        # Open twins (equal rows) and closed twins (equal rows plus self) of
-        # one color have equal signatures; blow-ups are mostly twins, so each
-        # signature is counted once per twin class.
-        opened, closed = {}, {}
         sigs = []
-        for v, (color, row) in enumerate(zip(colors, adj)):
-            okey, ckey = (color, row), (color, row | 1 << v)
-            sig = opened.get(okey) or closed.get(ckey)
-            if sig is None:
-                counts = tuple((c, k) for c, mask in classes if (k := (row & mask).bit_count()))
-                sig = (color, counts)
-            opened[okey] = closed[ckey] = sig
-            sigs.append(sig)
+        for color, row in zip(colors, adj):
+            counts = tuple((c, k) for c, mask in classes if (k := (row & mask).bit_count()))
+            sigs.append((color, counts))
         new = _normalize_keys(sigs)
         if new == colors:
             return colors
@@ -141,51 +133,18 @@ def _cells(colors):
     return cells
 
 
-def _uniform_module(adj, cell):
-    """Return "K"/"I" if the cell is a module with complete/empty inside,
-    else None.  Singletons count as "I"."""
-    if len(cell) == 1:
-        return "I"
-    cellmask = 0
-    for v in cell:
-        cellmask |= 1 << v
-    outside = adj[cell[0]] & ~cellmask
-    complete = True
-    empty = True
-    for v in cell:
-        if adj[v] & ~cellmask != outside:
-            return None
-        inside = adj[v] & cellmask
-        if inside != cellmask ^ (1 << v):
-            complete = False
-        if inside:
-            empty = False
-    if complete:
-        return "K"
-    if empty:
-        return "I"
-    return None
-
-
-def _target_color(adj, cells):
-    """The color the search individualizes in: the least color whose cell
-    has several members and is not a uniform module.  None when every cell
-    is a singleton or such a module."""
-    for color in sorted(cells):
-        if len(cells[color]) > 1 and _uniform_module(adj, cells[color]) is None:
-            return color
-    return None
-
-
 class _Budget:
-    """Search nodes charged against a limit; CapExceeded past it."""
+    """Search nodes charged against a limit; CapExceeded past it.
+    find_isomorphism also records in quotient the vertex count of the first
+    graph's twin-free quotient."""
 
-    __slots__ = ("limit", "nodes", "what")
+    __slots__ = ("limit", "nodes", "what", "quotient")
 
     def __init__(self, limit, what):
         self.limit = limit
         self.nodes = 0
         self.what = what
+        self.quotient = None
 
     def charge(self):
         self.nodes += 1
@@ -251,9 +210,10 @@ def _canonical(adj, labels, spent):
     """The least leaf of the canonical search on a labeled graph, as its
     serialization and its vertex order; spent is the _Budget it charges.
 
-    The search covers every individualization choice within the first cell
-    that is not a uniform module, up to the automorphisms found on the way,
-    and keeps the lexicographically least serialization.
+    The search covers every individualization choice within the least color
+    cell of two or more vertices, up to the automorphisms found on the way,
+    and keeps the lexicographically least serialization.  It branches over
+    twins like any other vertices, so callers pass twin-free graphs.
     """
     n = len(adj)
     init = _normalize_keys(list(labels))
@@ -288,7 +248,7 @@ def _canonical(adj, labels, spent):
         spent.charge()
         colors = _refine(adj, colors)
         cells = _cells(colors)
-        color = _target_color(adj, cells)
+        color = next((c for c in sorted(cells) if len(cells[c]) > 1), None)
         if color is None:
             order = sorted(range(n), key=lambda v: (colors[v], v))
             leaf = (_serialize(adj, order, colors, labels), order, path)
@@ -333,9 +293,12 @@ def _canonical(adj, labels, spent):
 
 def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
     """Canonical serialization of a labeled graph (unlabeled vertices get
-    BASE_LABEL): equal bytes iff the labeled graphs are isomorphic."""
+    BASE_LABEL): the canonical form of its collapse_twins quotient.  Equal
+    bytes iff the collapsed labeled graphs are isomorphic, which for labels
+    that are not "K"/"I" nodes means iff the labeled graphs are."""
     if labels is None:
         labels = [BASE_LABEL] * len(adj)
+    adj, labels, _ = _collapse(adj, labels)
     return _canonical(adj, labels, _Budget(budget, "canonical form"))[0]
 
 
@@ -346,12 +309,17 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
     the isomorphism must respect.  budget is the node limit, or a _Budget
     the search charges, whose node count the caller reads after.
 
-    The labeled graphs are isomorphic iff their canonical forms are equal,
-    and then the vertex at position i of g's canonical order maps to the one
-    at position i of h's: equal bytes mean equal labels and edges by
-    position.  Both canonical searches charge the one budget.  A map that
-    fails verify_mapping, or moves a vertex to one of another label, would
-    contradict that argument, so it raises AssertionError.
+    Both graphs are collapsed to their twin-free quotients, with each label
+    wrapped as a leaf so that none is read as a merged "K"/"I" node.  The
+    labeled graphs are isomorphic iff the quotients' canonical forms are
+    equal, and then the quotient vertex at position i of g's canonical order
+    matches the one at position i of h's: equal bytes mean equal labels and
+    edges by position.  Equal labels mean equal merge trees, so the members
+    of matched quotient vertices, each listed in the order its label fixes,
+    map onto each other position by position.  Both canonical searches
+    charge the one budget.  A map that fails verify_mapping, or moves a
+    vertex to one of another label, would contradict that argument, so it
+    raises AssertionError.
     """
     spent = budget if isinstance(budget, _Budget) else _Budget(budget, "isomorphism")
     n = len(adj_g)
@@ -359,15 +327,20 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
         return None
     labels_g = [BASE_LABEL] * n if init_g is None else list(init_g)
     labels_h = [BASE_LABEL] * n if init_h is None else list(init_h)
-    bytes_g, order_g = _canonical(adj_g, labels_g, spent)
-    bytes_h, order_h = _canonical(adj_h, labels_h, spent)
+    sides = []
+    for adj, labels in ((adj_g, labels_g), (adj_h, labels_h)):
+        quotient, leaves, members = _collapse(adj, [("leaf", lab) for lab in labels])
+        sides.append((*_canonical(quotient, leaves, spent), members))
+    (bytes_g, order_g, members_g), (bytes_h, order_h, members_h) = sides
+    spent.quotient = len(members_g)
     if bytes_g != bytes_h:
         return None
     mapping = [0] * n
-    for u, w in zip(order_g, order_h):
-        mapping[u] = w
+    for i, j in zip(order_g, order_h):
+        for u, w in zip(members_g[i], members_h[j]):
+            mapping[u] = w
     if not verify_mapping(adj_g, adj_h, mapping) or any(
-        labels_g[u] != labels_h[w] for u, w in zip(order_g, order_h)
+        labels_g[u] != labels_h[w] for u, w in enumerate(mapping)
     ):
         raise AssertionError("equal canonical forms gave a mapping that failed verification")
     return mapping
@@ -452,6 +425,48 @@ def quotient_graph(adj, classes):
     return quotient
 
 
+def _collapse(adj, labels):
+    """collapse_twins' quotient (adj, labels), with each quotient vertex's
+    original vertices listed in an order fixed by its label.
+
+    A merged vertex's members are those of its children concatenated in
+    label order, where a "K" child of a "K" class and an "I" child of an
+    "I" class give their own children, exactly as k_join and i_union
+    flatten them.  Two vertices with equal labels then list their members
+    so that position-wise pairing is an isomorphism of what they span,
+    however many rounds the merge took.  Input labels that are "K"/"I"
+    nodes count as single vertices here but are flattened in the labels.
+    """
+    adj, labels = tuple(adj), tuple(labels)
+    members = [[v] for v in range(len(adj))]
+    # the flattened (label, members) children of a merged vertex, else None
+    kids = [None] * len(adj)
+    while True:
+        classes = twin_classes(adj)
+        if len(classes) == len(adj):
+            return adj, labels, members
+        new_labels, new_members, new_kids = [], [], []
+        for kind, mem in classes:
+            if kind == "S":
+                v = mem[0]
+                new_labels.append(labels[v])
+                new_members.append(members[v])
+                new_kids.append(kids[v])
+                continue
+            children = []
+            for v in mem:
+                if kids[v] is not None and labels[v][0] == kind:
+                    children += kids[v]
+                else:
+                    children.append((labels[v], members[v]))
+            children.sort(key=lambda child: child[0])
+            new_labels.append((k_join if kind == "K" else i_union)([labels[v] for v in mem]))
+            new_members.append([u for _, mem_c in children for u in mem_c])
+            new_kids.append(children)
+        adj, labels = tuple(quotient_graph(adj, classes)), tuple(new_labels)
+        members, kids = new_members, new_kids
+
+
 def collapse_twins(adj, labels):
     """Iteratively merge twin classes of a labeled graph.
 
@@ -460,21 +475,7 @@ def collapse_twins(adj, labels):
     modules, so quotient adjacency is well defined.  Repeats until no twins
     remain and returns (adj, labels) tuples.
     """
-    adj = list(adj)
-    labels = list(labels)
-    while True:
-        classes = twin_classes(adj)
-        if len(classes) == len(adj):
-            return tuple(adj), tuple(labels)
-        new_labels = []
-        for kind, mem in classes:
-            if kind == "S":
-                new_labels.append(labels[mem[0]])
-            elif kind == "K":
-                new_labels.append(k_join([labels[v] for v in mem]))
-            else:
-                new_labels.append(i_union([labels[v] for v in mem]))
-        adj, labels = quotient_graph(adj, classes), new_labels
+    return _collapse(adj, labels)[:2]
 
 
 def fnv64(data: bytes) -> str:

@@ -225,3 +225,14 @@ def test_products_and_quotients_check_the_int64_bound(monkeypatch):
     assert calls == [(free.algebra.dim**2, 3)]
     free.algebra.quotient(Subspace.zero(PrimeField(3), free.algebra.dim))
     assert calls[-1] == (free.algebra.dim, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("variant", ["A1", "B1", "A2", "B2"])
+def test_quotients_are_associative(variant, p):
+    # quotient builds without the associativity check, which the
+    # homomorphism check makes redundant; the tables must pass it all the same.
+    from zdgforge.algebra import associativity_failure
+
+    quot = construct(variant, p).algebra
+    assert associativity_failure(quot.orders, quot.table) is None

@@ -114,12 +114,24 @@ def test_certify_noniso_gates_even_p(capsys):
         ["census", "--max-order", "12"],
         ["identity", "--ring", "Z0", "--expr", "x1"],
         ["identity", "--ring", "N0_0", "--expr", "x1"],
+        ["identity", "--ring", "nosuch.json", "--expr", "x1"],
+        ["identity", "--ring", "broken.json", "--expr", "x1"],
+        ["identity", "--ring", "binary.json", "--expr", "x1"],
+        ["identity", "--ring", "no_keys.json", "--expr", "x1"],
+        ["identity", "--ring", "no_mul.json", "--expr", "x1"],
+        ["identity", "--ring", "list.json", "--expr", "x1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
-def test_bad_input_is_a_usage_error(capsys, argv):
+def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     # Exit 1 means a check failed; bad input exits 2 with one error line
     # and no report.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text('{"orders": [2,')
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "no_keys.json").write_text('{"products": {}}')
+    (tmp_path / "no_mul.json").write_text('{"p": 2, "dim": 1}')
+    (tmp_path / "list.json").write_text("[2, 3]")
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

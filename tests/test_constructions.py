@@ -20,7 +20,7 @@ from zdgforge.constructions import (
     proportional,
     relation_form,
 )
-from zdgforge.errors import EvenCharacteristicUnsupported
+from zdgforge.errors import CapExceeded, EvenCharacteristicUnsupported
 from zdgforge.fpcore import (
     FpMatrix,
     PrimeField,
@@ -135,8 +135,9 @@ def test_product_criterion_exhaustive(variant, p):
 
 
 def _product_criterion_reference(variant, p, n=6):
-    """The int64 whole-array product criterion that the in-place int16
-    version replaced."""
+    """The int64 whole-array product criterion from pairwise 2x2 minors (or
+    symmetrized products), which an in-place int16 version and then the
+    zero-product kernel replaced."""
     kind = VARIANTS[variant][0]
     pres = constructions.construct(variant, p, n)
     v = constructions.nonzero_vectors(p, n)
@@ -210,9 +211,16 @@ def test_product_criterion_exhaustive_catches_random_projections(monkeypatch, va
         _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, 4, proj)
 
 
-def test_product_criterion_exhaustive_refuses_int16_overflow():
-    with pytest.raises(ValueError):
+def test_product_criterion_exhaustive_refuses_before_building_vectors(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built vectors past the cap")
+
+    monkeypatch.setattr(constructions, "nonzero_vectors", unreachable)
+    monkeypatch.setattr(constructions, "construct", unreachable)
+    with pytest.raises(CapExceeded):
         product_criterion_exhaustive("A1", 131, 4)
+    with pytest.raises(CapExceeded):
+        product_criterion_exhaustive("A2", 7, 6)
 
 
 def test_relation_form_ranks():

@@ -4,6 +4,7 @@ refinement it replaced, fingerprints pinned before automorphism pruning, and
 the symplectic quotient of the order-128 census."""
 
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -37,7 +38,6 @@ from zdgforge.isomorph import (
     _cells,
     _refine,
     _serialize,
-    _uniform_module,
     canonical_bytes,
     collapse_twins,
     find_isomorphism,
@@ -47,6 +47,35 @@ from zdgforge.isomorph import (
     verify_mapping,
 )
 from zdgforge.rings import ring_table
+
+
+def _uniform_module(adj, cell):
+    """Return "K"/"I" if the cell is a module with complete/empty inside,
+    else None.  Singletons count as "I".  The references below use it; the
+    search itself runs only on twin-free graphs, where no cell of two or
+    more vertices is such a module."""
+    if len(cell) == 1:
+        return "I"
+    cellmask = 0
+    for v in cell:
+        cellmask |= 1 << v
+    outside = adj[cell[0]] & ~cellmask
+    complete = True
+    empty = True
+    for v in cell:
+        if adj[v] & ~cellmask != outside:
+            return None
+        inside = adj[v] & cellmask
+        if inside != cellmask ^ (1 << v):
+            complete = False
+        if inside:
+            empty = False
+    if complete:
+        return "K"
+    if empty:
+        return "I"
+    return None
+
 
 # -- graph builders -------------------------------------------------------------
 
@@ -341,8 +370,10 @@ def test_refine_matches_per_edge_reference(graph):
 
 
 def _canonical_unpruned(adj):
-    """The canonical search without automorphism pruning: the least leaf
-    over every individualization in the first non-module cell."""
+    """The canonical search without automorphism pruning on the twin-free
+    quotient, which canonical_bytes searches: the least leaf over every
+    individualization in the first non-module cell."""
+    adj, labels = collapse_twins(adj, [BASE_LABEL] * len(adj))
     n = len(adj)
 
     def rec(colors):
@@ -352,11 +383,12 @@ def _canonical_unpruned(adj):
                       if len(cells[c]) > 1 and _uniform_module(adj, cells[c]) is None), None)
         if color is None:
             order = sorted(range(n), key=lambda v: (colors[v], v))
-            return _serialize(adj, order, colors, [BASE_LABEL] * n)
+            return _serialize(adj, order, colors, labels)
         fresh = max(colors) + 1
         return min(rec([fresh if u == v else c for u, c in enumerate(colors)]) for v in cells[color])
 
-    return rec([0] * n)
+    ids = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+    return rec([ids[lab] for lab in labels])
 
 
 def _symmetric_graphs():
@@ -621,7 +653,8 @@ def test_twin_quotient_size_and_search_nodes():
     assert g.n == 1023
     res = graphs_isomorphic(g, _relabel(g, random.Random(16)))
     assert bool(res)
-    assert res.quotient_vertices == 16
+    # the twin collapse merges the whole graph into one vertex
+    assert res.quotient_vertices == 1
     assert 1 <= res.search_nodes <= _SEARCH_BUDGET
     # a cheap invariant decides before any quotient is built
     early = graphs_isomorphic(g, _flip_edge(g, random.Random(16)))
@@ -629,30 +662,137 @@ def test_twin_quotient_size_and_search_nodes():
 
 
 def test_a_wrong_class_map_raises(monkeypatch):
-    """A class map whose lift fails verification is a fault, never a
-    negative verdict."""
-    path = ZdGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    blowup = explicit_graph(free_m1(2, 3).algebra)
-    for g, h, wrong in [
-        # all classes singletons: the lift is a bijection, not an isomorphism
-        (path, path, lambda n: [1, 0, 2, 3]),
-        # classes of different sizes matched: the lift leaves vertices unmapped
-        (blowup, _relabel(blowup, random.Random(3)), lambda n: list(reversed(range(n)))),
-    ]:
-        monkeypatch.setattr(graphs, "find_isomorphism", lambda qg, qh, *a, **k: wrong(len(qg)))
-        with pytest.raises(AssertionError, match="lifted"):
+    """A lift through the collapse that fails verification is a fault, never
+    a negative verdict: h's members listed out of the order their labels
+    fix, and a quotient vertex of h that lost a member, which leaves a
+    vertex of g unmapped."""
+    g = explicit_graph(free_m1(2, 3).algebra)
+    h = _relabel(g, random.Random(3))
+    collapse = isomorph._collapse
+    for spoil in [lambda mem: mem[1:] + mem[:1], lambda mem: mem[:-1]]:
+        calls = []
+
+        def spoiled(adj, labels, spoil=spoil, calls=calls):
+            adj, labels, members = collapse(adj, labels)
+            calls.append(adj)
+            if len(calls) == 2:  # h's collapse
+                members = [spoil(mem) if len(mem) > 1 else mem for mem in members]
+            return adj, labels, members
+
+        monkeypatch.setattr(isomorph, "_collapse", spoiled)
+        with pytest.raises(AssertionError, match="failed verification"):
             graphs_isomorphic(g, h)
 
 
 def test_equal_canonical_forms_with_a_wrong_order_raise(monkeypatch):
     """find_isomorphism checks the map it reads off the canonical orders: a
-    map that breaks an edge or a label is a fault, never a verdict."""
+    map that breaks an edge or a label is a fault, never a verdict.  The
+    paths are twin-free, so the collapse leaves them as they are."""
     monkeypatch.setattr(isomorph, "_canonical", lambda adj, labels, spent: (b"", list(range(len(adj)))))
-    path = [0b010, 0b101, 0b010]  # 0 - 1 - 2
-    star = [0b110, 0b001, 0b001]  # 1 - 0 - 2
-    for adj_h, labels_g, labels_h in [(star, None, None), (path, "aba", "bba")]:
+    path = [0b0010, 0b0101, 0b1010, 0b0100]  # 0 - 1 - 2 - 3
+    moved = [0b0110, 0b0001, 0b1001, 0b0100]  # 1 - 0 - 2 - 3
+    for adj_h, labels_g, labels_h in [(moved, None, None), (path, "abab", "bbab")]:
         with pytest.raises(AssertionError, match="failed verification"):
             find_isomorphism(path, adj_h, labels_g, labels_h)
+
+
+# -- the lift through the collapse ------------------------------------------------
+
+
+def _twin_grown(rng):
+    """A random graph grown from a small random one by repeatedly giving a
+    random vertex a new closed or open twin, with random labels in {0, 1}.
+    A twin of a twin of another kind nests modules, so the collapse takes
+    several rounds."""
+    k = rng.randint(1, 5)
+    rows = [set() for _ in range(k)]
+    for u in range(k):
+        for v in range(u + 1, k):
+            if rng.random() < 0.5:
+                rows[u].add(v)
+                rows[v].add(u)
+    for _ in range(rng.randint(2, 14)):
+        v = rng.randrange(len(rows))
+        w = len(rows)
+        rows.append(set(rows[v]) | ({v} if rng.random() < 0.5 else set()))
+        for u in rows[w]:
+            rows[u].add(w)
+    g = ZdGraph(len(rows), [sum(1 << u for u in row) for row in rows])
+    return g, [rng.randint(0, 1) for _ in range(g.n)]
+
+
+def _relabel_labeled(g, labels, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    adj = [0] * g.n
+    moved = [None] * g.n
+    for v, row in enumerate(g.adj):
+        adj[perm[v]] = sum(1 << perm[u] for u in range(g.n) if row >> u & 1)
+        moved[perm[v]] = labels[v]
+    return ZdGraph(g.n, adj), moved
+
+
+def test_lift_through_multi_round_collapse_agrees_with_networkx(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    rounds, flattened = [], Counter()
+    for name, kind in (("k_join", "K"), ("i_union", "I")):
+        def counted(members, kind=kind, merge=getattr(isomorph, name)):
+            flattened[kind] += any(lab[0] == kind for lab in members)
+            return merge(members)
+
+        monkeypatch.setattr(isomorph, name, counted)
+    twin_classes_once = isomorph.twin_classes
+
+    def counted_classes(adj):
+        rounds[-1] += 1
+        return twin_classes_once(adj)
+
+    monkeypatch.setattr(isomorph, "twin_classes", counted_classes)
+
+    def labeled(g, labels):
+        out = nx.Graph()
+        out.add_nodes_from((v, {"c": c}) for v, c in enumerate(labels))
+        out.add_edges_from(g.edges())
+        return out
+
+    rng = random.Random(1411)
+    deep = 0
+    verdicts = Counter()
+    for _ in range(300):
+        g, labels = _twin_grown(rng)
+        rounds.append(0)
+        collapse_twins(g.adj, [("c", c) for c in labels])
+        deep += rounds[-1] >= 3  # two merging rounds and the twin-free check
+        partners = [_relabel_labeled(g, labels, rng), _relabel_labeled(_flip_edge(g, rng), labels, rng)]
+        for h, labels_h in partners if g.n > 1 else partners[:1]:
+            mapping = find_isomorphism(list(g.adj), list(h.adj), labels, labels_h)
+            want = nx.is_isomorphic(labeled(g, labels), labeled(h, labels_h),
+                                    node_match=lambda a, b: a["c"] == b["c"])
+            assert (mapping is not None) == want
+            verdicts[want] += 1
+            if mapping is not None:
+                assert verify_mapping(list(g.adj), list(h.adj), mapping)
+                assert [labels_h[w] for w in mapping] == labels
+    assert deep > 100 and verdicts[True] >= 300 and verdicts[False] > 100
+    # both kinds of merge flatten a child of their own kind
+    assert flattened["K"] > 20 and flattened["I"] > 20
+
+
+def test_raw_twin_heavy_graph_is_matched_quickly():
+    g = explicit_graph(free_m1(2, 4).algebra)
+    h = _relabel(g, random.Random(4))
+    started = time.perf_counter()
+    mapping = find_isomorphism(list(g.adj), list(h.adj))
+    assert time.perf_counter() - started < 1.0
+    assert verify_mapping(list(g.adj), list(h.adj), mapping)
+
+
+def test_canonical_bytes_of_raw_input_is_that_of_its_collapse():
+    rng = random.Random(77)
+    graphs_ = [_twin_grown(rng)[0] for _ in range(50)] + [explicit_graph(free_m1(2, 3).algebra)]
+    for g in graphs_:
+        adj, labels = collapse_twins(g.adj, [BASE_LABEL] * g.n)
+        assert canonical_bytes(list(g.adj)) == canonical_bytes(list(adj), list(labels))
 
 
 def _collapse_twins_reference(adj, labels):
