@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import AssociativityViolation, NotAnIdeal
-from .fpcore import FpMatrix, PrimeField, Subspace, _rref_stack
+from .fpcore import FpMatrix, PrimeField, Subspace, _exact_dtype, _rref_stack
 
 __all__ = [
     "SCAlgebra",
@@ -32,22 +32,6 @@ __all__ = [
 ]
 
 
-def _exact_dtype(orders):
-    """int64 when sums of t products of residues stay exact, that is when
-    t * (max order - 1)**2 < 2**63; Python ints (object arrays) otherwise."""
-    top = max(orders, default=1) - 1
-    return np.int64 if len(orders) * top * top < 2**63 else object
-
-
-def _check_int64_exact(terms: int, p: int, factors: int = 2):
-    """Raise ValueError unless a sum of `terms` products of `factors` residues
-    mod p, each below p, is exact in int64: terms * (p - 1)**factors < 2**63."""
-    if terms * (p - 1) ** factors >= 2**63:
-        raise ValueError(
-            f"sums of {terms} products of {factors} residues mod {p} overflow int64"
-        )
-
-
 def associativity_failure(orders, table):
     """First generator triple (i, j, k), in row-major order, with
     (e_i e_j) e_k != e_i (e_j e_k) modulo the additive orders, or None.
@@ -55,7 +39,7 @@ def associativity_failure(orders, table):
     table[i, j] holds the coordinates of e_i e_j; bilinearity carries
     associativity on generator triples to all elements.
     """
-    dtype = _exact_dtype(orders)
+    dtype = _exact_dtype(len(orders), max(orders, default=1), (np.int64, object))
     mod = np.array(orders, dtype=dtype)
     t = table.astype(dtype)
     left = np.einsum("ijl,lkm->ijkm", t, t) % mod
@@ -127,7 +111,7 @@ class SCAlgebra:
             coords[i] += 1
 
     def mul_coords(self, a, b) -> np.ndarray:
-        _check_int64_exact(self.dim * self.dim, self.field.p, factors=3)
+        _exact_dtype(self.dim * self.dim, self.field.p, factors=3)
         return np.einsum("i,j,ijk->k", a, b, self.table) % self.field.p
 
     def left_mul_matrix(self, a) -> np.ndarray:
@@ -207,7 +191,7 @@ class SCAlgebra:
             proj[pc] = (-row[kept]) % p
         # Every contraction below, the homomorphism check's pairwise ones
         # reduced in between, sums at most dim products of two residues.
-        _check_int64_exact(self.dim, p)
+        _exact_dtype(self.dim, p)
         sub_table = self.table[np.ix_(kept, kept)].reshape(q * q, self.dim)
         new_table = ((sub_table @ proj) % p).reshape(q, q, q)
         lhs = np.einsum("ijk,kq->ijq", self.table, proj) % p

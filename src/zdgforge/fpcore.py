@@ -71,6 +71,21 @@ def _inverses(p: int) -> np.ndarray:
     return inv
 
 
+def _exact_dtype(terms: int, top: int, dtypes=(np.int64,), factors: int = 2):
+    """The first of dtypes in which every sum of `terms` products of
+    `factors` integers below `top` is exact: float32 while the sums stay
+    below 2**24 (float32 holds every integer up to 2**24), int64 while they
+    stay below 2**63, and object (Python ints) always.  ValueError if none
+    of dtypes fits."""
+    bound = terms * (top - 1) ** factors
+    limits = {np.dtype(np.float32): 2**24, np.dtype(np.int64): 2**63}
+    for dtype in dtypes:
+        if np.dtype(dtype) == object or bound < limits[np.dtype(dtype)]:
+            return dtype
+    names = "/".join(np.dtype(dtype).name for dtype in dtypes)
+    raise ValueError(f"sums of {terms} products of {factors} integers below {top} overflow {names}")
+
+
 def _rref_stack(a, p: int):
     """Canonical reduced row-echelon forms of a stack of matrices over Z_p.
 

@@ -39,10 +39,11 @@ import math
 
 import numpy as np
 
-from .algebra import SCAlgebra, _check_int64_exact
+from .algebra import SCAlgebra
 from .errors import CapExceeded
-from .fpcore import _grid, _left_kernel_stack, _projective_reps
+from .fpcore import _exact_dtype, _grid, _left_kernel_stack, _projective_reps
 from .isomorph import (
+    _BLOCK,
     _SEARCH_BUDGET,
     BASE_LABEL,
     _Budget,
@@ -74,9 +75,6 @@ DEFAULT_ELEMENT_CAP = 2**16
 DEFAULT_ISO_CAP = 4096
 DEFAULT_CLASS_CAP = 2**15
 KERNEL_POINT_CAP = 2**21
-# Largest temporary block, in array entries, of the compressed-graph walk
-# and of the explicit graph's boolean and bit-row passes.
-_BLOCK = 2**20
 # Products per row block of the zero-product kernel; blocks that stay in
 # cache ran about twice as fast as 2**20 on free_m1(2, 4).
 _PRODUCT_BLOCK = 2**17
@@ -233,22 +231,13 @@ def _check_simple(packed: np.ndarray):
             raise ValueError("adjacency must be symmetric")
 
 
-def _check_exact(dtype, terms: int, top: int):
-    """Raise ValueError unless sums of `terms` products of two integers below
-    `top` are exact in dtype: under 2**24 in float32, which holds every
-    integer up to 2**24, and under 2**63 in int64."""
-    if dtype != np.float32:
-        _check_int64_exact(terms, top)
-    elif terms * (top - 1) ** 2 >= 2**24:
-        raise ValueError(f"sums of {terms} products of residues below {top} overflow float32")
-
-
 def _zero_rows(block: np.ndarray, table: np.ndarray, mods: np.ndarray, right: np.ndarray, top: int):
     """Boolean rows Z[a, b] iff a * b == 0 for the rows a of block and the
     columns b of right (the elements, transposed, in the product dtype).
-    Every coordinate, table entry and modulus is below top."""
+    Every coordinate, table entry and modulus is below top; ValueError
+    unless right's dtype keeps the sums of products exact."""
     r, d = block.shape
-    _check_exact(right.dtype, d, top)
+    _exact_dtype(d, top, (right.dtype,))
     k = mods.size
     left = np.tensordot(block, table, axes=(1, 0)).transpose(0, 2, 1) % mods[:, None]
     prods = left.reshape(r * k, d).astype(right.dtype) @ right
@@ -287,7 +276,7 @@ def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
     if mods.size == 0 or n == 0:
         return zero
     top = max(int(mods.max()), int(np.abs(vecs).max()) + 1)
-    right = vecs.T.astype(np.float32 if d * (top - 1) ** 2 < 2**24 else np.int64)
+    right = vecs.T.astype(_exact_dtype(d, top, (np.float32, np.int64)))
     step = max(1, _PRODUCT_BLOCK // (mods.size * n))
     for lo in range(0, n, step):
         zero[lo : lo + step] = _zero_rows(vecs[lo : lo + step], table, mods, right, top)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _exact_dtype
 from .errors import CapExceeded, IdentityParseError, PremiseNotSatisfied
-from .fpcore import _grid
+from .fpcore import _exact_dtype, _grid
 from .rings import _dense_view, ring_direct_sum
 
 __all__ = [
@@ -281,7 +280,7 @@ def _first_failure(orders, table, rows, f: Identity):
     _BLOCK // t**2 of them (at least one).
     """
     n, t = rows.shape
-    dtype = _exact_dtype(orders)
+    dtype = _exact_dtype(len(orders), max(orders, default=1), (np.int64, object))
     mod = np.array(orders, dtype=dtype)
     rows = rows.astype(dtype)
     right = np.einsum("ej,ijk->eik", rows, table.astype(dtype)) % mod
@@ -329,7 +328,8 @@ def holds(ring, f: Identity, mode: str = "exhaustive") -> HoldsResult:
         raise ValueError(f"unknown mode {mode!r}")
     # The right matrices and rows: 8-byte int64 entries, or a pointer and
     # an int object each on the exact Python-int path.
-    size = n * t * (t + 1) * (8 if _exact_dtype(orders) is np.int64 else 48)
+    dtype = _exact_dtype(t, max(orders, default=1), (np.int64, object))
+    size = n * t * (t + 1) * (8 if dtype is np.int64 else 48)
     if size > _EVAL_BYTES:
         raise CapExceeded(f"{size} bytes of right-multiplication matrices exceed the cap")
     rows = _grid(orders) if mode == "exhaustive" else np.eye(t, dtype=np.int64)

@@ -5,16 +5,15 @@ serializations.
 Graphs are adjacency bitmask lists: adj[v] is an int whose bit u is set iff
 u and v are adjacent.  No self loops.
 
-* collapse_twins is the only twin reduction.  Each round groups the graph's
-  twin classes (twin_classes: equal closed or open neighborhoods, each a
-  module), joins two classes when their members are adjacent
-  (quotient_graph), and merges each class into one vertex whose label
-  records the merged structure as a join ("K") or union ("I") node over the
-  member labels, cograph-style, until no twins remain.  The merge is
-  deterministic and equivariant, so isomorphic inputs collapse to
-  isomorphic labeled quotients.  Every search below runs on such a
-  quotient, so no color cell of two or more vertices is made of twins and
-  none needs special treatment.
+* collapse_twins is the one twin routine.  Each round groups the graph's
+  twin classes (equal closed or open neighborhoods, each a module), joins
+  two classes when their members are adjacent, and merges each class into
+  one vertex whose label records the merged structure as a join ("K") or
+  union ("I") node over the member labels, cograph-style, until no twins
+  remain.  The merge is deterministic and equivariant, so isomorphic inputs
+  collapse to isomorphic labeled quotients.  Every search below runs on
+  such a quotient, so no color cell of two or more vertices is made of
+  twins and none needs special treatment.
 
 * _refine colors vertices by their neighbor counts in each color class,
   computed per class as one AND with the class bitmask and a popcount.  The
@@ -56,18 +55,12 @@ __all__ = [
     "verify_mapping",
     "canonical_bytes",
     "collapse_twins",
-    "twin_classes",
-    "quotient_graph",
     "fnv64",
-    "k_join",
-    "i_union",
 ]
 
 BASE_LABEL = ("b",)
 
 _SEARCH_BUDGET = 500_000
-# Unpacked adjacency entries per block of verify_mapping.
-_VERIFY_BLOCK = 2**12
 
 
 def _bit_indices(mask: int):
@@ -75,6 +68,12 @@ def _bit_indices(mask: int):
         low = mask & (-mask)
         yield low.bit_length() - 1
         mask ^= low
+
+
+# Largest temporary block, in array entries, of every bit-row pass: here
+# verify_mapping, and in graphs the compressed-graph walk and the explicit
+# graph's boolean and bit-row passes.
+_BLOCK = 2**20
 
 
 def _packed_rows(adj, n: int) -> np.ndarray:
@@ -161,7 +160,7 @@ def verify_mapping(adj_g, adj_h, mapping) -> bool:
     if len(adj_h) != n or sorted(mapping) != list(range(n)):
         return False
     perm = np.asarray(mapping, dtype=np.intp)
-    step = max(1, _VERIFY_BLOCK // max(n, 1))
+    step = max(1, _BLOCK // max(n, 1))
     try:
         for lo in range(0, n, step):
             rows_g = _packed_rows(adj_g[lo : lo + step], n)
@@ -298,7 +297,7 @@ def canonical_bytes(adj, labels=None, budget=_SEARCH_BUDGET) -> bytes:
     that are not "K"/"I" nodes means iff the labeled graphs are."""
     if labels is None:
         labels = [BASE_LABEL] * len(adj)
-    adj, labels, _ = _collapse(adj, labels)
+    adj, labels, _ = collapse_twins(adj, labels)
     return _canonical(adj, labels, _Budget(budget, "canonical form"))[0]
 
 
@@ -329,7 +328,7 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
     labels_h = [BASE_LABEL] * n if init_h is None else list(init_h)
     sides = []
     for adj, labels in ((adj_g, labels_g), (adj_h, labels_h)):
-        quotient, leaves, members = _collapse(adj, [("leaf", lab) for lab in labels])
+        quotient, leaves, members = collapse_twins(adj, [("leaf", lab) for lab in labels])
         sides.append((*_canonical(quotient, leaves, spent), members))
     (bytes_g, order_g, members_g), (bytes_h, order_h, members_h) = sides
     spent.quotient = len(members_g)
@@ -349,105 +348,70 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
 # -- twin collapse --------------------------------------------------------------
 
 
-def k_join(members):
-    """Label for a merged mutually-adjacent twin class (complete join)."""
+def _merge(kind, labels):
+    """Label of a merged twin class of the given kind, "K" (closed twins,
+    a complete join) or "I" (open twins, a disjoint union), over its
+    members' labels: a member label of the same kind adds its own counts."""
     counts = Counter()
-    for lab in members:
-        if lab[0] == "K":
+    for lab in labels:
+        if lab[0] == kind:
             for child, c in lab[1]:
                 counts[child] += c
         else:
             counts[lab] += 1
-    return ("K", tuple(sorted(counts.items())))
+    return (kind, tuple(sorted(counts.items())))
 
 
-def i_union(members):
-    """Label for a merged mutually-nonadjacent twin class (disjoint union)."""
-    counts = Counter()
-    for lab in members:
-        if lab[0] == "I":
-            for child, c in lab[1]:
-                counts[child] += c
-        else:
-            counts[lab] += 1
-    return ("I", tuple(sorted(counts.items())))
+def collapse_twins(adj, labels):
+    """Merge the twin classes of a labeled graph round by round until no
+    twins remain; return the quotient as (adj, labels) tuples and, for each
+    quotient vertex, its original vertices in an order fixed by its label.
 
-
-def twin_classes(adj):
-    """The one-level twin classes of a graph as (kind, members) pairs,
-    sorted by least member.
-
-    "K" marks a closed-twin class of two or more vertices (equal closed
-    neighbourhoods, hence mutually adjacent), "I" an open-twin class of two
-    or more (equal open neighbourhoods, mutually nonadjacent), and "S" a
-    vertex with no twin.  Nontrivial classes of the two kinds are disjoint:
-    a closed twin u of v lies in N(v) = N(w) for an open twin w of v, so w
-    lies in N(u), inside N[u] = N[v]; as w != v, w would lie in N(v) = N(w),
-    a loop.  Closed classes are taken first all the same.  Every class is a
-    module: its members agree outside it.
-    """
-    n = len(adj)
-    # Bytes keys: hash(2**v) repeats with period 61, so int keys of sparse
-    # neighbourhoods pile into few buckets.
-    width = (n + 7) // 8
-    closed = defaultdict(list)
-    for v in range(n):
-        closed[(adj[v] | (1 << v)).to_bytes(width, "little")].append(v)
-    classes = [("K", mem) for mem in closed.values() if len(mem) >= 2]
-    taken = {v for _, mem in classes for v in mem}
-    opened = defaultdict(list)
-    for v in range(n):
-        if v not in taken:
-            opened[adj[v].to_bytes(width, "little")].append(v)
-    for mem in opened.values():
-        classes.append(("I", mem) if len(mem) >= 2 else ("S", mem))
-    classes.sort(key=lambda c: c[1][0])
-    return classes
-
-
-def quotient_graph(adj, classes):
-    """Adjacency of the graph on the given modules (twin_classes' output):
-    two classes are joined iff a member of one is adjacent to the other."""
-    masks = []
-    for _, mem in classes:
-        m = 0
-        for v in mem:
-            m |= 1 << v
-        masks.append(m)
-    quotient = []
-    for gi, (_, mem) in enumerate(classes):
-        row = adj[mem[0]]
-        mask = 0
-        for gj, m in enumerate(masks):
-            if gi != gj and row & m:
-                mask |= 1 << gj
-        quotient.append(mask)
-    return quotient
-
-
-def _collapse(adj, labels):
-    """collapse_twins' quotient (adj, labels), with each quotient vertex's
-    original vertices listed in an order fixed by its label.
+    Each round groups closed twins (equal closed neighbourhoods, mutually
+    adjacent) into "K" classes, then the remaining vertices by equal open
+    neighbourhoods into "I" classes.  Nontrivial classes of the two kinds
+    are disjoint: a closed twin u of v lies in N(v) = N(w) for an open twin
+    w of v, so w lies in N(u), inside N[u] = N[v]; as w != v, w would lie
+    in N(v) = N(w), a loop.  Every class is a module, so two classes, taken
+    in order of least member, are joined iff a member of one is adjacent to
+    the other.  A class of two or more becomes one vertex labeled by _merge.
 
     A merged vertex's members are those of its children concatenated in
     label order, where a "K" child of a "K" class and an "I" child of an
-    "I" class give their own children, exactly as k_join and i_union
-    flatten them.  Two vertices with equal labels then list their members
-    so that position-wise pairing is an isomorphism of what they span,
-    however many rounds the merge took.  Input labels that are "K"/"I"
-    nodes count as single vertices here but are flattened in the labels.
+    "I" class give their own children, exactly as _merge flattens them.
+    Two vertices with equal labels then list their members so that
+    position-wise pairing is an isomorphism of what they span, however many
+    rounds the merge took.  Input labels that are "K"/"I" nodes count as
+    single vertices here but are flattened in the labels.
     """
     adj, labels = tuple(adj), tuple(labels)
     members = [[v] for v in range(len(adj))]
     # the flattened (label, members) children of a merged vertex, else None
     kids = [None] * len(adj)
     while True:
-        classes = twin_classes(adj)
-        if len(classes) == len(adj):
+        n = len(adj)
+        # Bytes keys: hash(2**v) repeats with period 61, so int keys of
+        # sparse neighbourhoods pile into few buckets.
+        width = (n + 7) // 8
+        closed = defaultdict(list)
+        for v in range(n):
+            closed[(adj[v] | (1 << v)).to_bytes(width, "little")].append(v)
+        classes = [("K", mem) for mem in closed.values() if len(mem) >= 2]
+        taken = {v for _, mem in classes for v in mem}
+        opened = defaultdict(list)
+        for v in range(n):
+            if v not in taken:
+                opened[adj[v].to_bytes(width, "little")].append(v)
+        classes += [("I", mem) for mem in opened.values()]
+        if len(classes) == n:
             return adj, labels, members
-        new_labels, new_members, new_kids = [], [], []
-        for kind, mem in classes:
-            if kind == "S":
+        classes.sort(key=lambda c: c[1][0])
+        masks = [sum(1 << v for v in mem) for _, mem in classes]
+        new_adj, new_labels, new_members, new_kids = [], [], [], []
+        for i, (kind, mem) in enumerate(classes):
+            row = adj[mem[0]]
+            new_adj.append(sum(1 << j for j, m in enumerate(masks) if j != i and row & m))
+            if len(mem) == 1:
                 v = mem[0]
                 new_labels.append(labels[v])
                 new_members.append(members[v])
@@ -460,22 +424,11 @@ def _collapse(adj, labels):
                 else:
                     children.append((labels[v], members[v]))
             children.sort(key=lambda child: child[0])
-            new_labels.append((k_join if kind == "K" else i_union)([labels[v] for v in mem]))
+            new_labels.append(_merge(kind, [labels[v] for v in mem]))
             new_members.append([u for _, mem_c in children for u in mem_c])
             new_kids.append(children)
-        adj, labels = tuple(quotient_graph(adj, classes)), tuple(new_labels)
+        adj, labels = tuple(new_adj), tuple(new_labels)
         members, kids = new_members, new_kids
-
-
-def collapse_twins(adj, labels):
-    """Iteratively merge twin classes of a labeled graph.
-
-    Each round merges the classes of twin_classes: a closed-twin class into
-    a "K" node, an open-twin class into an "I" node.  Twin classes are
-    modules, so quotient adjacency is well defined.  Repeats until no twins
-    remain and returns (adj, labels) tuples.
-    """
-    return _collapse(adj, labels)[:2]
 
 
 def fnv64(data: bytes) -> str:

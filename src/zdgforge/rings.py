@@ -19,8 +19,9 @@ import math
 
 import numpy as np
 
-from .algebra import SCAlgebra, _exact_dtype, associativity_failure
+from .algebra import SCAlgebra, associativity_failure
 from .errors import RingAxiomViolation
+from .fpcore import _exact_dtype
 
 __all__ = [
     "TableRing",
@@ -56,7 +57,7 @@ class TableRing:
 
     def _verify(self):
         t = len(self.orders)
-        dtype = _exact_dtype(self.orders)
+        dtype = _exact_dtype(t, max(self.orders, default=1), (np.int64, object))
         orders = np.array(self.orders, dtype=dtype)
         table = np.array(self.prod, dtype=dtype).reshape(t, t, t)
         # Bilinear extension is well defined only if each product is killed

@@ -202,29 +202,24 @@ def test_verify_associativity_reports_first_failing_triple():
     assert outcomes == {True, False}
 
 
-def test_int64_exactness_bound():
-    from zdgforge.algebra import _check_int64_exact
-
-    _check_int64_exact(2**63 - 1, 2)
-    with pytest.raises(ValueError):
-        _check_int64_exact(2**63, 2)
-    # Three-factor products at the largest modulus: dim 512 is exact, 513 is not.
-    _check_int64_exact(512 * 512, 32749, factors=3)
-    with pytest.raises(ValueError):
-        _check_int64_exact(513 * 513, 32749, factors=3)
-
-
 def test_products_and_quotients_check_the_int64_bound(monkeypatch):
     from zdgforge import algebra
 
     calls = []
-    monkeypatch.setattr(algebra, "_check_int64_exact", lambda *args, **kw: calls.append(args))
+    real = algebra._exact_dtype
+
+    def record(*args, **kw):
+        calls.append((args, kw))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(algebra, "_exact_dtype", record)
     free = free_m1(3, 4)
     x = free.algebra.basis_element(0)
+    calls.clear()
     x * x
-    assert calls == [(free.algebra.dim**2, 3)]
+    assert calls == [((free.algebra.dim**2, 3), {"factors": 3})]
     free.algebra.quotient(Subspace.zero(PrimeField(3), free.algebra.dim))
-    assert calls[-1] == (free.algebra.dim, 3)
+    assert calls[-1] == ((free.algebra.dim, 3), {})
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

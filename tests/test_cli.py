@@ -185,6 +185,7 @@ def test_census_with_catalog_output(tmp_path, capsys):
     assert len(lines) == 4
     report = json.loads(report_path.read_text())
     assert report["passed"] is True
+    assert report["parameters"] == {"max_order": 8, "oracle": True, "jobs": 1}
     assert [row["order"] for row in report["orders"]] == [2, 4, 8]
 
 

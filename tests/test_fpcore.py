@@ -9,6 +9,7 @@ from zdgforge.fpcore import (
     FpMatrix,
     PrimeField,
     Subspace,
+    _exact_dtype,
     _left_kernel_stack,
     _rref_stack,
     is_invertible,
@@ -238,6 +239,28 @@ def test_left_kernel_rows_annihilate(stack):
         assert not ((k @ a[i]) % p).any()
         # The kernel rows come out canonical: they are their own rref.
         assert np.array_equal(reference_rref(k, p)[0], k)
+
+
+def test_exact_dtype_bounds():
+    assert _exact_dtype(2**63 - 1, 2) is np.int64
+    with pytest.raises(ValueError, match="int64"):
+        _exact_dtype(2**63, 2)
+    # Three-factor products at the largest modulus: dim 512 is exact, 513 is not.
+    assert _exact_dtype(512 * 512, 32749, factors=3) is np.int64
+    with pytest.raises(ValueError, match="int64"):
+        _exact_dtype(513 * 513, 32749, factors=3)
+    # One product below top: (top - 1)**2 < 2**63 <= top**2.
+    top = 3037000500
+    assert _exact_dtype(1, top) is np.int64
+    with pytest.raises(ValueError, match="int64"):
+        _exact_dtype(1, top + 1)
+    # float32 to 2**24: 4 * 2047**2 < 2**24 = 4 * 2048**2.
+    assert _exact_dtype(4, 2048, (np.float32, np.int64)) is np.float32
+    assert _exact_dtype(4, 2049, (np.float32, np.int64)) is np.int64
+    with pytest.raises(ValueError, match="float32"):
+        _exact_dtype(4, 2049, (np.float32,))
+    # Python ints always fit.
+    assert _exact_dtype(2**63, 2, (np.int64, object)) is object
 
 
 def test_elimination_refuses_moduli_past_int32_exactness():

@@ -41,9 +41,6 @@ from zdgforge.isomorph import (
     canonical_bytes,
     collapse_twins,
     find_isomorphism,
-    i_union,
-    k_join,
-    twin_classes,
     verify_mapping,
 )
 from zdgforge.rings import ring_table
@@ -281,11 +278,11 @@ def _verify_mapping_reference(adj_g, adj_h, mapping):
     return True
 
 
-@pytest.mark.parametrize("block", [isomorph._VERIFY_BLOCK, 8])
+@pytest.mark.parametrize("block", [isomorph._BLOCK, 8])
 def test_verify_mapping_matches_reference(monkeypatch, block):
     # A block of 8 entries splits every graph of more than 8 vertices into
     # one row per block.
-    monkeypatch.setattr(isomorph, "_VERIFY_BLOCK", block)
+    monkeypatch.setattr(isomorph, "_BLOCK", block)
     rng = random.Random(1998)
     accepted = 0
     for _ in range(1_000):
@@ -373,7 +370,7 @@ def _canonical_unpruned(adj):
     """The canonical search without automorphism pruning on the twin-free
     quotient, which canonical_bytes searches: the least leaf over every
     individualization in the first non-module cell."""
-    adj, labels = collapse_twins(adj, [BASE_LABEL] * len(adj))
+    adj, labels, _ = collapse_twins(adj, [BASE_LABEL] * len(adj))
     n = len(adj)
 
     def rec(colors):
@@ -484,7 +481,7 @@ def _rank6_quotient():
             rows.append(row)
     pres = presentation_from_kernel(6, Subspace(_F2, len(pairs), np.array(rows)))
     assert (pres.m, pres.k) == (6, 1)
-    adj, labels = collapse_twins(*_blowup_quotient(compressed_graph(pres.algebra)))
+    adj, labels, _ = collapse_twins(*_blowup_quotient(compressed_graph(pres.algebra)))
     return list(adj), list(labels)
 
 
@@ -668,7 +665,7 @@ def test_a_wrong_class_map_raises(monkeypatch):
     vertex of g unmapped."""
     g = explicit_graph(free_m1(2, 3).algebra)
     h = _relabel(g, random.Random(3))
-    collapse = isomorph._collapse
+    collapse = isomorph.collapse_twins
     for spoil in [lambda mem: mem[1:] + mem[:1], lambda mem: mem[:-1]]:
         calls = []
 
@@ -679,7 +676,7 @@ def test_a_wrong_class_map_raises(monkeypatch):
                 members = [spoil(mem) if len(mem) > 1 else mem for mem in members]
             return adj, labels, members
 
-        monkeypatch.setattr(isomorph, "_collapse", spoiled)
+        monkeypatch.setattr(isomorph, "collapse_twins", spoiled)
         with pytest.raises(AssertionError, match="failed verification"):
             graphs_isomorphic(g, h)
 
@@ -732,22 +729,8 @@ def _relabel_labeled(g, labels, rng):
     return ZdGraph(g.n, adj), moved
 
 
-def test_lift_through_multi_round_collapse_agrees_with_networkx(monkeypatch):
+def test_lift_through_multi_round_collapse_agrees_with_networkx():
     nx = pytest.importorskip("networkx")
-    rounds, flattened = [], Counter()
-    for name, kind in (("k_join", "K"), ("i_union", "I")):
-        def counted(members, kind=kind, merge=getattr(isomorph, name)):
-            flattened[kind] += any(lab[0] == kind for lab in members)
-            return merge(members)
-
-        monkeypatch.setattr(isomorph, name, counted)
-    twin_classes_once = isomorph.twin_classes
-
-    def counted_classes(adj):
-        rounds[-1] += 1
-        return twin_classes_once(adj)
-
-    monkeypatch.setattr(isomorph, "twin_classes", counted_classes)
 
     def labeled(g, labels):
         out = nx.Graph()
@@ -757,12 +740,15 @@ def test_lift_through_multi_round_collapse_agrees_with_networkx(monkeypatch):
 
     rng = random.Random(1411)
     deep = 0
+    flattened = Counter()
     verdicts = Counter()
     for _ in range(300):
         g, labels = _twin_grown(rng)
-        rounds.append(0)
-        collapse_twins(g.adj, [("c", c) for c in labels])
-        deep += rounds[-1] >= 3  # two merging rounds and the twin-free check
+        leaves = [("c", c) for c in labels]
+        *quotient, counts = _collapse_twins_reference(g.adj, leaves)
+        assert collapse_twins(g.adj, leaves)[:2] == tuple(quotient)
+        deep += counts["rounds"] >= 2
+        flattened.update(K=counts["K"], I=counts["I"])
         partners = [_relabel_labeled(g, labels, rng), _relabel_labeled(_flip_edge(g, rng), labels, rng)]
         for h, labels_h in partners if g.n > 1 else partners[:1]:
             mapping = find_isomorphism(list(g.adj), list(h.adj), labels, labels_h)
@@ -791,37 +777,53 @@ def test_canonical_bytes_of_raw_input_is_that_of_its_collapse():
     rng = random.Random(77)
     graphs_ = [_twin_grown(rng)[0] for _ in range(50)] + [explicit_graph(free_m1(2, 3).algebra)]
     for g in graphs_:
-        adj, labels = collapse_twins(g.adj, [BASE_LABEL] * g.n)
+        adj, labels, _ = collapse_twins(g.adj, [BASE_LABEL] * g.n)
         assert canonical_bytes(list(g.adj)) == canonical_bytes(list(adj), list(labels))
 
 
+def _twin_groups_reference(adj):
+    """The twin groups of one collapse round, found apart from
+    collapse_twins: ("K", closed twins), ("I", open twins) and ("S", [v])
+    for a vertex without a twin, sorted by least member."""
+    n = len(adj)
+    width = (n + 7) // 8
+    closed = {}
+    for v in range(n):
+        closed.setdefault((adj[v] | (1 << v)).to_bytes(width, "little"), []).append(v)
+    merges = [("K", mem) for mem in closed.values() if len(mem) >= 2]
+    taken = {v for _, mem in merges for v in mem}
+    opened = {}
+    for v in range(n):
+        if v not in taken:
+            opened.setdefault(adj[v].to_bytes(width, "little"), []).append(v)
+    merges += [("I", mem) for mem in opened.values() if len(mem) >= 2]
+    taken.update(v for _, mem in merges for v in mem)
+    groups = merges + [("S", [v]) for v in range(n) if v not in taken]
+    return sorted(groups, key=lambda g: min(g[1]))
+
+
 def _collapse_twins_reference(adj, labels):
-    """collapse_twins as it grouped its twins before twin_classes was
-    factored out of it, kept as the reference."""
+    """collapse_twins' quotient (adj, labels) from _twin_groups_reference
+    and a label merge of its own, with a Counter of its merging "rounds"
+    and of the "K"/"I" merges that flatten a member label of their kind."""
     adj = list(adj)
     labels = list(labels)
+    counts = Counter()
+
+    def merge(kind, mem):
+        counts[kind] += any(labels[v][0] == kind for v in mem)
+        total = Counter()
+        for v in mem:
+            total.update(dict(labels[v][1]) if labels[v][0] == kind else {labels[v]: 1})
+        return (kind, tuple(sorted(total.items())))
+
     while True:
-        n = len(adj)
-        width = (n + 7) // 8
-        closed = {}
-        for v in range(n):
-            closed.setdefault((adj[v] | (1 << v)).to_bytes(width, "little"), []).append(v)
-        merges = [("K", mem) for mem in closed.values() if len(mem) >= 2]
-        taken = {v for _, mem in merges for v in mem}
-        opened = {}
-        for v in range(n):
-            if v not in taken:
-                opened.setdefault(adj[v].to_bytes(width, "little"), []).append(v)
-        merges += [("I", mem) for mem in opened.values() if len(mem) >= 2]
-        taken.update(v for _, mem in merges for v in mem)
-        if not merges:
-            return tuple(adj), tuple(labels)
-        groups = merges + [("S", [v]) for v in range(n) if v not in taken]
-        groups.sort(key=lambda g: min(g[1]))
+        groups = _twin_groups_reference(adj)
+        if len(groups) == len(adj):
+            return tuple(adj), tuple(labels), counts
+        counts["rounds"] += 1
         masks = [sum(1 << v for v in mem) for _, mem in groups]
-        labels = [labels[mem[0]] if kind == "S"
-                  else (k_join if kind == "K" else i_union)([labels[v] for v in mem])
-                  for kind, mem in groups]
+        labels = [labels[mem[0]] if kind == "S" else merge(kind, mem) for kind, mem in groups]
         adj = [sum(1 << j for j in range(len(groups)) if i != j and adj[mem[0]] & masks[j])
                for i, (_, mem) in enumerate(groups)]
 
@@ -839,12 +841,17 @@ def test_twin_classes_are_disjoint_modules(graph):
     opened = [mem for mem in opened.values() if len(mem) > 1]
     # nontrivial closed and open classes never meet
     assert not {v for mem in closed for v in mem} & {v for mem in opened for v in mem}
-    classes = twin_classes(adj)
+    classes = _twin_groups_reference(adj)
     assert sorted(v for _, mem in classes for v in mem) == list(range(n))
     assert [mem[0] for _, mem in classes] == sorted(mem[0] for _, mem in classes)
     assert sorted(mem for kind, mem in classes if kind == "K") == sorted(closed)
     assert sorted(mem for kind, mem in classes if kind == "I") == sorted(opened)
     for kind, mem in classes:
         assert len(mem) == 1 if kind == "S" else _uniform_module(adj, mem) == kind
-    labels = [("c", c) for c in colors]
-    assert collapse_twins(adj, labels) == _collapse_twins_reference(adj, labels)
+    # Leaf labels, and "K"/"I" labels over a leaf as _blowup_quotient passes
+    # them for classes of multiplicity 2.
+    blowup = [("c", 0), ("K", ((("c", 0), 2),)), ("I", ((("c", 0), 2),))]
+    for labels in ([("c", c) for c in colors], [blowup[c] for c in colors]):
+        adj_q, labels_q, members = collapse_twins(adj, labels)
+        assert (adj_q, labels_q) == _collapse_twins_reference(adj, labels)[:2]
+        assert sorted(u for mem in members for u in mem) == list(range(n))
