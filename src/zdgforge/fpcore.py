@@ -120,7 +120,11 @@ def _rref_stack(a, p: int):
         factor = block[:, :, 0].copy()
         factor[at, top] = 0
         block -= factor[:, :, None] * piv[:, None, :]
-        block %= p
+        # Floor division by the scalar p is several times faster than %.
+        q = block // p
+        q *= p
+        block -= q
+        del q  # not held into the next step's block
         m[hit, :, j:] = block
         rank[hit] += 1
     return m.astype(np.int64).reshape(shape), rank.reshape(shape[:-2])
@@ -129,15 +133,38 @@ def _rref_stack(a, p: int):
 def _left_kernel_stack(a, p: int):
     """Left kernels {b : b @ M == 0} of a stack of (..., r, c) matrices M.
 
-    Returns (basis, free): basis is the right block of rref([M | I]) and free
-    marks its rows whose left block is zero.  Those r - rank(M) rows, the
-    last ones, are the canonical rref basis of the left kernel.
+    Returns (basis, free) of shapes (..., r, r) and (..., r): free marks the
+    last r - rank(M) rows of basis, which are the canonical rref basis of
+    the left kernel; the other rows are zero.
+
+    b @ M == 0 iff M.T @ b == 0, so one elimination of the transposes, with
+    the coordinates of b in reverse order, takes r column steps.  Read
+    backwards, the null vector of a free column f is 1 at f, 0 at the other
+    free columns and nonzero elsewhere only at pivot columns left of f.  In
+    the original order it therefore leads with a 1 at f and is 0 at every
+    other free column: sorted by f, these vectors are the rref basis.
     """
     a = np.asarray(a, dtype=np.int64)
-    r, c = a.shape[-2:]
-    eye = np.broadcast_to(np.eye(r, dtype=np.int64), a.shape[:-1] + (r,))
-    red, _ = _rref_stack(np.concatenate([a, eye], axis=-1), p)
-    return red[..., c:], ~red[..., :c].any(axis=-1)
+    shape = a.shape
+    r, c = shape[-2:]
+    red, rank = _rref_stack(np.swapaxes(a, -1, -2)[..., ::-1], p)
+    n = math.prod(shape[:-2])
+    red, rank = red.reshape(n, c, r), rank.reshape(n)
+    # Pivot rows i < rank: column lead[i] of reversed vector f gets -red[i, f].
+    at, i = np.nonzero(np.arange(c) < rank[:, None])
+    lead = (red[at, i] != 0).argmax(axis=1) if at.size else at
+    null = np.zeros((n, r, r), dtype=np.int64)
+    null[at, :, lead] = -red[at, i] % p
+    free = np.ones((n, r), dtype=bool)
+    free[at, lead] = False
+    null *= free[:, :, None]
+    null[:, np.arange(r), np.arange(r)] = free
+    # Original order: reverse rows and columns, then move the free rows last.
+    null, free = null[:, ::-1, ::-1], free[:, ::-1]
+    order = np.argsort(free, axis=1, kind="stable")
+    basis = np.take_along_axis(null, order[:, :, None], axis=1)
+    free = np.take_along_axis(free, order, axis=1)
+    return basis.reshape(shape[:-1] + (r,)), free.reshape(shape[:-1])
 
 
 def _grid(orders) -> np.ndarray:
@@ -148,12 +175,16 @@ def _grid(orders) -> np.ndarray:
 
 def _projective_reps(p: int, m: int) -> np.ndarray:
     """Nonzero vectors with first nonzero coordinate 1: one per scalar class,
-    in lexicographic order."""
-    vs = _grid((p,) * m)[1:]
-    if p == 2:
-        return vs
-    first = vs[np.arange(vs.shape[0]), (vs != 0).argmax(axis=1)]
-    return vs[first == 1]
+    in lexicographic order.  They are built a leading position at a time,
+    last position first, so the p**m grid is never formed."""
+    blocks = [np.zeros((0, m), dtype=np.int64)]
+    for lead in range(m - 1, -1, -1):
+        tail = _grid((p,) * (m - 1 - lead))
+        block = np.zeros((tail.shape[0], m), dtype=np.int64)
+        block[:, lead] = 1
+        block[:, lead + 1 :] = tail
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 class FpVector:

@@ -28,14 +28,29 @@ class representatives.
 compressed_graph finds that adjacency by a kernel walk rather than by
 testing all pairs: fpcore's batched elimination gives, for every class
 representative a, the kernel of b -> a*b, and the projective points of that
-kernel are the classes joined to a.  Its cost grows with c * p^k (c classes,
-k the kernel dimension) instead of c^2, and its memory with c*m^2 + p^m for a
-complement of dimension m.  The all-pairs zero-product kernel remains for
-explicit graphs, and tests use it as the reference for the walk.
+kernel are the classes joined to a.  The all-pairs zero-product kernel
+remains for explicit graphs, and tests use it as the reference for the walk.
+
+Cost model, for c classes of a complement of dimension m, t reached output
+coordinates and kernel dimension k:
+
+* compressed_graph: time c * (m*m*t + m*p^k), one matmul and m elimination
+  steps per block of classes plus the kernel points; memory about
+  8*m*m + 9*m + 145 bytes per class, 8*p^m for the class lookup and fixed
+  blocks (_walk_bytes, checked against _GRAPH_BYTES before anything is
+  allocated).
+* blowup_isomorphic and fingerprint: time and memory linear in c plus the
+  cross pairs.  _twin_quotient groups the classes into collapse_twins' first
+  round directly; only that quotient, one vertex per twin group, gets bit
+  rows.  The paper's blow-ups have no cross pairs and uniform flags, so
+  their quotient has two vertices at every p.
+* expand and explicit_graph: n^2/8 bytes of bit rows for n vertices, as the
+  explicit graph needs; both estimate their peak first.
 """
 
 import json
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -47,6 +62,7 @@ from .isomorph import (
     _SEARCH_BUDGET,
     BASE_LABEL,
     _Budget,
+    _merge,
     _packed_rows,
     canonical_bytes,
     collapse_twins,  # noqa: F401  kept only so perfbench's traced pass can patch it here
@@ -73,7 +89,7 @@ __all__ = [
 
 DEFAULT_ELEMENT_CAP = 2**16
 DEFAULT_ISO_CAP = 4096
-DEFAULT_CLASS_CAP = 2**15
+DEFAULT_CLASS_CAP = 2**19
 KERNEL_POINT_CAP = 2**21
 # Products per row block of the zero-product kernel; blocks that stay in
 # cache ran about twice as fast as 2**20 on free_m1(2, 4).
@@ -141,13 +157,26 @@ class ZdGraph:
         return f"ZdGraph(n={self.n}, m={self.num_edges})"
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-d array.  np.unique would do, but
+    its first call imports numpy.ma, about 1 MB of peak memory in a census
+    or compare run."""
+    codes = np.sort(codes)
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
 class BlowupGraph:
     """Compressed clique blow-up form of a zero-divisor graph.
 
     ``universal`` counts the vertices of the clique joined to everything
     (the nonzero elements of R^2).  Each class is (multiplicity, clique_flag)
     and every class is implicitly adjacent to the universal clique; ``cross``
-    holds the adjacent class pairs.
+    holds the adjacent class pairs as a read-only (n, 2) int64 array of rows
+    i < j, sorted and without repeats.  Pairs may be given in either order
+    and more than once; a pair of a class with itself or with a class out
+    of range raises ValueError.
     """
 
     __slots__ = ("universal", "classes", "cross")
@@ -155,13 +184,17 @@ class BlowupGraph:
     def __init__(self, universal: int, classes, cross):
         self.universal = int(universal)
         self.classes = tuple((int(m), bool(f)) for m, f in classes)
-        pairs = set()
         k = len(self.classes)
-        for i, j in cross:
-            if i == j or not (0 <= i < k and 0 <= j < k):
-                raise ValueError("invalid cross pair")
-            pairs.add((min(i, j), max(i, j)))
-        self.cross = frozenset(pairs)
+        pairs = np.asarray(cross, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("invalid cross pair")
+        if ((pairs < 0) | (pairs >= k)).any() or (pairs[:, 0] == pairs[:, 1]).any():
+            raise ValueError("invalid cross pair")
+        code = _distinct(pairs.min(axis=1) * k + pairs.max(axis=1))
+        self.cross = np.stack([code // max(k, 1), code % max(k, 1)], axis=1)
+        self.cross.setflags(write=False)
 
     @property
     def expanded_order(self) -> int:
@@ -171,7 +204,7 @@ class BlowupGraph:
         return {
             "universal": self.universal,
             "classes": [{"mult": m, "clique": f} for m, f in self.classes],
-            "cross": sorted([i, j] for i, j in self.cross),
+            "cross": self.cross.tolist(),
         }
 
     @classmethod
@@ -337,16 +370,17 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     Kernel walk: for each of the c = (p^m - 1)/(p - 1) projective classes of
     the degree-1 complement (dimension m), the map b -> a*b of its
     representative a is an m x t matrix, where t counts the output
-    coordinates that products of complement vectors reach.  The left kernels
-    of all c matrices come from fpcore's batched elimination; every projective
-    point b of the kernel of a gives the adjacent class pair {a, b}.  Walking
-    b -> a*b for every a finds each pair with a*b = 0 or b*a = 0, so the
-    right products need no walk of their own.  A class is a clique when
-    a*a = 0.  Time grows with c * (m*t*(t+m) + m*p^k) for kernel dimension
-    k, memory with c*m^2 + p^m plus blocks of at most _BLOCK entries; no
-    c x c array is built.  Raises CapExceeded before any array is built when
-    c exceeds class_cap, and before the walk when its kernel points exceed
-    KERNEL_POINT_CAP.
+    coordinates that products of complement vectors reach; a block of
+    representatives gets its matrices from one matmul with the product
+    table.  The left kernels of all c matrices come from fpcore's batched
+    elimination; every projective point b of the kernel of a gives the
+    adjacent class pair {a, b}.  Walking b -> a*b for every a finds each
+    pair with a*b = 0 or b*a = 0, so the right products need no walk of
+    their own.  A class is a clique when a*a = 0.  Time grows with
+    c * (m*m*t + m*p^k) for kernel dimension k; no c x c array is built.
+    Raises CapExceeded before any array is built when c exceeds class_cap
+    or the walk's estimated peak (_walk_bytes) exceeds _GRAPH_BYTES, and
+    before the pair walk when its kernel points exceed KERNEL_POINT_CAP.
     """
     algebra = getattr(source, "algebra", source)
     if not isinstance(algebra, SCAlgebra):
@@ -369,39 +403,56 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     c = (p**m - 1) // (p - 1)
     if c > class_cap:
         raise CapExceeded(f"{c} projective classes exceed cap {class_cap}")
-    reps = _projective_reps(p, m)
     # Products of the degree-1 parts only: the degree-2 parts of the factors
     # never contribute, so adjacency does not depend on the lift.
     prod = algebra.table[np.ix_(comp, comp)]
     prod = prod[:, :, prod.any(axis=(0, 1))]
     t = prod.shape[2]
+    need = _walk_bytes(c, m, p)
+    if need > _GRAPH_BYTES:
+        raise CapExceeded(f"kernel walk needs about {need} bytes, cap is {_GRAPH_BYTES}")
+    reps = _projective_reps(p, m)
+    dtype = _exact_dtype(m, p, (np.float32, np.int64))
+    table = prod.reshape(m, m * t).astype(dtype)
     clique = np.empty(c, dtype=bool)
-    ident = np.empty((c, m, m), dtype=np.int64)
+    kern = np.empty((c, m, m), dtype=np.int64)
     free = np.empty((c, m), dtype=bool)
     step = max(1, _BLOCK // (m * (t + m)))
     for lo in range(0, c, step):
         a = reps[lo : lo + step]
-        left = np.einsum("ai,ijk->ajk", a, prod) % p
+        left = (a.astype(dtype) @ table).astype(np.int64).reshape(len(a), m, t) % p
         clique[lo : lo + step] = ~(np.einsum("aj,ajk->ak", a, left) % p).any(axis=1)
-        ident[lo : lo + step], free[lo : lo + step] = _left_kernel_stack(left, p)
+        kern[lo : lo + step], free[lo : lo + step] = _left_kernel_stack(left, p)
     points = int(((p ** free.sum(axis=1) - 1) // (p - 1)).sum())
     if points > KERNEL_POINT_CAP:
         raise CapExceeded(f"{points} kernel points exceed cap {KERNEL_POINT_CAP}")
     mult = (p - 1) * p**s
     classes = [(mult, f) for f in clique.tolist()]
-    return BlowupGraph(universal, classes, _kernel_pairs(reps, ident, free, p))
+    return BlowupGraph(universal, classes, _kernel_pairs(reps, kern, free, p))
 
 
-def _kernel_pairs(reps: np.ndarray, ident: np.ndarray, free: np.ndarray, p: int):
-    """Yield class pairs (i, j), i != j, with j a projective point of the
-    kernel of i, walked in blocks of representatives.  A pair found from both
-    ends is yielded twice; BlowupGraph keeps one copy."""
+def _walk_bytes(c: int, m: int, p: int) -> int:
+    """Upper estimate of compressed_graph's peak bytes for c classes of an
+    m-dimensional complement: per class its representative, kernel basis
+    and flags, and its (mult, clique) tuple, made twice; the p**m class
+    lookup of the pair walk; at most KERNEL_POINT_CAP pairs, each held a
+    few times over while BlowupGraph sorts them; and the blocks of the
+    walk."""
+    per_class = 8 * m + 8 * m * m + m + 1 + 2 * 72
+    return c * per_class + 8 * p**m + 64 * KERNEL_POINT_CAP + 96 * _BLOCK
+
+
+def _kernel_pairs(reps: np.ndarray, kern: np.ndarray, free: np.ndarray, p: int) -> np.ndarray:
+    """Class pairs (i, j), i != j, with j a projective point of the kernel
+    of i, as an (n, 2) int64 array, walked in blocks of representatives.  A
+    pair found from both ends appears twice; BlowupGraph keeps one copy."""
     c, m = reps.shape
     code = p ** np.arange(m - 1, -1, -1)  # position in _grid order
     class_of = np.zeros(p**m, dtype=np.int64)
     for scalar in range(1, p):
         class_of[(scalar * reps % p) @ code] = np.arange(c)
     dims = free.sum(axis=1)
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
     for k in range(1, m + 1):
         members = np.nonzero(dims == k)[0]
         if members.size == 0:
@@ -411,19 +462,35 @@ def _kernel_pairs(reps: np.ndarray, ident: np.ndarray, free: np.ndarray, p: int)
         for lo in range(0, members.size, step):
             a = members[lo : lo + step]
             i, r = np.nonzero(free[a])
-            basis = ident[a[i], r].reshape(len(a), k, m)
+            basis = kern[a[i], r].reshape(len(a), k, m)
             b = class_of[(np.matmul(coeffs, basis) % p) @ code]
             a = np.broadcast_to(a[:, None], b.shape)
             off = a != b
-            yield from zip(a[off].tolist(), b[off].tolist())
+            blocks.append(np.stack([a[off], b[off]], axis=1))
+    return np.concatenate(blocks)
+
+
+def _expand_bytes(n: int, classes: int) -> int:
+    """Upper estimate of expand's peak bytes for n vertices in the given
+    number of classes: the n bitmask rows, two masks of at most n bits per
+    class, and ZdGraph's check, which holds a bytes copy of every row and
+    their join; plus object overhead per row and mask and the check's
+    blocks."""
+    width = (n + 7) // 8
+    return 3 * n * width + 2 * classes * width + 100 * (n + classes) + 4 * _BLOCK
 
 
 def expand(blowup: BlowupGraph, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
     """Explicit graph realizing a blow-up: class clique/independent blocks,
-    complete joins along cross pairs, and a universal clique joined to all."""
+    complete joins along cross pairs, and a universal clique joined to all.
+    Raises CapExceeded before allocating when the graph has more than cap
+    vertices or its estimated peak (_expand_bytes) exceeds _GRAPH_BYTES."""
     total = blowup.expanded_order
     if total > cap:
         raise CapExceeded(f"expanded graph has {total} vertices, cap is {cap}")
+    need = _expand_bytes(total, len(blowup.classes))
+    if need > _GRAPH_BYTES:
+        raise CapExceeded(f"expanded graph needs about {need} bytes, cap is {_GRAPH_BYTES}")
     offsets = []
     pos = blowup.universal
     for m, _ in blowup.classes:
@@ -433,7 +500,7 @@ def expand(blowup: BlowupGraph, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
     block_mask = [((1 << m) - 1) << off for (m, _), off in zip(blowup.classes, offsets)]
     uni_mask = (1 << blowup.universal) - 1
     cross_of = [0] * len(blowup.classes)
-    for i, j in blowup.cross:
+    for i, j in blowup.cross.tolist():
         cross_of[i] |= block_mask[j]
         cross_of[j] |= block_mask[i]
     adj = []
@@ -470,29 +537,82 @@ def graphs_isomorphic(g: ZdGraph, h: ZdGraph, cap: int = DEFAULT_ISO_CAP) -> Iso
     return IsoResult(witness is not None, witness, spent.nodes, spent.quotient)
 
 
-def _blowup_quotient(blowup: BlowupGraph):
-    """Labeled quotient graph encoding the expanded structure."""
+def _class_label(mult: int, clique: bool):
+    if mult == 1:
+        return BASE_LABEL
+    return ("K" if clique else "I", ((BASE_LABEL, mult),))
+
+
+def _twin_quotient(blowup: BlowupGraph):
+    """The first collapse_twins round of a blow-up's labelled graph, as
+    (adj, labels) lists in collapse_twins' order, found by grouping the
+    classes; the graph's c^2 bits are never formed.
+
+    The graph has one vertex per class (labelled by _class_label) joined
+    along the cross pairs and, for a nonempty universal clique, a last
+    vertex u joined to every class.  Classes without cross pairs share the
+    open neighbourhood {u}; classes joined to every other class share u's
+    closed one.  Only the remaining classes with cross pairs need keys,
+    their sorted neighbour lists.  Merged labels come from the
+    (mult, clique) counts of each group.  Since this is collapse_twins'
+    own first round, it continues from here to the same quotient.
+    """
+    c = len(blowup.classes)
+    u = c if blowup.universal > 0 else None
+    ends = np.concatenate([blowup.cross, blowup.cross[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 0] * c + ends[:, 1])]
+    deg = np.bincount(ends[:, 0], minlength=c)
+    start = np.concatenate([[0], np.cumsum(deg)])
+    # Closed twins: the classes joined to all others, with u, then the rest
+    # by key; open twins among the vertices left.
+    closed = defaultdict(list)
+    opened = defaultdict(list)
+    full = np.flatnonzero(deg == c - 1).tolist()
+    closed["all"] = full + ([u] if u is not None else [])
+    for v in np.flatnonzero((deg > 0) & (deg < c - 1)).tolist():
+        row = ends[start[v] : start[v + 1], 1]
+        closed[np.insert(row, np.searchsorted(row, v), v).tobytes()].append(v)
+    groups = [("K", mem) for mem in closed.values() if len(mem) >= 2]
+    taken = {v for _, mem in groups for v in mem}
+    for v in np.flatnonzero(deg > 0).tolist():
+        if v not in taken:
+            opened[ends[start[v] : start[v + 1], 1].tobytes()].append(v)
+    groups += [("I", mem) for mem in opened.values()]
+    lone = np.flatnonzero(deg == 0).tolist()
+    if lone and lone[0] not in taken:
+        groups.append(("I", lone))
+    if u is not None and u not in taken:
+        groups.append(("I", [u]))
+    groups.sort(key=lambda g: g[1][0])
+
+    def label(v):
+        if v == u:
+            return _class_label(blowup.universal, True)
+        return _class_label(*blowup.classes[v])
+
+    q = np.empty(c + (u is not None), dtype=np.int64)
     labels = []
-    for m, clique in blowup.classes:
-        if m == 1:
-            labels.append(BASE_LABEL)
-        elif clique:
-            labels.append(("K", ((BASE_LABEL, m),)))
-        else:
-            labels.append(("I", ((BASE_LABEL, m),)))
-    adj = [0] * len(blowup.classes)
-    for i, j in blowup.cross:
+    for i, (kind, mem) in enumerate(groups):
+        q[mem] = i
+        if len(mem) == 1:
+            labels.append(label(mem[0]))
+            continue
+        counts = Counter(blowup.classes[v] for v in mem if v != u)
+        weighted = [(_class_label(*cls), n) for cls, n in counts.items()]
+        if u in mem:
+            weighted.append((label(u), 1))
+        labels.append(_merge(kind, weighted))
+    n = len(groups)
+    ends = np.sort(q[blowup.cross], axis=1)
+    code = _distinct(ends[ends[:, 0] != ends[:, 1]] @ np.array([n, 1]))
+    adj = [0] * n
+    for i, j in zip((code // n).tolist(), (code % n).tolist()):
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    if blowup.universal > 0:
-        u = len(labels)
-        if blowup.universal == 1:
-            labels.append(BASE_LABEL)
-        else:
-            labels.append(("K", ((BASE_LABEL, blowup.universal),)))
-        adj.append((1 << u) - 1)
-        for i in range(u):
-            adj[i] |= 1 << u
+    if u is not None:
+        k = int(q[u])
+        adj = [row | 1 << k for row in adj]
+        adj[k] = ((1 << n) - 1) ^ (1 << k)
     return adj, labels
 
 
@@ -500,7 +620,7 @@ def _canonical_form(obj) -> bytes:
     if isinstance(obj, ZdGraph):
         return canonical_bytes(obj.adj)
     if isinstance(obj, BlowupGraph):
-        return canonical_bytes(*_blowup_quotient(obj))
+        return canonical_bytes(*_twin_quotient(obj))
     raise TypeError("expected a ZdGraph or BlowupGraph")
 
 

@@ -348,17 +348,18 @@ def find_isomorphism(adj_g, adj_h, init_g=None, init_h=None, budget=_SEARCH_BUDG
 # -- twin collapse --------------------------------------------------------------
 
 
-def _merge(kind, labels):
+def _merge(kind, weighted):
     """Label of a merged twin class of the given kind, "K" (closed twins,
     a complete join) or "I" (open twins, a disjoint union), over its
-    members' labels: a member label of the same kind adds its own counts."""
+    members' labels, given as (label, number of members with it) pairs: a
+    member label of the same kind adds its own counts."""
     counts = Counter()
-    for lab in labels:
+    for lab, w in weighted:
         if lab[0] == kind:
             for child, c in lab[1]:
-                counts[child] += c
+                counts[child] += c * w
         else:
-            counts[lab] += 1
+            counts[lab] += w
     return (kind, tuple(sorted(counts.items())))
 
 
@@ -424,7 +425,7 @@ def collapse_twins(adj, labels):
                 else:
                     children.append((labels[v], members[v]))
             children.sort(key=lambda child: child[0])
-            new_labels.append(_merge(kind, [labels[v] for v in mem]))
+            new_labels.append(_merge(kind, [(labels[v], 1) for v in mem]))
             new_members.append([u for _, mem_c in children for u in mem_c])
             new_kids.append(children)
         adj, labels = tuple(new_adj), tuple(new_labels)

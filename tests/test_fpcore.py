@@ -241,6 +241,32 @@ def test_left_kernel_rows_annihilate(stack):
         assert np.array_equal(reference_rref(k, p)[0], k)
 
 
+def _left_kernel_reference(a, p):
+    """The left kernels as the right block of rref([M | I]), read off the
+    rows whose left block is zero: the elimination _left_kernel_stack
+    replaced."""
+    r, c = a.shape[-2:]
+    eye = np.broadcast_to(np.eye(r, dtype=np.int64), a.shape[:-1] + (r,))
+    red, _ = _rref_stack(np.concatenate([a, eye], axis=-1), p)
+    return red[..., c:], ~red[..., :c].any(axis=-1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_left_kernel_matches_identity_block_reference(p):
+    rng = np.random.default_rng(p)
+    for r, c in [(1, 1), (3, 2), (4, 4), (5, 3), (6, 14), (6, 20)]:
+        dims = set()
+        # M = X @ Y through a rank-k space, so kernels of dimension r - k or more.
+        for k in range(0, min(r, c) + 1):
+            a = rng.integers(0, p, (30, r, k)) @ rng.integers(0, p, (30, k, c)) % p
+            basis, free = _left_kernel_stack(a, p)
+            ref_basis, ref_free = _left_kernel_reference(a, p)
+            assert np.array_equal(free, ref_free)
+            assert np.array_equal(basis, np.where(free[..., None], ref_basis, 0))
+            dims.update(free.sum(axis=-1).tolist())
+        assert dims == set(range(max(0, r - c), r + 1))
+
+
 def test_exact_dtype_bounds():
     assert _exact_dtype(2**63 - 1, 2) is np.int64
     with pytest.raises(ValueError, match="int64"):

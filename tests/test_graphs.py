@@ -61,12 +61,12 @@ def test_compressed_profiles():
     assert b.universal == 2**14 - 1
     assert len(b.classes) == 63
     assert all(c == (2**14, True) for c in b.classes)
-    assert not b.cross
+    assert len(b.cross) == 0
     b2 = compressed_graph(construct("A2", 3))
     assert b2.universal == 3**20 - 1
     assert len(b2.classes) == (3**6 - 1) // 2
     assert all(c == (2 * 3**20, False) for c in b2.classes)
-    assert not b2.cross
+    assert len(b2.cross) == 0
 
 
 def test_compressed_zero_multiplication_is_one_clique():
@@ -156,6 +156,22 @@ def test_compressed_class_cap_boundary(monkeypatch):
         compressed_graph(pres, class_cap=363)
 
 
+def test_compressed_walk_bytes_boundary(monkeypatch):
+    # A1 at p = 3: 364 classes of a 6-dimensional complement.
+    pres = construct("A1", 3)
+    need = graphs._walk_bytes(364, 6, 3)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need)
+    assert len(compressed_graph(pres).classes) == 364
+
+    def refuse(*args):
+        raise AssertionError("representatives allocated")
+
+    monkeypatch.setattr(graphs, "_projective_reps", refuse)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need - 1)
+    with pytest.raises(CapExceeded, match="kernel walk"):
+        compressed_graph(pres)
+
+
 def test_compressed_kernel_point_cap_boundary(monkeypatch):
     # zero multiplication on F_2^3: every class kernel is all 7 classes
     monkeypatch.setattr(graphs, "KERNEL_POINT_CAP", 49)
@@ -183,6 +199,33 @@ def test_expand_counts_and_k3():
 def test_expand_cap():
     with pytest.raises(CapExceeded):
         expand(compressed_graph(construct("A1", 2)))
+
+
+def test_expand_bytes_boundary(monkeypatch):
+    b = BlowupGraph(3, [(2, True), (1, False), (4, False)], [(0, 2)])
+    need = graphs._expand_bytes(b.expanded_order, 3)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need)
+    assert expand(b).n == 10
+
+    def refuse(*args):
+        raise AssertionError("expanded graph built")
+
+    monkeypatch.setattr(graphs, "ZdGraph", refuse)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need - 1)
+    with pytest.raises(CapExceeded, match="bytes"):
+        expand(b)
+
+
+def test_blowup_cross_is_sorted_and_deduplicated():
+    b = BlowupGraph(0, [(1, False)] * 4, [(2, 1), (1, 2), (0, 3), (3, 0), (1, 2), (0, 1)])
+    assert b.cross.tolist() == [[0, 1], [0, 3], [1, 2]]
+    assert b.cross.dtype == np.int64 and not b.cross.flags.writeable
+    assert b.to_json()["cross"] == [[0, 1], [0, 3], [1, 2]]
+    assert BlowupGraph(0, [(1, False)] * 4, b.cross).cross.tolist() == b.cross.tolist()
+    assert BlowupGraph(0, [], []).cross.shape == (0, 2)
+    for bad in ([(1, 1)], [(0, 4)], [(-1, 2)], [(0, 1, 2)]):
+        with pytest.raises(ValueError):
+            BlowupGraph(0, [(1, False)] * 4, bad)
 
 
 def test_graphs_isomorphic_basics():
@@ -288,7 +331,7 @@ def test_blowup_json_round_trip():
     again = BlowupGraph.from_json(json.dumps(data))
     assert again.universal == b.universal
     assert again.classes == b.classes
-    assert again.cross == b.cross
+    assert np.array_equal(again.cross, b.cross)
 
 
 def test_adjacency_validation():

@@ -3,6 +3,7 @@ is_isomorphic on seeded and strongly regular graphs, the per-edge color
 refinement it replaced, fingerprints pinned before automorphism pruning, and
 the symplectic quotient of the order-128 census."""
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zdgforge.algebra import zero_mul_algebra
 from zdgforge.catalog import (
     _F2,
     enumerate_variety_rings,
@@ -24,7 +26,6 @@ from zdgforge.fpcore import Subspace
 from zdgforge import graphs
 from zdgforge.graphs import (
     ZdGraph,
-    _blowup_quotient,
     compressed_graph,
     expand,
     explicit_graph,
@@ -460,6 +461,77 @@ def test_pair_fingerprints_are_pinned(variant):
 def test_census_fingerprints_are_pinned():
     got = [(e.order, e.m, e.k, e.fingerprint) for e in enumerate_variety_rings(64)]
     assert got == CENSUS_64_FINGERPRINTS
+
+
+# -- the grouped blow-up quotient ------------------------------------------------
+
+
+def _blowup_quotient(blowup):
+    """The labeled graph of a blow-up, built row by row as graphs did before
+    it grouped the twin quotient: one vertex per class and a last one for a
+    nonempty universal clique, joined to every class, so c^2 bits in all.
+    The reference for graphs._twin_quotient."""
+    labels = []
+    for m, clique in blowup.classes:
+        if m == 1:
+            labels.append(BASE_LABEL)
+        elif clique:
+            labels.append(("K", ((BASE_LABEL, m),)))
+        else:
+            labels.append(("I", ((BASE_LABEL, m),)))
+    adj = [0] * len(blowup.classes)
+    for i, j in blowup.cross.tolist():
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    if blowup.universal > 0:
+        u = len(labels)
+        if blowup.universal == 1:
+            labels.append(BASE_LABEL)
+        else:
+            labels.append(("K", ((BASE_LABEL, blowup.universal),)))
+        adj.append((1 << u) - 1)
+        for i in range(u):
+            adj[i] |= 1 << u
+    return adj, labels
+
+
+def _random_blowup(rng):
+    c = rng.randrange(0, 9)
+    if rng.random() < 0.3:
+        classes = [(rng.choice([1, 2]), rng.random() < 0.5)] * c
+    else:
+        classes = [(rng.choice([1, 1, 2, 3]), rng.random() < 0.5) for _ in range(c)]
+    density = rng.choice([0, 0, 0.2, 0.5, 0.9, 1])
+    cross = [(i, j) for i, j in itertools.combinations(range(c), 2) if rng.random() < density]
+    if c >= 2 and rng.random() < 0.4:
+        hub = rng.randrange(c)
+        cross += [(j, hub) for j in range(c) if j != hub]
+    return graphs.BlowupGraph(rng.choice([0, 1, 2, 5]), classes, cross)
+
+
+def test_twin_quotient_is_the_first_collapse_round():
+    rng = random.Random(16)
+    seen = Counter()
+    for _ in range(400):
+        b = _random_blowup(rng)
+        adj, labels = _blowup_quotient(b)
+        quotient = graphs._twin_quotient(b)
+        assert len(quotient[0]) == len(_twin_groups_reference(adj))
+        assert collapse_twins(*quotient)[:2] == collapse_twins(adj, labels)[:2]
+        assert canonical_bytes(*quotient) == canonical_bytes(adj, labels)
+        c = len(b.classes)
+        seen["cross"] += len(b.cross) > 0
+        seen["no cross"] += c >= 2 and len(b.cross) == 0
+        seen["mult 1"] += any(m == 1 for m, _ in b.classes)
+        seen["mixed flags"] += len({f for _, f in b.classes}) == 2
+        seen[f"universal {min(b.universal, 2)}"] += 1
+        degree = Counter(b.cross.ravel().tolist())
+        seen["joined to all"] += c >= 2 and c - 1 in degree.values()
+    assert min(seen.values()) >= 40 and len(seen) == 8, seen
+    # The paper's blow-ups and a blow-up with cross pairs everywhere.
+    for source in [construct(v, p) for v in ("A1", "B2") for p in (2, 3)] + [zero_mul_algebra(3, 3)]:
+        b = compressed_graph(source)
+        assert canonical_bytes(*graphs._twin_quotient(b)) == canonical_bytes(*_blowup_quotient(b))
 
 
 # -- the rank-6 symplectic quotient ---------------------------------------------
