@@ -28,6 +28,7 @@ from .fpcore import (
     FpMatrix,
     PrimeField,
     Subspace,
+    _exact_dtype,
     _grid,
     _projective_reps,
     _rref_stack,
@@ -355,11 +356,21 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     ann(a) = ker_left(M) + R^2, where M = [core.alpha | alpha.core] is the
     n x 2*d2 degree-1 block of [R_a | L_a] and core = table[:n, :n, n:].
     ann(a) is as expected iff rank M = n (commutative), or alpha.M = 0 and
-    rank M = n - 1 (anticommutative, where alpha.M = 0 says a*a = 0).  The
-    ranks come from one elimination of the transposes per block of vectors.
-    Both facts the reduction rests on, the grading and R^2 = span{e_n, ...,
-    e_(dim-1)}, are checked once per call; if either fails the call raises
-    AssertionError.
+    rank M = n - 1 (anticommutative, where alpha.M = 0 says a*a = 0).
+
+    Column k of M is C_k.alpha for a fixed n x n matrix C_k: core[:, :, k]
+    for the left half, its transpose for the right half.  A linear relation
+    among the C_k holds among the columns of M for every alpha, so with an
+    rref basis B_1..B_r of span{C_k}, found once per call, the columns
+    B_l.alpha span the column space of M (same rank), and alpha.B_l.alpha = 0
+    for every l iff alpha.M = 0.  Each vector then costs one elimination of
+    an (r, n) stack instead of (2*d2, n); on the four quotients r = d2 (14
+    or 20), because the right half repeats the left up to sign.  The stacks
+    come from one exact matmul per block of vectors.
+
+    Both facts the reduction to M rests on, the grading and R^2 = span{e_n,
+    ..., e_(dim-1)}, are checked once per call; if either fails the call
+    raises AssertionError.
     """
     kind = VARIANTS[variant][0]
     if kind == SYMMETRIC and p == 2:
@@ -378,15 +389,20 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     if not np.array_equal(pres.algebra.square_ideal().basis, np.eye(dim, dtype=np.int64)[n:]):
         raise AssertionError(f"{variant}, p={p}: the square ideal is not the whole degree-2 part")
     core = table[:n, :n, n:]
+    # The 2*d2 matrices C_k, flattened, and an rref basis B_1..B_r of their span.
+    coeff = np.concatenate([core.transpose(2, 0, 1), core.transpose(2, 1, 0)])
+    basis = Subspace(pres.field, n * n, coeff.reshape(-1, n * n)).basis
+    r = len(basis)
+    # weights[j, l*n + i] = B_l[i, j], so a @ weights holds B_l.alpha for every l.
+    dtype = _exact_dtype(n, p, (np.float32, np.int64))
+    weights = basis.reshape(r, n, n).transpose(2, 0, 1).reshape(n, r * n).astype(dtype)
     rank = n - 1 if kind == ALTERNATING else n
     vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
     step = max(1, _BLOCK // (2 * (dim - n) * n))
     for lo in range(0, len(vs), step):
         a = vs[lo : lo + step]
-        # M transposed, (2*d2, n) per vector: n column steps in the elimination.
-        mt = np.concatenate(
-            [np.einsum("bj,ijk->bki", a, core), np.einsum("bj,jik->bki", a, core)], axis=1
-        ) % p
+        # The span stand-in for M transposed, (r, n) per vector: n column steps.
+        mt = (a.astype(dtype) @ weights).astype(np.int64).reshape(len(a), r, n) % p
         ok = _rref_stack(mt, p)[1] == rank
         if kind == ALTERNATING:
             ok &= ~(np.einsum("bki,bi->bk", mt, a) % p).any(axis=1)
@@ -437,25 +453,31 @@ class Certificate:
         }
 
 
-def _obstruction_vector(kind: str, row: np.ndarray, p: int) -> np.ndarray:
-    r = row.astype(np.int64)
-    if kind == ALTERNATING:
-        w = np.array([r[1], -r[0], r[3], -r[2], -r[5], r[4]], dtype=np.int64)
-    else:
-        w = np.array([r[1], r[0], r[3], r[2], -r[5], -r[4]], dtype=np.int64)
-    return w % p
+# The obstruction vector w of a last row r: w[k] = sign[k] * r[_SWAP[k]] mod p.
+_SWAP = [1, 0, 3, 2, 5, 4]
+_OBSTRUCTION_SIGNS = {
+    ALTERNATING: np.array([1, -1, 1, -1, -1, 1], dtype=np.int64),
+    SYMMETRIC: np.array([1, 1, 1, 1, -1, -1], dtype=np.int64),
+}
 
 
-def _sample_invertible(rng, p: int, n: int, count: int) -> list:
+def _obstruction_failures(kind: str, mats: np.ndarray, p: int) -> int:
+    """How many of the (s, 6, 6) matrices P fail the obstruction condition:
+    P.w != 0 for the signed swap w of P's last row."""
+    w = mats[:, 5, _SWAP] * _OBSTRUCTION_SIGNS[kind]
+    return int(np.count_nonzero((np.einsum("sij,sj->si", mats, w) % p).any(axis=1)))
+
+
+def _sample_invertible(rng, p: int, n: int, count: int) -> np.ndarray:
     """The first count invertible n x n matrices among uniform draws from
-    rng.  Each round draws, one call per matrix, as many as are still missing
-    and ranks them in one batch: rng sees the calls of a draw-until-invertible
-    loop."""
+    rng, as a (count, n, n) array.  Each round draws, one call per matrix,
+    as many as are still missing and ranks them in one batch: rng sees the
+    calls of a draw-until-invertible loop."""
     out = []
     while len(out) < count:
         draws = [rng.integers(0, p, size=(n, n), dtype=np.int64) for _ in range(count - len(out))]
         out.extend(m for m, rank in zip(draws, _rref_stack(draws, p)[1]) if rank == n)
-    return out
+    return np.array(out, dtype=np.int64).reshape(count, n, n)
 
 
 def noniso_certificate(pair, p: int, samples: int = 1000, seed: int = DEFAULT_SEED) -> Certificate:
@@ -481,10 +503,7 @@ def noniso_certificate(pair, p: int, samples: int = 1000, seed: int = DEFAULT_SE
     run_obstruction = first != second and rank_a != rank_b
     if run_obstruction:
         rng = np.random.default_rng(seed)
-        for m in _sample_invertible(rng, p, 6, samples):
-            w = _obstruction_vector(kind_a, m[5], p)
-            if ((w @ m.T) % p).any():
-                failures += 1
+        failures = _obstruction_failures(kind_a, _sample_invertible(rng, p, 6, samples), p)
     return Certificate(
         pair=(first, second),
         p=p,

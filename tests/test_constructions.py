@@ -360,6 +360,130 @@ def test_annihilator_exhaustive_matches_reference_on_perturbed_tables(monkeypatc
     assert annihilator_exhaustive("A1", 2) == _annihilator_reference("A1", 2) == (False, 1)
 
 
+def _random_invertible(rng, p, n):
+    while True:
+        m = rng.integers(0, p, size=(n, n))
+        if _rref_stack(m, p)[1] == n:
+            return m
+
+
+def _with_core(pres, core):
+    """pres with a graded table whose degree-1 products are core (n x n x d2)."""
+    n, _, d2 = core.shape
+    table = np.zeros((n + d2,) * 3, dtype=np.int64)
+    table[:n, :n, n:] = core
+    return dataclasses.replace(pres, algebra=SCAlgebra(pres.field, table, verify=False))
+
+
+def _spy_stack_shapes(monkeypatch):
+    """Record the (r, n) shape of every stack annihilator_exhaustive eliminates."""
+    shapes = set()
+    rref = constructions._rref_stack
+    monkeypatch.setattr(
+        constructions, "_rref_stack", lambda a, p: shapes.add(a.shape[1:]) or rref(a, p)
+    )
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "variant, p, span",
+    [(v, p, 14) for v in ("A1", "B1") for p in (2, 3, 5)]
+    + [(v, p, 20) for v in ("A2", "B2") for p in (3, 5)],
+)
+def test_annihilator_exhaustive_eliminates_the_span_basis(monkeypatch, variant, p, span):
+    # The right half of [core.alpha | alpha.core] repeats the left up to sign,
+    # so each vector's stack has r = d2 rows, not 2*d2.
+    shapes = _spy_stack_shapes(monkeypatch)
+    assert annihilator_exhaustive(variant, p, projective=True)[0]
+    assert shapes == {(span, 6)}
+
+
+@pytest.mark.parametrize("variant", ["A1", "B1", "A2", "B2"])
+def test_annihilator_exhaustive_survives_a_change_of_coordinates(monkeypatch, variant):
+    # An invertible change of generators (Q) and of degree-2 coordinates (D)
+    # gives an isomorphic algebra, so the verdict cannot change.
+    rng = np.random.default_rng(sum(map(ord, variant)) + 17)
+    for p, projective in ((3, False), (5, True)):
+        pres = construct(variant, p)
+        core = pres.algebra.table[:6, :6, 6:]
+        q = _random_invertible(rng, p, 6)
+        d = _random_invertible(rng, p, core.shape[2])
+        moved = np.einsum("ai,bj,ijk->abk", q, q, core) @ d % p
+        assert not np.array_equal(moved, core)
+        monkeypatch.setattr(constructions, "construct", lambda *args, c=moved: _with_core(pres, c))
+        got = annihilator_exhaustive(variant, p, projective=projective)
+        count = len(_projective_reps(p, 6)) if projective else p**6 - 1
+        assert got == _annihilator_reference(variant, p, projective=projective) == (True, count)
+        monkeypatch.undo()
+
+
+def _random_core(rng, p, d2, shape):
+    """A seeded n x n x d2 core whose d2 matrices C_k are independent (so
+    that R^2 is the whole degree-2 part), each C_k of the given shape:
+    skew, symmetric, arbitrary, mixed (each C_k one of those three), or
+    paired (C_(2k+1) = C_(2k) transposed, arbitrary C_(2k))."""
+    pick = {"skew": 0, "symmetric": 1, "arbitrary": 2}.get(shape)
+    while True:
+        c = rng.integers(0, p, size=(d2, 6, 6))
+        for k in range(d2):
+            form = rng.integers(0, 3) if pick is None else pick
+            if form == 0:
+                c[k] = np.triu(c[k], 1) - np.triu(c[k], 1).T
+            elif form == 1:
+                c[k] = np.triu(c[k]) + np.triu(c[k], 1).T
+        if shape == "paired":
+            c[1::2] = c[0 : d2 - 1 : 2].transpose(0, 2, 1)
+        c %= p
+        if _rref_stack(c.reshape(d2, 36), p)[1] == d2:
+            return c.transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_annihilator_exhaustive_matches_reference_on_random_cores(monkeypatch, p):
+    # Random cores reach every span dimension from d2 up to all 36 of the
+    # 6 x 6 matrices, and verdicts of both kinds, each at its first failure.
+    # The commutative kind needs odd p: at p = 2 every core runs as A1.
+    rng = np.random.default_rng(100 + p)
+    projective = p == 5
+    spans, outcomes = set(), []
+    for shape, d2, variant in [
+        ("skew", 6, "A1"),
+        ("skew", 15, "A1"),
+        ("symmetric", 8, "A2"),
+        ("symmetric", 21, "A2"),
+        ("arbitrary", 5, "A2"),
+        ("arbitrary", 22, "A2"),
+        ("mixed", 12, "A1"),
+        ("paired", 10, "A2"),
+    ]:
+        variant = variant if p > 2 else "A1"
+        pres = construct(variant, p)
+        core = _random_core(rng, p, d2, shape)
+        monkeypatch.setattr(constructions, "construct", lambda *args, c=core: _with_core(pres, c))
+        shapes = _spy_stack_shapes(monkeypatch)
+        got = annihilator_exhaustive(variant, p, projective=projective)
+        assert got == _annihilator_reference(variant, p, projective=projective)
+        spans |= {r for r, _ in shapes}
+        outcomes.append(got)
+        monkeypatch.undo()
+    assert {6, 15, 36} <= spans
+    assert {ok for ok, _ in outcomes} == {True, False}
+    assert any(not ok and index > 0 for ok, index in outcomes)
+
+
+@pytest.mark.parametrize("shape", ["repeated", "zero"])
+def test_annihilator_exhaustive_refuses_dependent_products(monkeypatch, shape):
+    # A repeated or zero C_k leaves the degree-1 products in a proper subspace
+    # of the degree-2 part, so R^2 is too small and the span basis, of fewer
+    # than d2 matrices, is never formed.
+    pres = construct("A1", 3)
+    core = pres.algebra.table[:6, :6, 6:].copy()
+    core[:, :, 3] = core[:, :, 2] if shape == "repeated" else 0
+    monkeypatch.setattr(constructions, "construct", lambda *args: _with_core(pres, core))
+    with pytest.raises(AssertionError, match="square ideal"):
+        annihilator_exhaustive("A1", 3)
+
+
 @pytest.mark.parametrize("variant", ["A1", "A2"])
 def test_annihilator_exhaustive_refuses_an_ungraded_table(monkeypatch, variant):
     pres = construct(variant, 3)
@@ -397,6 +521,40 @@ def test_noniso_certificate_pairs():
     cert2 = noniso_certificate(("A2", "B2"), 3, samples=200)
     assert (cert2.rank_a, cert2.rank_b) == (4, 6)
     assert cert2.obstruction_failures == 200
+
+
+def _obstruction_failures_loop(kind, mats, p):
+    """One obstruction vector per sample: the replay's per-sample oracle."""
+    failures = 0
+    for m in mats:
+        r = m[5]
+        if kind == constructions.ALTERNATING:
+            w = np.array([r[1], -r[0], r[3], -r[2], -r[5], r[4]]) % p
+        else:
+            w = np.array([r[1], r[0], r[3], r[2], -r[5], -r[4]]) % p
+        failures += bool(((w @ m.T) % p).any())
+    return failures
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_obstruction_replay_matches_per_sample_loop(p):
+    rng = np.random.default_rng(p)
+    kinds = [constructions.ALTERNATING] + ([SYMMETRIC] if p > 2 else [])
+    for kind in kinds:
+        mats = constructions._sample_invertible(rng, p, 6, 300)
+        assert mats.shape == (300, 6, 6)
+        # Zero half the last rows, and give a tenth of the samples a last row
+        # whose signed swap is a null vector of the matrix: those pass.
+        mats[::2, 5] = 0
+        for m in mats[1::10]:
+            m[:, :5] = rng.integers(0, p, size=(6, 5))
+            m[5] = 0
+            m[5, 4] = 1
+            m[:5, 5] = 0
+        counts = constructions._obstruction_failures(kind, mats, p)
+        assert counts == _obstruction_failures_loop(kind, mats, p)
+        assert 0 < counts < len(mats)
+    assert constructions._obstruction_failures(kinds[0], np.zeros((0, 6, 6), np.int64), p) == 0
 
 
 def test_noniso_certificate_diagnostic_same_variant():
