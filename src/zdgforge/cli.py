@@ -59,8 +59,69 @@ def _finish(command, params, checks, started, seed=None, extra=None):
     return report
 
 
+# The report writer.  json.dumps with indent runs a pure-Python encoder
+# that took about a quarter of a p = 5 compare.
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for a tree of dicts, lists,
+    tuples and scalars at indentation pad.
+
+    Within a list, each distinct flat dict (scalar keys and values only) is
+    encoded once: a compare report holds one {"mult", "clique"} dict per
+    class, and those take two texts.  repr tells such dicts apart exactly
+    (True from 1, 0.0 from -0.0), where equality would not.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return _WORDS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if abs(obj) == float("inf"):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        texts = {}
+        items = []
+        for item in obj:
+            if type(item) is dict and _SCALARS.issuperset(map(type, [*item, *item.values()])):
+                key = repr(item)
+                if key not in texts:
+                    texts[key] = _json_text(item, inner)
+                items.append(texts[key])
+            else:
+                items.append(_json_text(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(_key_text(k)) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as json spells it before quoting: a str as it is, a
+    number, bool or None as its JSON value."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(report, path):
-    text = json.dumps(report, indent=2)
+    text = _json_text(report)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -3,8 +3,13 @@
 Scalars are machine integers kept canonical in [0, p), p < 2**15.  One
 batched Gauss-Jordan elimination, _rref_stack, reduces whole stacks of
 matrices at once; rank, rref, kernels, subspaces and every other module's
-elimination go through it.  Subspaces are stored as reduced row-echelon
-bases, which makes subspace equality a plain array comparison.
+elimination go through it.  It holds the stack matrices-last, as one
+(r, c, n) int32 copy, so that a column step is a few long contiguous
+operations over all n matrices rather than n short ones.  It reduces its
+input mod p only when some entry lies outside [0, p) (callers pass
+residues), and it never writes into the caller's array.  Subspaces are
+stored as reduced row-echelon bases, which makes subspace equality a plain
+array comparison.
 """
 
 import math
@@ -91,43 +96,69 @@ def _rref_stack(a, p: int):
 
     a has shape (..., r, c); returns (rref, rank) as int64 arrays, rank of
     shape (...,).  One column at a time, in every matrix with a nonzero entry
-    below its pivot rows, the first such row moves up, is scaled to a leading
-    1 and clears the column in every other row.  The int32 arithmetic is
-    exact: entries stay in [0, p) and p < 2**15 keeps products below 2**30.
+    in a row that is not yet a pivot row, the first such row becomes the
+    pivot row of the column: it is scaled to a leading 1 and clears the
+    column in every other row.  Rows stay where they are; at the end the
+    pivot rows are read out in order of their pivot columns, and the rows
+    below the rank are zero.  A row space has one rref, so this is the form
+    a row-swapping elimination gives.
+
+    The n matrices are held last, as one (r, c, n) int32 copy, so that a
+    column step is a few long contiguous operations over the whole stack.
+    A matrix with no pivot in the column is not gathered out: all its
+    clearing factors are 0.  The input is reduced mod p only if some entry
+    lies outside [0, p), and the caller's array is never written.  The int32
+    arithmetic is exact: entries stay in [0, p) and p < 2**15 keeps products
+    below 2**30.
     """
     if p >= 2**15:
         raise ValueError(f"modulus {p} is not below 2**15; int32 products would overflow")
     a = np.asarray(a, dtype=np.int64)
     shape = a.shape
     r, c = shape[-2:]
-    m = (a % p).astype(np.int32).reshape(math.prod(shape[:-2]), r, c)
-    rank = np.zeros(m.shape[0], dtype=np.int64)
-    below = np.arange(r)
+    n = math.prod(shape[:-2])
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    m = np.moveaxis(a.reshape(n, r, c), 0, -1).astype(np.int32, order="C")
+    del a  # a reduced copy is not held through the elimination
+    # The column in which row i of matrix t became a pivot row; c if never.
+    lead = np.full((r, n), c, dtype=np.int32)
+    every = np.arange(n)
     inv = _inverses(p)
     for j in range(c):
-        cand = (m[:, :, j] != 0) & (below >= rank[:, None])
-        hit = np.nonzero(cand.any(axis=1))[0]
-        if hit.size == 0:
-            continue
-        at = np.arange(hit.size)
-        k = cand[hit].argmax(axis=1)
-        top = rank[hit]
         # Entries left of column j are zero in every row that can be a pivot.
-        block = m[hit, :, j:]
-        piv = block[at, k] * inv[block[at, k, 0]][:, None] % p
-        block[at, k] = block[at, top]
-        block[at, top] = piv
-        factor = block[:, :, 0].copy()
-        factor[at, top] = 0
-        block -= factor[:, :, None] * piv[:, None, :]
+        block = m[:, j:]
+        col = block[:, 0]
+        cand = (col != 0) & (lead == c)
+        hit = cand.any(axis=0)
+        if not hit.any():
+            continue
+        k = cand.argmax(axis=0)
+        row = block[k, :, every].T
+        piv = np.multiply(row, inv[row[0]], order="C")
+        piv %= p
+        # Row k takes the factor col - 1: row - (col - 1) * piv == piv mod p.
+        factor = col * hit
+        factor[k, every] -= hit
+        lead[k, every] -= (c - j) * hit
+        block -= factor[:, None, :] * piv
         # Floor division by the scalar p is several times faster than %.
         q = block // p
         q *= p
         block -= q
-        del q  # not held into the next step's block
-        m[hit, :, j:] = block
-        rank[hit] += 1
-    return m.astype(np.int64).reshape(shape), rank.reshape(shape[:-2])
+        del q, row, piv, factor  # not held into the next step or the copy out
+    # At most min(r, c) pivot rows.  They are gathered a block of matrices
+    # at a time, so that the copy out holds little more than the stack and
+    # the result.
+    top = min(r, c)
+    order = np.argsort(lead.T, axis=1, kind="stable")[:, :top]
+    red = np.zeros((n, r, c), dtype=np.int64)
+    step = max(1, 2**14 // max(1, top * c))
+    for lo in range(0, n, step):
+        at = every[lo : lo + step, None]
+        red[lo : lo + step, :top] = m[order[lo : lo + step], :, at]
+    rank = (lead < c).sum(axis=0, dtype=np.int64)
+    return red.reshape(shape), rank.reshape(shape[:-2])
 
 
 def _left_kernel_stack(a, p: int):

@@ -36,9 +36,11 @@ coordinates and kernel dimension k:
 
 * compressed_graph: time c * (m*m*t + m*p^k), one matmul and m elimination
   steps per block of classes plus the kernel points; memory about
-  8*m*m + 9*m + 145 bytes per class, 8*p^m for the class lookup and fixed
-  blocks (_walk_bytes, checked against _GRAPH_BYTES before anything is
-  allocated).
+  b*m*m + 9*m + 49 bytes per class, with the kernel bases held in the
+  narrowest unsigned dtype of b bytes that holds p - 1 (b = 1 for
+  p <= 256), equal classes sharing one (mult, clique) tuple, plus 8*p^m
+  for the class lookup and fixed blocks (_walk_bytes, checked against
+  _GRAPH_BYTES before anything is allocated).
 * blowup_isomorphic and fingerprint: time and memory linear in c plus the
   cross pairs.  _twin_quotient groups the classes into collapse_twins' first
   round directly; only that quotient, one vertex per twin group, gets bit
@@ -183,7 +185,11 @@ class BlowupGraph:
 
     def __init__(self, universal: int, classes, cross):
         self.universal = int(universal)
-        self.classes = tuple((int(m), bool(f)) for m, f in classes)
+        # A blow-up has few kinds of class: each distinct (mult, clique_flag)
+        # is checked once, and equal classes share its tuple.
+        classes = tuple(classes)
+        kinds = {cls: (int(m), bool(f)) for cls in set(classes) for m, f in [cls]}
+        self.classes = tuple(map(kinds.__getitem__, classes))
         k = len(self.classes)
         pairs = np.asarray(cross, dtype=np.int64)
         if pairs.size == 0:
@@ -415,7 +421,7 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     dtype = _exact_dtype(m, p, (np.float32, np.int64))
     table = prod.reshape(m, m * t).astype(dtype)
     clique = np.empty(c, dtype=bool)
-    kern = np.empty((c, m, m), dtype=np.int64)
+    kern = np.empty((c, m, m), dtype=_kernel_dtype(p))
     free = np.empty((c, m), dtype=bool)
     step = max(1, _BLOCK // (m * (t + m)))
     for lo in range(0, c, step):
@@ -427,18 +433,25 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     if points > KERNEL_POINT_CAP:
         raise CapExceeded(f"{points} kernel points exceed cap {KERNEL_POINT_CAP}")
     mult = (p - 1) * p**s
-    classes = [(mult, f) for f in clique.tolist()]
+    kinds = ((mult, False), (mult, True))
+    classes = map(kinds.__getitem__, clique.tolist())
     return BlowupGraph(universal, classes, _kernel_pairs(reps, kern, free, p))
+
+
+def _kernel_dtype(p: int):
+    """The narrowest unsigned dtype that holds every residue mod p."""
+    return np.min_scalar_type(p - 1)
 
 
 def _walk_bytes(c: int, m: int, p: int) -> int:
     """Upper estimate of compressed_graph's peak bytes for c classes of an
-    m-dimensional complement: per class its representative, kernel basis
-    and flags, and its (mult, clique) tuple, made twice; the p**m class
-    lookup of the pair walk; at most KERNEL_POINT_CAP pairs, each held a
-    few times over while BlowupGraph sorts them; and the blocks of the
-    walk."""
-    per_class = 8 * m + 8 * m * m + m + 1 + 2 * 72
+    m-dimensional complement: per class its representative, its kernel
+    basis in _kernel_dtype(p), its flags, the kernel dimension and point
+    count read off them, and three references to its (mult, clique) tuple
+    while BlowupGraph builds its classes; the p**m class lookup of the pair
+    walk; at most KERNEL_POINT_CAP pairs, each held a few times over while
+    BlowupGraph sorts them; and the blocks of the walk."""
+    per_class = 8 * m + _kernel_dtype(p).itemsize * m * m + m + 1 + 3 * 8 + 3 * 8
     return c * per_class + 8 * p**m + 64 * KERNEL_POINT_CAP + 96 * _BLOCK
 
 

@@ -5,7 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zdgforge import cli
 from zdgforge.cli import main
 
 
@@ -224,3 +227,81 @@ def test_console_entry_point():
     for sub in ("construct", "verify-lemmas", "compare", "certify-noniso",
                 "identity", "census", "export-graph"):
         assert sub in proc.stdout
+
+
+# The report writer: json.dumps(obj, indent=2), byte for byte.
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.sampled_from(["é", "ü∂", " ", "\ud83d", "\x00", '"\\'])
+)
+_keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+# Equal scalars that json writes differently: a cache keyed by equality
+# would mix them up.
+_lookalikes = st.sampled_from([0, 1, False, True, 0.0, -0.0, 1.0, "1", None])
+_flat = st.dictionaries(st.one_of(_keys, _lookalikes), st.one_of(_scalars, _lookalikes), max_size=3)
+
+
+@st.composite
+def _repeated_flat_dicts(draw):
+    pool = draw(st.lists(_flat, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), max_size=12))
+
+
+_trees = st.recursive(
+    st.one_of(_scalars, _repeated_flat_dicts()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(_keys, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_trees)
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_report_writer_tells_lookalike_dicts_apart():
+    rows = [{"a": 1}, {"a": True}, {"a": 1.0}, {"a": 0.0}, {"a": -0.0}, {"a": 0}, {"a": False},
+            {1: 0}, {True: 0}, {"1": 0}, {1.0: 0}, {None: 0}, {"a": 1}, {}, {"a": []}, {"a": []}]
+    assert cli._json_text(rows) == json.dumps(rows, indent=2)
+    assert cli._json_text([float("nan"), float("inf"), -float("inf")]) == json.dumps(
+        [float("nan"), float("inf"), -float("inf")], indent=2
+    )
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for bad in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--pair", "A1B1", "--p", "3"],
+        ["compare", "--pair", "A1A1", "--p", "2", "--cross-validate", "4"],
+        ["census", "--max-order", "16", "--oracle"],
+        ["verify-lemmas", "--p", "2,3"],
+    ],
+)
+def test_reports_are_json_dumps_byte_for_byte(argv, tmp_path, capsys, monkeypatch):
+    made = []
+    finish = cli._finish
+    monkeypatch.setattr(cli, "_finish", lambda *a, **k: made.append(finish(*a, **k)) or made[-1])
+    path = tmp_path / "report.json"
+    code, out = run_cli(capsys, *argv, "--report", str(path))
+    assert code == 0 and len(made) == 1
+    want = json.dumps(made[0], indent=2) + "\n"
+    assert out == want
+    assert path.read_text(encoding="utf-8") == want

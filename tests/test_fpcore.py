@@ -304,3 +304,115 @@ def test_contains_agrees_with_enumerated_span():
     for v in all_vectors(3, 3):
         assert u.contains(v) == (tuple(int(x) for x in v) in span)
     assert u.contains_subspace(Subspace(F3, 3, [[1, 0, 2]])) == ((1, 0, 2) in span)
+
+
+def _rref_stack_reference(a, p):
+    """The batched elimination _rref_stack replaced, kept as its reference:
+    matrices first, each column step gathering the matrices with a pivot in
+    the column and swapping the pivot row up."""
+    a = np.asarray(a, dtype=np.int64)
+    shape = a.shape
+    r, c = shape[-2:]
+    m = (a % p).astype(np.int32).reshape(int(np.prod(shape[:-2])), r, c)
+    rank = np.zeros(m.shape[0], dtype=np.int64)
+    below = np.arange(r)
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
+    for j in range(c):
+        cand = (m[:, :, j] != 0) & (below >= rank[:, None])
+        hit = np.nonzero(cand.any(axis=1))[0]
+        if hit.size == 0:
+            continue
+        at = np.arange(hit.size)
+        k = cand[hit].argmax(axis=1)
+        top = rank[hit]
+        block = m[hit, :, j:]
+        piv = block[at, k] * inv[block[at, k, 0]][:, None] % p
+        block[at, k] = block[at, top]
+        block[at, top] = piv
+        factor = block[:, :, 0].copy()
+        factor[at, top] = 0
+        block -= factor[:, :, None] * piv[:, None, :]
+        block %= p
+        m[hit, :, j:] = block
+        rank[hit] += 1
+    return m.astype(np.int64).reshape(shape), rank.reshape(shape[:-2])
+
+
+CORE_PRIMES = [2, 3, 5, 7, 13, 32749]
+
+
+def _seeded_stacks():
+    """Stacks of every kind the elimination meets, four per (prime, shape)
+    and 312 in all: uniform residues, a rank-deficient product with zero
+    columns, unreduced int64 entries beyond int32, and residues moved a few
+    multiples of p, some of them below zero."""
+    shapes = [(0, 3, 4), (1, 1, 1), (1, 4, 6), (1, 6, 4), (5, 1, 7), (5, 7, 1),
+              (8, 3, 5), (8, 5, 3), (4, 6, 6), (2, 3, 20, 6), (30, 6, 20), (40, 14, 6),
+              (1, 0, 3)]
+    rng = np.random.default_rng(20)
+    for p in CORE_PRIMES:
+        for shape in shapes:
+            r, c = shape[-2:]
+            yield p, rng.integers(0, p, shape)
+            # Rank at most k through an (r, k) @ (k, c) product; then zero columns.
+            k = int(rng.integers(0, min(r, c) + 1))
+            low = rng.integers(0, p, shape[:-1] + (k,)) @ rng.integers(0, p, shape[:-2] + (k, c)) % p
+            if c:
+                low[..., rng.integers(0, c, size=max(1, c // 3))] = 0
+            yield p, low
+            yield p, rng.integers(-(2**40), 2**40, shape)
+            yield p, rng.integers(0, p, shape) - p * rng.integers(-3, 4, shape)
+
+
+SEEDED_STACKS = list(_seeded_stacks())
+
+
+def test_seeded_stacks_cover_the_cases():
+    assert len(SEEDED_STACKS) >= 300
+    assert {p for p, _ in SEEDED_STACKS} == set(CORE_PRIMES)
+    assert any(a.min() < 0 for _, a in SEEDED_STACKS if a.size)
+    assert any(a.max() >= 2**31 for _, a in SEEDED_STACKS if a.size)
+
+
+@pytest.mark.parametrize("p", CORE_PRIMES)
+def test_rref_stack_matches_swapping_reference(p):
+    for q, a in SEEDED_STACKS:
+        if q != p:
+            continue
+        red, rank = _rref_stack(a, p)
+        ref, ref_rank = _rref_stack_reference(a, p)
+        assert red.dtype == np.int64 and rank.dtype == np.int64
+        assert red.shape == a.shape and rank.shape == a.shape[:-2]
+        assert np.array_equal(red, ref) and np.array_equal(rank, ref_rank)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape", [(1, 4, 5), (4, 5), (3, 4, 5), (1, 5, 4)])
+def test_rref_stack_never_writes_its_input(dtype, shape):
+    # A read-only int32 stack of one matrix is the case in which moving the
+    # stack axis last gives back a view of the caller's memory.
+    a = np.random.default_rng(7).integers(0, 5, shape).astype(dtype)
+    a[..., 0, :] = 1
+    kept = a.copy()
+    a.setflags(write=False)
+    red, rank = _rref_stack(a, 5)
+    assert np.array_equal(a, kept)
+    assert np.array_equal(red, _rref_stack_reference(kept, 5)[0])
+    assert not np.shares_memory(red, a)
+
+
+@pytest.mark.parametrize("p", [7, 13, 32749])
+def test_left_kernel_matches_reference_at_every_dimension(p):
+    rng = np.random.default_rng(p)
+    for r, c in [(1, 1), (1, 4), (4, 1), (5, 3), (6, 6), (6, 20)]:
+        dims = set()
+        for k in range(0, min(r, c) + 1):
+            a = rng.integers(0, p, (12, r, k)) @ rng.integers(0, p, (12, k, c)) % p
+            basis, free = _left_kernel_stack(a, p)
+            eye = np.broadcast_to(np.eye(r, dtype=np.int64), a.shape[:-1] + (r,))
+            red, _ = _rref_stack_reference(np.concatenate([a, eye], axis=-1), p)
+            ref_free = ~red[..., :c].any(axis=-1)
+            assert np.array_equal(free, ref_free)
+            assert np.array_equal(basis, np.where(free[..., None], red[..., c:], 0))
+            dims.update(free.sum(axis=-1).tolist())
+        assert dims == set(range(max(0, r - c), r + 1))
