@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SCAlgebra
-from .errors import RingAxiomViolation
-from .fpcore import PrimeField, Subspace, _rref_stack
-from .graphs import compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
+from .errors import CapExceeded, RingAxiomViolation
+from .fpcore import PrimeField, Subspace, _grid, _rref_stack
+from .graphs import _GRAPH_BYTES, compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
 from .identities import holds, parse
 from .isomorph import _orbit
 
@@ -78,31 +78,60 @@ def _gl2_generators(m: int):
     return gens
 
 
-def enumerate_subspaces(dim: int, r: int):
-    """All r-dimensional subspaces of F_2^dim as canonical rref row arrays."""
-    if r == 0:
-        yield np.zeros((0, dim), dtype=np.int64)
-        return
+def _subspace_count(dim: int, r: int) -> int:
+    """The Gaussian binomial [dim choose r]_2: how many r-dimensional
+    subspaces F_2^dim has."""
+    count = 1
+    for i in range(r):
+        count = count * (2 ** (dim - i) - 1) // (2 ** (i + 1) - 1)
+    return count
+
+
+def enumerate_subspaces(dim: int, r: int) -> np.ndarray:
+    """All r-dimensional subspaces of F_2^dim as one (N, r, dim) uint8 stack
+    of canonical rref bases, by pivot columns in lexicographic order, then
+    by the free cells (row by row) read as a binary number.  Each pivot set
+    fills one block of the stack from the grid of its free cells."""
+    pool = np.zeros((_subspace_count(dim, r), r, dim), dtype=np.uint8)
+    cols, lo = np.arange(dim), 0
     for pivots in itertools.combinations(range(dim), r):
-        free_cells = [
-            (row, col)
-            for row, pc in enumerate(pivots)
-            for col in range(pc + 1, dim)
-            if col not in pivots
-        ]
-        for bits in itertools.product((0, 1), repeat=len(free_cells)):
-            mat = np.zeros((r, dim), dtype=np.int64)
-            for row, pc in enumerate(pivots):
-                mat[row, pc] = 1
-            for (row, col), b in zip(free_cells, bits):
-                mat[row, col] = b
-            yield mat
+        pivots = np.array(pivots, dtype=np.intp)
+        # Free cells: right of their row's pivot, in no pivot column.
+        free = np.nonzero((cols > pivots[:, None]) & ~np.isin(cols, pivots))
+        block = pool[lo : lo + 2 ** len(free[0])]
+        block[:, np.arange(r), pivots] = 1
+        block[:, free[0], free[1]] = _grid((2,) * len(free[0]))
+        lo += len(block)
+    return pool
 
 
 def _keys(stack: np.ndarray):
     """Canonical key of the row space of each full-rank matrix in a stack
     over F_2: the bytes of its rref basis."""
     return [rows.tobytes() for rows in _rref_stack(stack, 2)[0].astype(np.uint8)]
+
+
+def _cell_bytes(dim: int, r: int) -> int:
+    """Upper estimate of _orbit_partition's peak bytes on the r-subspaces of
+    F_2^dim: 24 per pool entry (an int64 image and its elimination's copies)
+    and 600 per subspace (keys, lists, dict and sets).  tracemalloc peaks:
+    359 MB on cell (m, k) = (5, 2) against 440 estimated, 168 on (6, 1)
+    against 186."""
+    return _subspace_count(dim, r) * (24 * r * dim + 600) + 2**20
+
+
+def _orbits(keys, images):
+    """The orbits of a pool of hashable keys, where images[g][i] is the key
+    of keys[i]'s image under generator g: each sorted, in order of least key."""
+    index = {key: i for i, key in enumerate(keys)}
+    orbits = []
+    seen = set()
+    for key in sorted(index):
+        if key not in seen:
+            orbit = _orbit(key, lambda x: (image[index[x]] for image in images))
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -186,65 +215,55 @@ class CatalogEntry:
 
 def _orbit_partition(m: int, subspace_dim: int):
     """Partition all subspace_dim-subspaces of wedge^2(F_2^m) into
-    GL(m, 2)-orbits by closure under the induced generator action.  The
-    image keys of the whole pool under each generator come from one batched
-    elimination before the closure starts."""
-    d = len(wedge_pairs(m))
-    pool = np.stack(list(enumerate_subspaces(d, subspace_dim)))
-    index = {key: i for i, key in enumerate(_keys(pool))}
-    image_keys = [_keys(pool @ wedge_matrix(g, m).T % 2) for g in _gl2_generators(m)]
-
-    def images(key):
-        return (keys[index[key]] for keys in image_keys)
-
-    orbits = []
-    seen = set()
-    for key in sorted(index):
-        if key in seen:
-            continue
-        orbit = _orbit(key, images)
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return orbits
+    GL(m, 2)-orbits by closure under the induced generator action.  The pool
+    is in rref, so each subspace's key is its own bytes; the keys of its
+    images under each generator come from one batched elimination."""
+    pool = enumerate_subspaces(len(wedge_pairs(m)), subspace_dim)
+    images = [_keys(pool @ wedge_matrix(g, m).T % 2) for g in _gl2_generators(m)]
+    return _orbits([rows.tobytes() for rows in pool], images)
 
 
 def enumerate_variety_rings(max_order: int = 64):
     """One CatalogEntry per isomorphism class of rings of order <= max_order.
 
     max_order must be a power of two.  Each cell (m, k) is partitioned into
-    orbits on its own.
+    orbits on its own.  Every cell's peak is estimated before the first is
+    built, and CapExceeded is raised when one exceeds _GRAPH_BYTES: order
+    128 passes, and order 256 is refused at cell (5, 3), whose pool has
+    6,347,715 subspaces.
     """
     if max_order < 2 or max_order & (max_order - 1):
         raise ValueError("max_order must be a power of two, at least 2")
-    if max_order > 64:
-        import warnings
-
-        warnings.warn(
-            f"census above order 64 is untested territory; orbit cells grow "
-            f"quickly (requested {max_order})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     nmax = max_order.bit_length() - 1
+    cells = [
+        (m, k, d)
+        for m in range(1, nmax + 1)
+        for d in [len(wedge_pairs(m))]
+        for k in range(min(d, nmax - m) + 1)
+    ]
+    for m, k, d in cells:
+        if _cell_bytes(d, d - k) > _GRAPH_BYTES:
+            raise CapExceeded(
+                f"census cell (m={m}, k={k}) has {_subspace_count(d, d - k)} subspaces and "
+                f"needs about {_cell_bytes(d, d - k)} bytes, cap is {_GRAPH_BYTES}"
+            )
     entries = []
-    for m in range(1, nmax + 1):
-        d = len(wedge_pairs(m))
-        for k in range(0, min(d, nmax - m) + 1):
-            for orbit in _orbit_partition(m, d - k):
-                canon = orbit[0]
-                kernel = Subspace(_F2, d, np.frombuffer(canon, dtype=np.uint8).reshape(d - k, d))
-                pres = presentation_from_kernel(m, kernel)
-                validate_in_variety(pres.algebra)
-                entries.append(
-                    CatalogEntry(
-                        order=2 ** (m + k),
-                        m=m,
-                        k=k,
-                        kernel_canon=canon,
-                        fingerprint=fingerprint(compressed_graph(pres.algebra)),
-                        presentation=pres,
-                    )
+    for m, k, d in cells:
+        for orbit in _orbit_partition(m, d - k):
+            canon = orbit[0]
+            kernel = Subspace(_F2, d, np.frombuffer(canon, dtype=np.uint8).reshape(d - k, d))
+            pres = presentation_from_kernel(m, kernel)
+            validate_in_variety(pres.algebra)
+            entries.append(
+                CatalogEntry(
+                    order=2 ** (m + k),
+                    m=m,
+                    k=k,
+                    kernel_canon=canon,
+                    fingerprint=fingerprint(compressed_graph(pres.algebra)),
+                    presentation=pres,
                 )
+            )
     entries.sort(key=lambda e: (e.order, e.m, e.k, e.kernel_canon))
     return entries
 
@@ -396,18 +415,5 @@ def brute_force_census(max_order: int = 16) -> dict:
     counts = {}
     for d in range(1, max_order.bit_length()):
         valid = _oracle_valid_tables(d)
-        index = {enc: i for i, enc in enumerate(valid)}
-        image_encs = _oracle_images(valid, d)
-
-        def images(enc):
-            return (encs[index[enc]] for encs in image_encs)
-
-        seen = set()
-        classes = 0
-        for enc in valid:
-            if enc in seen:
-                continue
-            classes += 1
-            seen |= _orbit(enc, images)
-        counts[2**d] = classes
+        counts[2**d] = len(_orbits(valid, _oracle_images(valid, d)))
     return counts

@@ -62,7 +62,6 @@ def _finish(command, params, checks, started, seed=None, extra=None):
 # The report writer.  json.dumps with indent runs a pure-Python encoder
 # that took about a quarter of a p = 5 compare.
 _quote = json.encoder.encode_basestring_ascii
-_SCALARS = frozenset({str, int, float, bool, type(None)})
 _WORDS = {None: "null", True: "true", False: "false"}
 
 
@@ -70,10 +69,10 @@ def _json_text(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2), byte for byte, for a tree of dicts, lists,
     tuples and scalars at indentation pad.
 
-    Within a list, each distinct flat dict (scalar keys and values only) is
-    encoded once: a compare report holds one {"mult", "clique"} dict per
-    class, and those take two texts.  repr tells such dicts apart exactly
-    (True from 1, 0.0 from -0.0), where equality would not.
+    Within a list, an object that recurs is encoded once: a compare report
+    holds one {"mult", "clique"} dict per class, shared by every class of a
+    kind (see BlowupGraph.to_json).  The text is memoized by id, which the
+    list's own references keep valid while it is written.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -94,13 +93,10 @@ def _json_text(obj, pad: str = "") -> str:
         texts = {}
         items = []
         for item in obj:
-            if type(item) is dict and _SCALARS.issuperset(map(type, [*item, *item.values()])):
-                key = repr(item)
-                if key not in texts:
-                    texts[key] = _json_text(item, inner)
-                items.append(texts[key])
-            else:
-                items.append(_json_text(item, inner))
+            text = texts.get(id(item))
+            if text is None:
+                text = texts[id(item)] = _json_text(item, inner)
+            items.append(text)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -178,12 +174,8 @@ def cmd_verify_lemmas(args) -> int:
     started = time.perf_counter()
     primes = _parse_primes(args.p)
     varieties = ("M1", "M2") if args.variety == "both" else (args.variety,)
-    if "M2" in varieties and any(p == 2 for p in primes):
-        if args.variety == "M2":
-            raise ZdgError("the commutative variety checks require odd p")
-        primes_m2 = [p for p in primes if p != 2]
-    else:
-        primes_m2 = primes
+    if args.variety == "M2" and 2 in primes:
+        raise ZdgError("the commutative variety checks require odd p")
     checks = []
     for p in primes:
         if "M1" in varieties:
@@ -220,7 +212,7 @@ def cmd_verify_lemmas(args) -> int:
                         projective=p > 3,
                     )
                 )
-        if "M2" in varieties and p in primes_m2:
+        if "M2" in varieties and p != 2:
             for variant in ("A2", "B2"):
                 dim = construct(variant, p).algebra.square_ideal().dim
                 checks.append(

@@ -30,6 +30,7 @@ from .fpcore import (
     Subspace,
     _exact_dtype,
     _grid,
+    _inverses,
     _projective_reps,
     _rref_stack,
 )
@@ -68,7 +69,14 @@ VARIANTS = {
 
 DEFAULT_SEED = 20260810
 # Largest batch, in matrix entries, of one annihilator_exhaustive elimination.
-_BLOCK = 2**18
+_BLOCK = 2**17
+
+
+def _require_odd(kind: str, p: int, message: str):
+    """Raise EvenCharacteristicUnsupported for a commutative-variety check
+    at even p."""
+    if kind == SYMMETRIC and p % 2 == 0:
+        raise EvenCharacteristicUnsupported(message)
 
 
 def _monomial_pairs(n: int, kind: str):
@@ -275,10 +283,7 @@ def product_criterion(variant: str, p: int, alpha, beta, n: int = 6) -> bool:
     on every call.
     """
     kind = VARIANTS[variant][0]
-    if kind == SYMMETRIC and p == 2:
-        raise EvenCharacteristicUnsupported(
-            "the commutative-variety product criterion requires odd p"
-        )
+    _require_odd(kind, p, "the commutative-variety product criterion requires odd p")
     pres = construct(variant, p, n)
     a = pres.field.canon(alpha)
     b = pres.field.canon(beta)
@@ -312,10 +317,7 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
     N = p**n - 1 vectors exceed _GRAPH_BYTES.
     """
     kind = VARIANTS[variant][0]
-    if kind == SYMMETRIC and p == 2:
-        raise EvenCharacteristicUnsupported(
-            "the commutative-variety product criterion requires odd p"
-        )
+    _require_odd(kind, p, "the commutative-variety product criterion requires odd p")
     cnt = p**n - 1
     if 3 * cnt * cnt > _GRAPH_BYTES:
         raise CapExceeded(
@@ -330,9 +332,8 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
     v = nonzero_vectors(p, n)
     zero = _zero_product_matrix(v, core, p)
     if kind == ALTERNATING:
-        inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
         lead = v[np.arange(cnt), (v != 0).argmax(axis=1)]
-        keys = (v * inverse[lead][:, None] % p) @ p ** np.arange(n)
+        keys = (v * _inverses(p)[lead][:, None] % p) @ p ** np.arange(n)
         expected = keys[:, None] == keys[None, :]
     else:
         expected = np.zeros((cnt, cnt), dtype=bool)
@@ -373,10 +374,7 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     raises AssertionError.
     """
     kind = VARIANTS[variant][0]
-    if kind == SYMMETRIC and p == 2:
-        raise EvenCharacteristicUnsupported(
-            "the commutative-variety annihilator check requires odd p"
-        )
+    _require_odd(kind, p, "the commutative-variety annihilator check requires odd p")
     pres = construct(variant, p, n)
     table = pres.algebra.table
     dim = table.shape[0]
@@ -398,7 +396,7 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     weights = basis.reshape(r, n, n).transpose(2, 0, 1).reshape(n, r * n).astype(dtype)
     rank = n - 1 if kind == ALTERNATING else n
     vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
-    step = max(1, _BLOCK // (2 * (dim - n) * n))
+    step = max(1, _BLOCK // (r * n))
     for lo in range(0, len(vs), step):
         a = vs[lo : lo + step]
         # The span stand-in for M transposed, (r, n) per vector: n column steps.
@@ -493,10 +491,7 @@ def noniso_certificate(pair, p: int, samples: int = 1000, seed: int = DEFAULT_SE
     kind_b = VARIANTS[second][0]
     if kind_a != kind_b:
         raise ValueError("certificate pairs must come from the same variety")
-    if kind_a == SYMMETRIC and p % 2 == 0:
-        raise EvenCharacteristicUnsupported(
-            "commutative-variety certificates require odd p"
-        )
+    _require_odd(kind_a, p, "commutative-variety certificates require odd p")
     rank_a = relation_form(first, p).rank()
     rank_b = relation_form(second, p).rank()
     failures = 0

@@ -207,9 +207,12 @@ class BlowupGraph:
         return self.universal + sum(m for m, _ in self.classes)
 
     def to_json(self) -> dict:
+        """The blow-up as JSON data.  Classes of one (mult, clique) kind
+        share one dict, so treat the result as read-only."""
+        kinds = {cls: {"mult": m, "clique": f} for cls in set(self.classes) for m, f in [cls]}
         return {
             "universal": self.universal,
-            "classes": [{"mult": m, "clique": f} for m, f in self.classes],
+            "classes": list(map(kinds.__getitem__, self.classes)),
             "cross": self.cross.tolist(),
         }
 

@@ -1,13 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zdgforge import catalog
 from zdgforge.catalog import (
     _gl2_generators,
+    _keys,
     _oracle_images,
     _oracle_valid_tables,
     _orbit_partition,
+    _subspace_count,
     brute_force_census,
     determinacy_report,
     enumerate_subspaces,
@@ -18,7 +22,7 @@ from zdgforge.catalog import (
     wedge_matrix,
     wedge_pairs,
 )
-from zdgforge.errors import RingAxiomViolation
+from zdgforge.errors import CapExceeded, RingAxiomViolation
 from zdgforge.fpcore import PrimeField, Subspace
 from zdgforge.identities import holds, parse
 
@@ -70,6 +74,75 @@ def test_enumerate_subspaces_counts():
     assert sum(1 for _ in enumerate_subspaces(3, 1)) == 7
     assert sum(1 for _ in enumerate_subspaces(3, 0)) == 1
     assert sum(1 for _ in enumerate_subspaces(3, 3)) == 1
+
+
+def _subspaces_reference(dim, r):
+    """The one-subspace-at-a-time generator that the block-filled pool
+    replaced."""
+    if r == 0:
+        yield np.zeros((0, dim), dtype=np.int64)
+        return
+    for pivots in itertools.combinations(range(dim), r):
+        free_cells = [
+            (row, col)
+            for row, pc in enumerate(pivots)
+            for col in range(pc + 1, dim)
+            if col not in pivots
+        ]
+        for bits in itertools.product((0, 1), repeat=len(free_cells)):
+            mat = np.zeros((r, dim), dtype=np.int64)
+            for row, pc in enumerate(pivots):
+                mat[row, pc] = 1
+            for (row, col), b in zip(free_cells, bits):
+                mat[row, col] = b
+            yield mat
+
+
+def _gaussian_binomial(n, k):
+    """[n choose k]_2 by the q-Pascal rule [n, k] = [n-1, k-1] + 2^k [n-1, k]."""
+    if k == 0 or k == n:
+        return 1
+    if not 0 < k < n:
+        return 0
+    return _gaussian_binomial(n - 1, k - 1) + 2**k * _gaussian_binomial(n - 1, k)
+
+
+@pytest.mark.parametrize("dim, r", [(dim, r) for dim in range(7) for r in range(dim + 1)])
+def test_enumerate_subspaces_matches_reference_generator(dim, r):
+    pool = enumerate_subspaces(dim, r)
+    assert pool.dtype == np.uint8
+    assert pool.shape == (_gaussian_binomial(dim, r), r, dim)
+    assert _subspace_count(dim, r) == len(pool)
+    reference = list(_subspaces_reference(dim, r))
+    assert len(reference) == len(pool)
+    assert all(np.array_equal(a, b) for a, b in zip(pool, reference))
+    # Each row is its own rref, so its bytes are its key.
+    assert [rows.tobytes() for rows in pool] == _keys(pool)
+
+
+def test_census_to_order_128():
+    entries = enumerate_variety_rings(128)
+    assert sum(e.order == 128 for e in entries) == 16
+    report = determinacy_report(entries)
+    assert [row["classes"] for row in report] == [1, 1, 2, 2, 4, 8, 16]
+    assert all(row["violations"] == [] for row in report)
+
+
+def test_census_refuses_a_cell_over_the_cap_before_building(monkeypatch):
+    def unbuilt(m, subspace_dim):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(catalog, "_orbit_partition", unbuilt)
+    # 64 bytes more than the (3, 0) cell needs: cells (1, *) to (3, 0) pass, (3, 1) does not.
+    monkeypatch.setattr(catalog, "_GRAPH_BYTES", catalog._cell_bytes(3, 3) + 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"cell \(m=3, k=1\)"):
+            enumerate_variety_rings(64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_presentation_smallest_rings():

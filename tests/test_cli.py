@@ -142,6 +142,20 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert captured.out == ""
 
 
+def test_census_past_the_cap_is_a_usage_error(capsys, monkeypatch):
+    # Order 256 is refused at cell (5, 3) before any pool is built.
+    def unbuilt(m, subspace_dim):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr("zdgforge.catalog._orbit_partition", unbuilt)
+    code = main(["census", "--max-order", "256"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: census cell (m=5, k=3) has 6347715 subspaces")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_identity_command(tmp_path, capsys):
     code, _ = run_cli(
         capsys, "identity", "--ring", "Z6", "--expr", "x1(x2 - x2^3)", "--expect", "holds"

@@ -292,9 +292,8 @@ def test_annihilator_exhaustive_matches_per_vector_loop(variant):
 
 
 def test_annihilator_exhaustive_across_small_blocks(monkeypatch):
-    # Blocks of five vectors of n x 2*d2 entries: 63 vectors end in a partial block.
-    dim = construct("A1", 2).algebra.dim
-    monkeypatch.setattr(constructions, "_BLOCK", 5 * 2 * (dim - 6) * 6)
+    # Blocks of five vectors of r x n = 14 x 6 entries: 63 vectors end in a partial block.
+    monkeypatch.setattr(constructions, "_BLOCK", 5 * 14 * 6)
     sizes = []
     rref = constructions._rref_stack
     monkeypatch.setattr(constructions, "_rref_stack", lambda a, p: sizes.append(len(a)) or rref(a, p))
