@@ -284,6 +284,27 @@ class AlgebraElement:
         return " + ".join(terms) if terms else "0"
 
 
+def _two_step_core(algebra: SCAlgebra):
+    """(comp, core, s) for an algebra with R*R^2 = R^2*R = 0, else ValueError.
+
+    comp lists the non-pivot coordinates of R^2's rref basis, a complement
+    of R^2; core is the (m, m, t) int64 table of the products of comp's
+    basis vectors on the t output coordinates they reach, which decides
+    every product; s = dim R^2.
+    """
+    p, d, table = algebra.field.p, algebra.dim, algebra.table
+    basis = algebra.square_ideal().basis
+    _exact_dtype(d, p)
+    if (np.einsum("sj,ijk->sik", basis, table) % p).any():
+        raise ValueError("algebra is not two-step graded (R * R^2 != 0)")
+    if (np.einsum("sj,jik->sik", basis, table) % p).any():
+        raise ValueError("algebra is not two-step graded (R^2 * R != 0)")
+    pivots = set((basis != 0).argmax(axis=1).tolist())
+    comp = [i for i in range(d) if i not in pivots]
+    core = table[np.ix_(comp, comp)]
+    return comp, core[:, :, core.any(axis=(0, 1))], len(basis)
+
+
 # -- spec-level operation surface ---------------------------------------------
 
 

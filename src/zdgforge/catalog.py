@@ -27,7 +27,7 @@ from .errors import CapExceeded, RingAxiomViolation
 from .fpcore import PrimeField, Subspace, _grid, _rref_stack
 from .graphs import _GRAPH_BYTES, compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
 from .identities import holds, parse
-from .isomorph import _orbit
+from .isomorph import _BLOCK, _orbit
 
 __all__ = [
     "RingPresentation",
@@ -113,11 +113,12 @@ def _keys(stack: np.ndarray):
 
 def _cell_bytes(dim: int, r: int) -> int:
     """Upper estimate of _orbit_partition's peak bytes on the r-subspaces of
-    F_2^dim: 24 per pool entry (an int64 image and its elimination's copies)
-    and 600 per subspace (keys, lists, dict and sets).  tracemalloc peaks:
-    359 MB on cell (m, k) = (5, 2) against 440 estimated, 168 on (6, 1)
-    against 186."""
-    return _subspace_count(dim, r) * (24 * r * dim + 600) + 2**20
+    F_2^dim: 6 per pool entry (the uint8 pool and its four lists of bytes
+    keys), 400 per subspace (the keys' headers, lists, dict and sets), and
+    24 per entry of one block (its int64 image and elimination's copies).
+    tracemalloc peaks: 125 MB on cell (m, k) = (5, 2) against 178
+    estimated, 52 on (6, 1) against 80."""
+    return _subspace_count(dim, r) * (6 * r * dim + 400) + 24 * _BLOCK
 
 
 def _orbits(keys, images):
@@ -217,9 +218,15 @@ def _orbit_partition(m: int, subspace_dim: int):
     """Partition all subspace_dim-subspaces of wedge^2(F_2^m) into
     GL(m, 2)-orbits by closure under the induced generator action.  The pool
     is in rref, so each subspace's key is its own bytes; the keys of its
-    images under each generator come from one batched elimination."""
+    images under each generator come from batched eliminations, one block
+    of _BLOCK entries of the pool at a time, so that no image of the whole
+    pool is held."""
     pool = enumerate_subspaces(len(wedge_pairs(m)), subspace_dim)
-    images = [_keys(pool @ wedge_matrix(g, m).T % 2) for g in _gl2_generators(m)]
+    step = max(1, _BLOCK // max(1, pool[0].size))
+    images = []
+    for w in (wedge_matrix(g, m).T for g in _gl2_generators(m)):
+        blocks = (_keys(pool[lo : lo + step] @ w % 2) for lo in range(0, len(pool), step))
+        images.append([key for block in blocks for key in block])
     return _orbits([rows.tobytes() for rows in pool], images)
 
 

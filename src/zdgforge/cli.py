@@ -37,6 +37,11 @@ from .rings import null_ring, ring_table, zn_ring
 REPORT_SCHEMA = 1
 
 _PAIRS = {"A1B1": ("A1", "B1"), "A2B2": ("A2", "B2"), "A1A1": ("A1", "A1"), "A2A2": ("A2", "A2")}
+# verify-lemmas: variety -> (variants, dim R^2, dim R, annihilator claim).
+_VARIETIES = {
+    "M1": (("A1", "B1"), 14, 20, "annihilator==span(a)+square-ideal"),
+    "M2": (("A2", "B2"), 20, 26, "annihilator==square-ideal"),
+}
 
 
 def _check(name, claim, ok, **payload):
@@ -178,19 +183,22 @@ def cmd_verify_lemmas(args) -> int:
         raise ZdgError("the commutative variety checks require odd p")
     checks = []
     for p in primes:
-        if "M1" in varieties:
-            for variant in ("A1", "B1"):
+        for variety in varieties:
+            if variety == "M2" and p == 2:
+                continue
+            variants, square_dim, algebra_dim, claim = _VARIETIES[variety]
+            for variant in variants:
                 dim = construct(variant, p).algebra.square_ideal().dim
                 checks.append(
                     _check(
                         f"square-ideal-dim/{variant}/p={p}",
-                        "square-ideal-dimension==14",
-                        dim == 14,
+                        f"square-ideal-dimension=={square_dim}",
+                        dim == square_dim,
                         dim=dim,
-                        algebra_dim=20,
+                        algebra_dim=algebra_dim,
                     )
                 )
-                if p <= 3:
+                if variety == "M1" and p <= 3:
                     ok, pairs, mism = product_criterion_exhaustive(variant, p)
                     checks.append(
                         _check(
@@ -202,33 +210,11 @@ def cmd_verify_lemmas(args) -> int:
                             mismatches=mism,
                         )
                     )
-                ok_a, cnt = annihilator_exhaustive(variant, p, projective=p > 3)
-                checks.append(
-                    _check(
-                        f"annihilator/{variant}/p={p}",
-                        "annihilator==span(a)+square-ideal",
-                        ok_a,
-                        vectors=cnt,
-                        projective=p > 3,
-                    )
-                )
-        if "M2" in varieties and p != 2:
-            for variant in ("A2", "B2"):
-                dim = construct(variant, p).algebra.square_ideal().dim
-                checks.append(
-                    _check(
-                        f"square-ideal-dim/{variant}/p={p}",
-                        "square-ideal-dimension==20",
-                        dim == 20,
-                        dim=dim,
-                        algebra_dim=26,
-                    )
-                )
                 ok, cnt = annihilator_exhaustive(variant, p, projective=p > 3)
                 checks.append(
                     _check(
                         f"annihilator/{variant}/p={p}",
-                        "annihilator==square-ideal",
+                        claim,
                         ok,
                         vectors=cnt,
                         projective=p > 3,

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import SCAlgebra
+from .algebra import SCAlgebra, _two_step_core
 from .errors import CapExceeded, EvenCharacteristicUnsupported
 from .fpcore import (
     FpMatrix,
@@ -79,6 +79,17 @@ def _require_odd(kind: str, p: int, message: str):
         raise EvenCharacteristicUnsupported(message)
 
 
+def _graded_core(variant: str, p: int, n: int) -> np.ndarray:
+    """A quotient's (n, n, d2) products of generators on the degree-2
+    coordinates.  ValueError unless R*R^2 = R^2*R = 0 and AssertionError
+    unless R^2 is the whole degree-2 part: together, every structure
+    constant takes two generators to degree 2."""
+    comp, core, _ = _two_step_core(construct(variant, p, n).algebra)
+    if comp != list(range(n)):
+        raise AssertionError(f"{variant}, p={p}: the square ideal is not the whole degree-2 part")
+    return core
+
+
 def _monomial_pairs(n: int, kind: str):
     if kind == ALTERNATING:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -96,9 +107,7 @@ class GradedPresentation:
     """A two-step graded algebra with its defining relation subspace.
 
     ``algebra`` is the derived structure-constant algebra: generators first,
-    then the surviving degree-2 monomials.  ``proj_deg2`` maps free degree-2
-    coordinates to the quotient's degree-2 coordinates (identity for the free
-    algebras themselves).
+    then the surviving degree-2 monomials.
     """
 
     field: PrimeField
@@ -107,7 +116,6 @@ class GradedPresentation:
     monomials: tuple
     relation: Subspace
     algebra: SCAlgebra
-    proj_deg2: np.ndarray
 
     def element_from_linear(self, alpha):
         coords = np.zeros(self.algebra.dim, dtype=np.int64)
@@ -141,7 +149,6 @@ def _free_presentation(p: int, n: int, kind: str) -> GradedPresentation:
         monomials=tuple(pairs),
         relation=Subspace.zero(field, d2),
         algebra=algebra,
-        proj_deg2=np.eye(d2, dtype=np.int64),
     )
 
 
@@ -191,7 +198,7 @@ def _construct(variant: str, p: int, n: int) -> GradedPresentation:
     rel = _relation_vector(free, coeffs)
     full = np.concatenate([np.zeros(free.n, dtype=np.int64), rel])
     ideal = Subspace(free.field, free.algebra.dim, full[None, :])
-    quot, proj = free.algebra.quotient(ideal)
+    quot, _ = free.algebra.quotient(ideal)
     return GradedPresentation(
         field=free.field,
         n=n,
@@ -199,7 +206,6 @@ def _construct(variant: str, p: int, n: int) -> GradedPresentation:
         monomials=free.monomials,
         relation=Subspace(free.field, len(free.monomials), rel[None, :]),
         algebra=quot,
-        proj_deg2=proj.a[free.n:, free.n:],
     )
 
 
@@ -308,11 +314,10 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
     """Check the product criterion over every ordered pair of nonzero
     degree-1 vectors at once.
 
-    Returns (ok, pairs_checked, mismatches).  The degree-1 core table sends
-    x_i x_j to row (i, j) of proj_deg2 and x_j x_i to its negative
-    (anticommutative) or to itself (commutative), and graphs' zero-product
-    kernel decides every pair.  Two nonzero vectors are proportional iff
-    they agree once each is scaled to lead with 1.  Raises CapExceeded,
+    Returns (ok, pairs_checked, mismatches).  graphs' zero-product kernel
+    decides every pair on the degree-1 products that _graded_core checks
+    and returns.  Two nonzero vectors are proportional iff they agree once
+    each is scaled to lead with 1.  Raises CapExceeded,
     before any vector is built, when the N x N boolean matrices for the
     N = p**n - 1 vectors exceed _GRAPH_BYTES.
     """
@@ -323,12 +328,7 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
         raise CapExceeded(
             f"{cnt} vectors need {3 * cnt * cnt} bytes of pair matrices, cap is {_GRAPH_BYTES}"
         )
-    pres = construct(variant, p, n)
-    proj = pres.proj_deg2 % p
-    core = np.zeros((n, n, proj.shape[1]), dtype=np.int64)
-    for row, (i, j) in enumerate(pres.monomials):
-        core[j, i] = -proj[row] if kind == ALTERNATING else proj[row]
-        core[i, j] = proj[row]
+    core = _graded_core(variant, p, n)
     v = nonzero_vectors(p, n)
     zero = _zero_product_matrix(v, core, p)
     if kind == ALTERNATING:
@@ -355,7 +355,8 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     to degree 2, and R^2 is the whole degree-2 part.  For a with degree-1
     part alpha, x*a and a*x then depend only on the degree-1 part of x, so
     ann(a) = ker_left(M) + R^2, where M = [core.alpha | alpha.core] is the
-    n x 2*d2 degree-1 block of [R_a | L_a] and core = table[:n, :n, n:].
+    n x 2*d2 degree-1 block of [R_a | L_a] and core = table[:n, :n, n:], as
+    _graded_core returns it.
     ann(a) is as expected iff rank M = n (commutative), or alpha.M = 0 and
     rank M = n - 1 (anticommutative, where alpha.M = 0 says a*a = 0).
 
@@ -370,26 +371,15 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     come from one exact matmul per block of vectors.
 
     Both facts the reduction to M rests on, the grading and R^2 = span{e_n,
-    ..., e_(dim-1)}, are checked once per call; if either fails the call
-    raises AssertionError.
+    ..., e_(dim-1)}, are checked once per call by _graded_core, which
+    raises if either fails.
     """
     kind = VARIANTS[variant][0]
     _require_odd(kind, p, "the commutative-variety annihilator check requires odd p")
-    pres = construct(variant, p, n)
-    table = pres.algebra.table
-    dim = table.shape[0]
-    outside = table % p
-    outside[:n, :n, n:] = 0
-    if outside.any():
-        raise AssertionError(
-            f"{variant}, p={p}: a structure constant lies outside degree-1 x degree-1 -> degree 2"
-        )
-    if not np.array_equal(pres.algebra.square_ideal().basis, np.eye(dim, dtype=np.int64)[n:]):
-        raise AssertionError(f"{variant}, p={p}: the square ideal is not the whole degree-2 part")
-    core = table[:n, :n, n:]
+    core = _graded_core(variant, p, n)
     # The 2*d2 matrices C_k, flattened, and an rref basis B_1..B_r of their span.
     coeff = np.concatenate([core.transpose(2, 0, 1), core.transpose(2, 1, 0)])
-    basis = Subspace(pres.field, n * n, coeff.reshape(-1, n * n)).basis
+    basis = Subspace(PrimeField(p), n * n, coeff.reshape(-1, n * n)).basis
     r = len(basis)
     # weights[j, l*n + i] = B_l[i, j], so a @ weights holds B_l.alpha for every l.
     dtype = _exact_dtype(n, p, (np.float32, np.int64))

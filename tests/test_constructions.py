@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from zdgforge.fpcore import (
     _projective_reps,
     _rref_stack,
 )
+from zdgforge.graphs import compressed_graph
 
 
 def test_free_m1_dimensions():
@@ -137,9 +139,11 @@ def test_product_criterion_exhaustive(variant, p):
 def _product_criterion_reference(variant, p, n=6):
     """The int64 whole-array product criterion from pairwise 2x2 minors (or
     symmetrized products), which an in-place int16 version and then the
-    zero-product kernel replaced."""
+    zero-product kernel replaced.  The weight of monomial x_i x_j (i <= j)
+    on degree-2 coordinate q is the quotient table's entry for x_i x_j."""
     kind = VARIANTS[variant][0]
     pres = constructions.construct(variant, p, n)
+    table = pres.algebra.table
     v = constructions.nonzero_vectors(p, n)
     cnt = v.shape[0]
     cols = [v[:, i].astype(np.int64) for i in range(n)]
@@ -153,10 +157,10 @@ def _product_criterion_reference(variant, p, n=6):
         return (np.outer(cols[i], cols[j]) + np.outer(cols[j], cols[i])) % p
 
     zero_mask = np.ones((cnt, cnt), dtype=bool)
-    for qcol in range(pres.proj_deg2.shape[1]):
+    for qcol in range(n, pres.algebra.dim):
         coef = np.zeros((cnt, cnt), dtype=np.int64)
-        for row, (i, j) in enumerate(pres.monomials):
-            w = int(pres.proj_deg2[row, qcol])
+        for i, j in pres.monomials:
+            w = int(table[i, j, qcol])
             if w == 0:
                 continue
             block = minor(i, j) if kind == constructions.ALTERNATING else sym(i, j)
@@ -182,8 +186,8 @@ def test_product_criterion_exhaustive_matches_reference(variant, p, n):
     assert product_criterion_exhaustive(variant, p, n) == _product_criterion_reference(variant, p, n)
 
 
-def _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, n, proj):
-    wrong = dataclasses.replace(constructions.construct(variant, p, n), proj_deg2=proj)
+def _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, n, core):
+    wrong = _with_core(constructions.construct(variant, p, n), core)
     monkeypatch.setattr(constructions, "construct", lambda *args: wrong)
     got = product_criterion_exhaustive(variant, p, n)
     assert got == _product_criterion_reference(variant, p, n)
@@ -193,22 +197,28 @@ def _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, n, proj):
 
 @pytest.mark.parametrize("variant,p", [("A1", 2), ("B1", 3), ("A2", 3), ("B2", 3)])
 def test_product_criterion_exhaustive_catches_a_killed_monomial(monkeypatch, variant, p):
-    # x_0 x_1 projected to zero: x_0 x_1 = 0 with x_0, x_1 not proportional.
+    # x_0 x_1 = x_1 x_0 = 0 in the quotient table, with x_0, x_1 not proportional.
     n = VARIANTS[variant][2]
-    pres = construct(variant, p, n)
-    proj = pres.proj_deg2.copy()
-    proj[pres.monomials.index((0, 1))] = 0
-    _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, n, proj)
+    core = construct(variant, p, n).algebra.table[:n, :n, n:].copy()
+    core[0, 1] = core[1, 0] = 0
+    _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, n, core)
 
 
 @pytest.mark.parametrize("variant,p", [("A1", 2), ("A1", 5), ("A2", 3), ("A2", 5)])
 def test_product_criterion_exhaustive_catches_random_projections(monkeypatch, variant, p):
-    # Degree-2 parts projected at random onto three coordinates.
+    # Quotient tables whose degree-2 parts are random projections onto three
+    # coordinates: x_i x_j to row (i, j) and x_j x_i to its negative
+    # (anticommutative) or to itself (commutative).
     rng = np.random.default_rng(p)
-    monomials = len(construct(variant, p, 4).monomials)
+    pres = construct(variant, p, 4)
+    sign = -1 if VARIANTS[variant][0] == constructions.ALTERNATING else 1
     for _ in range(3):
-        proj = rng.integers(0, p, (monomials, 3))
-        _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, 4, proj)
+        proj = rng.integers(0, p, (len(pres.monomials), 3))
+        core = np.zeros((4, 4, 3), dtype=np.int64)
+        for row, (i, j) in enumerate(pres.monomials):
+            core[j, i] = sign * proj[row]
+            core[i, j] = proj[row]
+        _wrong_quotient_agrees_with_reference(monkeypatch, variant, p, 4, core)
 
 
 def test_product_criterion_exhaustive_refuses_before_building_vectors(monkeypatch):
@@ -487,11 +497,18 @@ def test_annihilator_exhaustive_refuses_dependent_products(monkeypatch, shape):
 def test_annihilator_exhaustive_refuses_an_ungraded_table(monkeypatch, variant):
     pres = construct(variant, 3)
     graded = pres.algebra.table
-    # A nonzero degree-2 x degree-1 product.
+    # A nonzero degree-2 x degree-1 product: R^2 * R != 0.
     table = graded.copy()
     table[6, 0, 7] = 1
     monkeypatch.setattr(constructions, "construct", lambda *args: _with_table(pres, table))
-    with pytest.raises(AssertionError, match="outside"):
+    with pytest.raises(ValueError, match="two-step"):
+        annihilator_exhaustive(variant, 3)
+    # x1 x2 gains the degree-1 part x3, so R^2 holds a vector that does not
+    # annihilate R.
+    table = graded.copy()
+    table[0, 1, 2] = 1
+    monkeypatch.setattr(constructions, "construct", lambda *args: _with_table(pres, table))
+    with pytest.raises(ValueError, match="two-step"):
         annihilator_exhaustive(variant, 3)
     # Graded, but x1 x2 is no product at all, so R^2 misses a degree-2 coordinate.
     table = graded.copy()
@@ -499,6 +516,25 @@ def test_annihilator_exhaustive_refuses_an_ungraded_table(monkeypatch, variant):
     monkeypatch.setattr(constructions, "construct", lambda *args: _with_table(pres, table))
     with pytest.raises(AssertionError, match="square ideal"):
         annihilator_exhaustive(variant, 3)
+
+
+@pytest.mark.parametrize("side, entry", [("R * R^2", (0, 6, 7)), ("R^2 * R", (6, 0, 7))])
+@pytest.mark.parametrize("variant", ["A1", "A2"])
+def test_two_step_consumers_refuse_a_nonzero_triple_product(monkeypatch, variant, side, entry):
+    # x1 times e6, a degree-2 basis vector, or e6 times x1 is nonzero: every
+    # reader of the two-step core refuses the table, the product criterion too.
+    pres = construct(variant, 3)
+    table = pres.algebra.table.copy()
+    table[entry] = 1
+    wrong = _with_table(pres, table)
+    monkeypatch.setattr(constructions, "construct", lambda *args: wrong)
+    for check in (
+        lambda: compressed_graph(wrong),
+        lambda: annihilator_exhaustive(variant, 3),
+        lambda: product_criterion_exhaustive(variant, 3),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"not two-step graded ({side} != 0)")):
+            check()
 
 
 def test_annihilator_exhaustive_detects_a_wrong_expectation(monkeypatch):

@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdgforge import graphs
-from zdgforge.algebra import SCAlgebra, direct_sum, field_algebra, zero_mul_algebra
+from zdgforge.algebra import SCAlgebra, _two_step_core, direct_sum, field_algebra, zero_mul_algebra
+from zdgforge.catalog import enumerate_variety_rings
 from zdgforge.constructions import construct, free_m1
 from zdgforge.errors import CapExceeded
 from zdgforge.fpcore import PrimeField, _grid
@@ -121,6 +124,43 @@ def _random_two_step(rng, p):
     block = rng.integers(0, p, (m, m, s)) * (rng.random((m, m, s)) < density)
     table[:m, :m, m:] = block
     return SCAlgebra(PrimeField(p), table)
+
+
+def _two_step_core_brute_force(algebra):
+    """(comp, core, |R^2|) by brute force: R^2 as the set of all
+    combinations of the basis products, its pivots as the leading positions
+    of its nonzero vectors, and every product by element multiplication."""
+    p, d = algebra.field.p, algebra.dim
+    square = {(0,) * d}
+    for g in algebra.table.reshape(d * d, d):
+        square = {tuple((np.array(v) + c * g) % p) for v in square for c in range(p)}
+    for v in square:
+        for e in algebra.generators():
+            assert (e * algebra.element(v)).is_zero() and (algebra.element(v) * e).is_zero()
+    leads = {next(i for i, x in enumerate(v) if x) for v in square if any(v)}
+    comp = [i for i in range(d) if i not in leads]
+    basis = algebra.generators()
+    core = np.array(
+        [[(basis[i] * basis[j]).coords for j in comp] for i in comp], dtype=np.int64
+    ).reshape(len(comp), len(comp), d)
+    return comp, core[:, :, core.any(axis=(0, 1))], len(square)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_two_step_core_matches_brute_force(p):
+    # The random two-step algebras, half of them with coordinates permuted so
+    # that R^2 does not sit on the last coordinates.
+    rng = np.random.default_rng(20260810 + p)
+    for i in range(30):
+        algebra = _random_two_step(rng, p)
+        if i % 2:
+            perm = rng.permutation(algebra.dim)
+            table = algebra.table[np.ix_(perm, perm, perm)]
+            algebra = SCAlgebra(algebra.field, table)
+        comp, core, s = _two_step_core(algebra)
+        want_comp, want_core, size = _two_step_core_brute_force(algebra)
+        assert comp == want_comp and p**s == size
+        assert np.array_equal(core, want_core) and core.dtype == np.int64
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -311,6 +351,29 @@ def test_fingerprint_label_invariance():
     k3p = ZdGraph.from_edges(3, [(2, 0), (1, 2), (0, 1)])
     assert fingerprint(k3) == fingerprint(k3p)
     assert fingerprint(k3) != fingerprint(ZdGraph.complete(4))
+
+
+@st.composite
+def _blowups(draw):
+    k = draw(st.integers(0, 6))
+    classes = draw(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=k, max_size=k))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    cross = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return BlowupGraph(draw(st.integers(0, 4)), classes, cross)
+
+
+@given(_blowups())
+@settings(max_examples=300, deadline=None)
+def test_fingerprint_of_a_blowup_equals_its_expansion(b):
+    assert fingerprint(b) == fingerprint(expand(b))
+
+
+def test_fingerprint_of_compressed_equals_explicit_on_the_census():
+    entries = enumerate_variety_rings(64)
+    for e in entries:
+        algebra = e.presentation.algebra
+        assert fingerprint(compressed_graph(algebra)) == fingerprint(explicit_graph(algebra))
+    assert len(entries) == 18
 
 
 def test_fingerprint_equal_for_paired_quotients():
