@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import CapExceeded, RingAxiomViolation
-from .fpcore import PrimeField, Subspace, _grid, _rref_stack
+from .fpcore import PrimeField, Subspace, _eliminate, _grid, _matmul_mod, _pivot_rows, _rref_stack
 from .graphs import _GRAPH_BYTES, compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
 from .identities import holds, parse
 from .isomorph import _BLOCK, _orbit
@@ -106,18 +106,19 @@ def enumerate_subspaces(dim: int, r: int) -> np.ndarray:
 
 
 def _keys(stack: np.ndarray):
-    """Canonical key of the row space of each full-rank matrix in a stack
-    over F_2: the bytes of its rref basis."""
-    return [rows.tobytes() for rows in _rref_stack(stack, 2)[0].astype(np.uint8)]
+    """Canonical key of the row space of each full-rank matrix over F_2 in
+    a matrices-last (r, c, n) stack in _work_dtype(2): the bytes of its
+    rref basis.  The stack is eliminated in place."""
+    return [rows.tobytes() for rows in _pivot_rows(stack, _eliminate(stack, 2), np.uint8)]
 
 
 def _cell_bytes(dim: int, r: int) -> int:
     """Upper estimate of _orbit_partition's peak bytes on the r-subspaces of
     F_2^dim: 6 per pool entry (the uint8 pool and its four lists of bytes
     keys), 400 per subspace (the keys' headers, lists, dict and sets), and
-    24 per entry of one block (its int64 image and elimination's copies).
-    tracemalloc peaks: 125 MB on cell (m, k) = (5, 2) against 178
-    estimated, 52 on (6, 1) against 80."""
+    24 per entry of one block (its float32 copy and image, the int16 stack
+    and elimination's temporaries).  tracemalloc peaks: 125 MB on cell
+    (m, k) = (5, 2) against 178 estimated, 45 on (6, 1) against 80."""
     return _subspace_count(dim, r) * (6 * r * dim + 400) + 24 * _BLOCK
 
 
@@ -223,10 +224,14 @@ def _orbit_partition(m: int, subspace_dim: int):
     pool is held."""
     pool = enumerate_subspaces(len(wedge_pairs(m)), subspace_dim)
     step = max(1, _BLOCK // max(1, pool[0].size))
-    images = []
-    for w in (wedge_matrix(g, m).T for g in _gl2_generators(m)):
-        blocks = (_keys(pool[lo : lo + step] @ w % 2) for lo in range(0, len(pool), step))
-        images.append([key for block in blocks for key in block])
+    wedges = [wedge_matrix(g, m) for g in _gl2_generators(m)]
+    images = [[] for _ in wedges]
+    for lo in range(0, len(pool), step):
+        # The block held last, (r, d, B): the images of its rows under a
+        # generator are one exact matmul with its wedge matrix.
+        block = pool[lo : lo + step].transpose(1, 2, 0)
+        for w, keys in zip(wedges, images):
+            keys += _keys(_matmul_mod(w, block, 2))
     return _orbits([rows.tobytes() for rows in pool], images)
 
 

@@ -28,10 +28,12 @@ from .fpcore import (
     FpMatrix,
     PrimeField,
     Subspace,
-    _exact_dtype,
+    _eliminate,
     _grid,
     _inverses,
+    _matmul_mod,
     _projective_reps,
+    _quadratic,
     _rref_stack,
 )
 from .graphs import _GRAPH_BYTES, _zero_product_matrix
@@ -367,8 +369,10 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     B_l.alpha span the column space of M (same rank), and alpha.B_l.alpha = 0
     for every l iff alpha.M = 0.  Each vector then costs one elimination of
     an (r, n) stack instead of (2*d2, n); on the four quotients r = d2 (14
-    or 20), because the right half repeats the left up to sign.  The stacks
-    come from one exact matmul per block of vectors.
+    or 20), because the right half repeats the left up to sign.  Per block
+    of vectors, one exact matmul gives the stacks, held matrices-last for
+    fpcore._eliminate, which is read for the rank alone, and one more gives
+    every alpha.B_l.alpha (fpcore._quadratic).
 
     Both facts the reduction to M rests on, the grading and R^2 = span{e_n,
     ..., e_(dim-1)}, are checked once per call by _graded_core, which
@@ -381,19 +385,21 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     coeff = np.concatenate([core.transpose(2, 0, 1), core.transpose(2, 1, 0)])
     basis = Subspace(PrimeField(p), n * n, coeff.reshape(-1, n * n)).basis
     r = len(basis)
-    # weights[j, l*n + i] = B_l[i, j], so a @ weights holds B_l.alpha for every l.
-    dtype = _exact_dtype(n, p, (np.float32, np.int64))
-    weights = basis.reshape(r, n, n).transpose(2, 0, 1).reshape(n, r * n).astype(dtype)
+    # Row l*n + i of weights is row i of B_l, so weights @ alpha stacks
+    # B_l.alpha for every l; forms[:, :, l] is B_l.
+    weights = basis.reshape(r * n, n)
+    forms = basis.reshape(r, n, n).transpose(1, 2, 0)
     rank = n - 1 if kind == ALTERNATING else n
     vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
     step = max(1, _BLOCK // (r * n))
     for lo in range(0, len(vs), step):
         a = vs[lo : lo + step]
-        # The span stand-in for M transposed, (r, n) per vector: n column steps.
-        mt = (a.astype(dtype) @ weights).astype(np.int64).reshape(len(a), r, n) % p
-        ok = _rref_stack(mt, p)[1] == rank
+        # The span stand-in for M transposed, (r, n) per vector, held last:
+        # n column steps, and only the rank is read.
+        mt = _matmul_mod(weights, a.T, p).reshape(r, n, len(a))
+        ok = (_eliminate(mt, p) < n).sum(axis=0) == rank
         if kind == ALTERNATING:
-            ok &= ~(np.einsum("bki,bi->bk", mt, a) % p).any(axis=1)
+            ok &= ~_quadratic(a, forms, p).any(axis=1)
         if not ok.all():
             return False, lo + int(ok.argmin())
     return True, len(vs)

@@ -1,15 +1,22 @@
 """Exact linear algebra over the prime field Z_p.
 
 Scalars are machine integers kept canonical in [0, p), p < 2**15.  One
-batched Gauss-Jordan elimination, _rref_stack, reduces whole stacks of
-matrices at once; rank, rref, kernels, subspaces and every other module's
-elimination go through it.  It holds the stack matrices-last, as one
-(r, c, n) int32 copy, so that a column step is a few long contiguous
-operations over all n matrices rather than n short ones.  It reduces its
-input mod p only when some entry lies outside [0, p) (callers pass
-residues), and it never writes into the caller's array.  Subspaces are
-stored as reduced row-echelon bases, which makes subspace equality a plain
-array comparison.
+Gauss-Jordan loop, _eliminate, reduces whole stacks of matrices in place;
+rank, rref, kernels, subspaces and every other module's elimination go
+through it.  It holds a stack matrices-last, as (r, c, n), so that a column
+step is a few long contiguous operations over all n matrices rather than n
+short ones.  Its work dtype is a function of p alone (_work_dtype): int16
+while (p - 1)**2 + p < 2**15, that is for p <= 181, and int32 above, since a
+column step's products reach (p - 1)**2 and its floor division takes off a
+multiple of p below (p - 1)**2 + p.  _rref_stack and _left_kernel_stack are
+layouts around the loop: each copies the caller's stack matrices-last,
+reduced mod p only when some entry lies outside [0, p) and never writing
+into the caller's array; the first reads the rref out, the second reads the
+left kernels off the pivot rows where they stand (_kernel_rows).  The hot
+callers build their stacks matrices-last in the work dtype with one exact
+matmul (_matmul_mod) and call the loop themselves.  Subspaces are stored as
+reduced row-echelon bases, which makes subspace equality a plain array
+comparison.
 """
 
 import math
@@ -69,21 +76,33 @@ class PrimeField:
 
 
 @lru_cache(maxsize=None)
+def _work_dtype(p: int):
+    """The dtype _eliminate works in at modulus p, by the rule in the module
+    docstring; ValueError from p = 2**15 on."""
+    if p >= 2**15:
+        raise ValueError(f"modulus {p} is not below 2**15; int32 products would overflow")
+    dtype = np.int16 if (p - 1) ** 2 + p < 2**15 else np.int32
+    assert (p - 1) ** 2 + p <= np.iinfo(dtype).max
+    return dtype
+
+
+@lru_cache(maxsize=None)
 def _inverses(p: int) -> np.ndarray:
-    """Inverse of every nonzero residue mod p, indexed by residue (read-only)."""
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
+    """Inverse of every nonzero residue mod p, indexed by residue, in
+    _work_dtype(p) (read-only)."""
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=_work_dtype(p))
     inv.setflags(write=False)
     return inv
 
 
 def _exact_dtype(terms: int, top: int, dtypes=(np.int64,), factors: int = 2):
     """The first of dtypes in which every sum of `terms` products of
-    `factors` integers below `top` is exact: float32 while the sums stay
-    below 2**24 (float32 holds every integer up to 2**24), int64 while they
-    stay below 2**63, and object (Python ints) always.  ValueError if none
-    of dtypes fits."""
+    `factors` integers below `top` is exact: an integer dtype while the
+    sums stay below 2**15, 2**31 or 2**63, float32 while they stay below
+    2**24 (float32 holds every integer up to 2**24), and object (Python
+    ints) always.  ValueError if none of dtypes fits."""
     bound = terms * (top - 1) ** factors
-    limits = {np.dtype(np.float32): 2**24, np.dtype(np.int64): 2**63}
+    limits = {np.dtype(t): 2**b for t, b in ((np.int16, 15), (np.int32, 31), (np.int64, 63), (np.float32, 24))}
     for dtype in dtypes:
         if np.dtype(dtype) == object or bound < limits[np.dtype(dtype)]:
             return dtype
@@ -91,40 +110,50 @@ def _exact_dtype(terms: int, top: int, dtypes=(np.int64,), factors: int = 2):
     raise ValueError(f"sums of {terms} products of {factors} integers below {top} overflow {names}")
 
 
-def _rref_stack(a, p: int):
-    """Canonical reduced row-echelon forms of a stack of matrices over Z_p.
+def _matmul_mod(a, b, p: int, factors: int = 2) -> np.ndarray:
+    """a @ b reduced mod p, in _work_dtype(p).  Each entry of the product
+    sums a.shape[-1] products of `factors` integers below p: 2 for residues,
+    3 when a's entries are products of two.  The matmul runs in float32
+    while those sums stay below 2**24, else in int64, and the reduction in
+    the narrowest integer dtype that holds them; ValueError past int64."""
+    terms = a.shape[-1]
+    dtype = _exact_dtype(terms, p, (np.float32, np.int64), factors)
+    x = np.matmul(a.astype(dtype, copy=False), b.astype(dtype, copy=False))
+    x = x.astype(_exact_dtype(terms, p, (np.int16, np.int32, np.int64), factors), copy=False)
+    q = x // p
+    q *= p
+    x -= q
+    return x.astype(_work_dtype(p), copy=False)
 
-    a has shape (..., r, c); returns (rref, rank) as int64 arrays, rank of
-    shape (...,).  One column at a time, in every matrix with a nonzero entry
-    in a row that is not yet a pivot row, the first such row becomes the
-    pivot row of the column: it is scaled to a leading 1 and clears the
-    column in every other row.  Rows stay where they are; at the end the
-    pivot rows are read out in order of their pivot columns, and the rows
-    below the rank are zero.  A row space has one rref, so this is the form
-    a row-swapping elimination gives.
 
-    The n matrices are held last, as one (r, c, n) int32 copy, so that a
-    column step is a few long contiguous operations over the whole stack.
-    A matrix with no pivot in the column is not gathered out: all its
-    clearing factors are 0.  The input is reduced mod p only if some entry
-    lies outside [0, p), and the caller's array is never written.  The int32
-    arithmetic is exact: entries stay in [0, p) and p < 2**15 keeps products
-    below 2**30.
-    """
-    if p >= 2**15:
-        raise ValueError(f"modulus {p} is not below 2**15; int32 products would overflow")
-    a = np.asarray(a, dtype=np.int64)
-    shape = a.shape
-    r, c = shape[-2:]
-    n = math.prod(shape[:-2])
-    if a.size and (a.min() < 0 or a.max() >= p):
-        a = a % p
-    m = np.moveaxis(a.reshape(n, r, c), 0, -1).astype(np.int32, order="C")
-    del a  # a reduced copy is not held through the elimination
-    # The column in which row i of matrix t became a pivot row; c if never.
-    lead = np.full((r, n), c, dtype=np.int32)
+def _quadratic(a, forms, p: int) -> np.ndarray:
+    """a.F.a mod p for every row a of an (N, n) array and every form
+    F = forms[:, :, l] of an (n, n, L) stack, as (N, L) in _work_dtype(p):
+    one exact matmul of the products a_i a_j with the flattened forms."""
+    n = a.shape[-1]
+    pairs = (a[:, :, None] * a[:, None, :]).reshape(-1, n * n)
+    return _matmul_mod(pairs, forms.reshape(n * n, -1), p, factors=3)
+
+
+def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan elimination over Z_p, in place, of an (r, c, n) stack
+    held matrices-last in _work_dtype(p), entries in [0, p).  Returns lead,
+    (r, n): the column in which each row became a pivot row, c if never.
+
+    Per column, in every matrix with a nonzero entry in a row that is not
+    yet a pivot row, the first such row becomes the column's pivot row,
+    scaled to a leading 1, and clears the column in every other row.  Rows
+    stay where they are; sorted by lead, the pivot rows are the one rref of
+    the row space.  A matrix with no pivot in the column is not gathered
+    out: all its clearing factors are 0."""
+    r, c, n = m.shape
+    assert m.dtype == _work_dtype(p)
+    lead = np.full((r, n), c, dtype=np.intp)
     every = np.arange(n)
     inv = _inverses(p)
+    # (r - 1 - i) * cand[i] is largest at the first candidate row i; a
+    # narrow max over rows runs several times faster than argmax.
+    rise = np.arange(r - 1, -1, -1, dtype=np.min_scalar_type(r))[:, None]
     for j in range(c):
         # Entries left of column j are zero in every row that can be a pivot.
         block = m[:, j:]
@@ -133,69 +162,102 @@ def _rref_stack(a, p: int):
         hit = cand.any(axis=0)
         if not hit.any():
             continue
-        k = cand.argmax(axis=0)
+        k = np.subtract(r - 1, (cand * rise).max(axis=0), dtype=np.intp)
+        at = k * n + every  # entry (k, t) of a flat (r, n) array
         row = block[k, :, every].T
         piv = np.multiply(row, inv[row[0]], order="C")
-        piv %= p
-        # Row k takes the factor col - 1: row - (col - 1) * piv == piv mod p.
-        factor = col * hit
-        factor[k, every] -= hit
-        lead[k, every] -= (c - j) * hit
-        block -= factor[:, None, :] * piv
         # Floor division by the scalar p is several times faster than %.
+        piv -= piv // p * p
+        # Row k takes the factor col - 1: row - (col - 1) * piv == piv mod p.
+        factor = np.multiply(col, hit, order="C")  # reshape(-1) is then a view
+        factor.reshape(-1)[at] -= hit
+        lead.reshape(-1)[at] -= (c - j) * hit
+        block -= factor[:, None, :] * piv
         q = block // p
         q *= p
         block -= q
-        del q, row, piv, factor  # not held into the next step or the copy out
-    # At most min(r, c) pivot rows.  They are gathered a block of matrices
-    # at a time, so that the copy out holds little more than the stack and
-    # the result.
+        del q, row, piv, factor  # not held into the next step
+    return lead
+
+
+def _stack_last(a, p: int) -> np.ndarray:
+    """A (..., r, c) stack reduced mod p and held matrices-last, as one
+    (r, c, n) copy in _work_dtype(p).  It reduces only when some entry lies
+    outside [0, p), and it never writes into a."""
+    a = np.asarray(a, dtype=np.int64)
+    r, c = a.shape[-2:]
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = a % p
+    n = math.prod(a.shape[:-2])
+    return a.reshape(n, r, c).transpose(1, 2, 0).astype(_work_dtype(p), order="C")
+
+
+def _pivot_rows(m: np.ndarray, lead: np.ndarray, dtype) -> np.ndarray:
+    """The rref of every matrix of a stack that _eliminate reduced, as an
+    (n, r, c) array of dtype: the pivot rows in order of their pivot
+    columns, then zero rows.  They are gathered a block of matrices at a
+    time, so that the copy holds little more than the stack and the result."""
+    r, c, n = m.shape
     top = min(r, c)
     order = np.argsort(lead.T, axis=1, kind="stable")[:, :top]
-    red = np.zeros((n, r, c), dtype=np.int64)
+    red = np.zeros((n, r, c), dtype=dtype)
+    every = np.arange(n)
     step = max(1, 2**14 // max(1, top * c))
     for lo in range(0, n, step):
-        at = every[lo : lo + step, None]
-        red[lo : lo + step, :top] = m[order[lo : lo + step], :, at]
-    rank = (lead < c).sum(axis=0, dtype=np.int64)
-    return red.reshape(shape), rank.reshape(shape[:-2])
+        red[lo : lo + step, :top] = m[order[lo : lo + step], :, every[lo : lo + step, None]]
+    return red
+
+
+def _rref_stack(a, p: int):
+    """Canonical reduced row-echelon forms of a stack of matrices over Z_p.
+
+    a has shape (..., r, c); returns (rref, rank) as int64 arrays, rank of
+    shape (...,), and the rows below the rank are zero.  The input is
+    reduced mod p only if some entry lies outside [0, p), and the caller's
+    array is never written.
+    """
+    shape = np.shape(a)
+    m = _stack_last(a, p)
+    lead = _eliminate(m, p)
+    rank = (lead < shape[-1]).sum(axis=0, dtype=np.int64)
+    return _pivot_rows(m, lead, np.int64).reshape(shape), rank.reshape(shape[:-2])
+
+
+def _kernel_rows(m: np.ndarray, lead: np.ndarray, p: int):
+    """Left kernels {b : b @ M == 0} read off a (c, r, n) stack that
+    _eliminate reduced, each matrix M.T with its columns, the coordinates of
+    b, reversed.  Returns (basis, free), (n, r, r) in m's dtype and (n, r).
+
+    Read backwards, the null vector of a free column f is 1 at f, 0 at the
+    other free columns, and minus row i's entry f at the pivot column of
+    each pivot row i.  In the original order it leads with a 1 and is 0 at
+    the other free coordinates: these vectors are the rref basis.  Each
+    stays in the row of its leading coordinate j, marked by free[:, j]; the
+    other rows are zero, so basis[t][free[t]] is the rref basis of M_t."""
+    c, r, n = m.shape
+    every = np.arange(n)
+    # Each pivot row moves to the row of its pivot column; row r takes the rest.
+    null = np.zeros((r + 1, r, n), dtype=m.dtype)
+    null[lead, :, every] = m.transpose(0, 2, 1)
+    null = null[:r]
+    np.subtract(p, null, out=null, where=null != 0)
+    free = np.ones((r + 1, n), dtype=bool)
+    free[lead, every] = False
+    free = free[:r]
+    # Transposed, null is now 1 at each free column f and 0 at each pivot column.
+    null[np.arange(r), np.arange(r)] = free
+    return null.transpose(2, 1, 0)[:, ::-1, ::-1], free.T[:, ::-1]
 
 
 def _left_kernel_stack(a, p: int):
-    """Left kernels {b : b @ M == 0} of a stack of (..., r, c) matrices M.
-
-    Returns (basis, free) of shapes (..., r, r) and (..., r): free marks the
-    last r - rank(M) rows of basis, which are the canonical rref basis of
-    the left kernel; the other rows are zero.
-
-    b @ M == 0 iff M.T @ b == 0, so one elimination of the transposes, with
-    the coordinates of b in reverse order, takes r column steps.  Read
-    backwards, the null vector of a free column f is 1 at f, 0 at the other
-    free columns and nonzero elsewhere only at pivot columns left of f.  In
-    the original order it therefore leads with a 1 at f and is 0 at every
-    other free column: sorted by f, these vectors are the rref basis.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    shape = a.shape
-    r, c = shape[-2:]
-    red, rank = _rref_stack(np.swapaxes(a, -1, -2)[..., ::-1], p)
-    n = math.prod(shape[:-2])
-    red, rank = red.reshape(n, c, r), rank.reshape(n)
-    # Pivot rows i < rank: column lead[i] of reversed vector f gets -red[i, f].
-    at, i = np.nonzero(np.arange(c) < rank[:, None])
-    lead = (red[at, i] != 0).argmax(axis=1) if at.size else at
-    null = np.zeros((n, r, r), dtype=np.int64)
-    null[at, :, lead] = -red[at, i] % p
-    free = np.ones((n, r), dtype=bool)
-    free[at, lead] = False
-    null *= free[:, :, None]
-    null[:, np.arange(r), np.arange(r)] = free
-    # Original order: reverse rows and columns, then move the free rows last.
-    null, free = null[:, ::-1, ::-1], free[:, ::-1]
-    order = np.argsort(free, axis=1, kind="stable")
-    basis = np.take_along_axis(null, order[:, :, None], axis=1)
-    free = np.take_along_axis(free, order, axis=1)
-    return basis.reshape(shape[:-1] + (r,)), free.reshape(shape[:-1])
+    """Left kernels {b : b @ M == 0} of a stack of (..., r, c) matrices M,
+    as _kernel_rows lays them out: (basis, free) of shapes (..., r, r) and
+    (..., r).  b @ M == 0 iff M.T @ b == 0, so one elimination of the
+    transposes, with the coordinates of b reversed, takes r column steps."""
+    shape = np.shape(a)
+    m = _stack_last(np.swapaxes(a, -1, -2)[..., ::-1], p)
+    basis, free = _kernel_rows(m, _eliminate(m, p), p)
+    return basis.reshape(shape[:-1] + shape[-2:-1]), free.reshape(shape[:-1])
 
 
 def _grid(orders) -> np.ndarray:

@@ -26,7 +26,7 @@ cosets mod R^2, each of size (p-1) * p^s, with adjacency decided by any two
 class representatives.
 
 compressed_graph finds that adjacency by a kernel walk rather than by
-testing all pairs: fpcore's batched elimination gives, for every class
+testing all pairs: fpcore's elimination loop gives, for every class
 representative a, the kernel of b -> a*b, and the projective points of that
 kernel are the classes joined to a.  The all-pairs zero-product kernel
 remains for explicit graphs, and tests use it as the reference for the walk.
@@ -36,11 +36,13 @@ coordinates and kernel dimension k:
 
 * compressed_graph: time c * (m*m*t + m*p^k), one matmul and m elimination
   steps per block of classes plus the kernel points; memory about
-  b*m*m + 9*m + 49 bytes per class, with the kernel bases held in the
-  narrowest unsigned dtype of b bytes that holds p - 1 (b = 1 for
-  p <= 256), equal classes sharing one (mult, clique) tuple, plus the
-  pairs and fixed blocks (_walk_bytes, checked against _GRAPH_BYTES before
-  anything is allocated).
+  b*m*m + 9*m + 49 bytes per class (the kernel bases in the narrowest
+  unsigned dtype of b bytes that holds p - 1, b = 1 for p <= 256), plus
+  the pairs and one block: about 13 bytes per entry of the walk's int16
+  stack at p = 13, 36 per entry of the pair walk's int64 points
+  (_walk_bytes, checked against _GRAPH_BYTES before anything is
+  allocated; tracemalloc peaks 1.6-3.3 MB at p = 5 and 45-78 MB at p = 13,
+  against 235 and 291 MB estimated).
 * blowup_isomorphic and fingerprint: time and memory linear in c plus the
   cross pairs.  _twin_quotient groups the classes into collapse_twins' first
   round directly; only that quotient, one vertex per twin group, gets bit
@@ -58,7 +60,7 @@ import numpy as np
 
 from .algebra import SCAlgebra, _two_step_core
 from .errors import CapExceeded
-from .fpcore import _exact_dtype, _grid, _left_kernel_stack, _projective_reps
+from .fpcore import _eliminate, _exact_dtype, _grid, _kernel_rows, _matmul_mod, _projective_reps, _quadratic
 from .isomorph import (
     _BLOCK,
     _SEARCH_BUDGET,
@@ -273,27 +275,39 @@ def _check_simple(packed: np.ndarray):
             raise ValueError("adjacency must be symmetric")
 
 
-def _zero_rows(block: np.ndarray, table: np.ndarray, mods: np.ndarray, right: np.ndarray, top: int):
+def _row_buffers(rows: int, k: int, n: int, dtype):
+    """Scratch for _zero_rows on up to `rows` rows, k reached coordinates
+    and n elements, made once per kernel call (fresh blocks of this size
+    can each be mapped by malloc, a page fault per page): the products in
+    dtype, their integers (an int32 copy of float32) and quotients."""
+    prods = np.empty((rows * k, n), dtype=dtype)
+    ints = prods if prods.dtype == np.int64 else np.empty(prods.shape, dtype=np.int32)
+    return prods, ints, np.empty((rows, n), dtype=ints.dtype)
+
+
+def _zero_rows(block: np.ndarray, table: np.ndarray, mods: np.ndarray, right: np.ndarray, top: int, bufs):
     """Boolean rows Z[a, b] iff a * b == 0 for the rows a of block and the
-    columns b of right (the elements, transposed, in the product dtype).
-    Every coordinate, table entry and modulus is below top; ValueError
-    unless right's dtype keeps the sums of products exact."""
+    columns b of right (the elements, transposed, in the product dtype),
+    computed in the _row_buffers bufs.  Every coordinate, table entry and
+    modulus is below top; ValueError unless right's dtype keeps the sums of
+    products exact."""
     r, d = block.shape
     _exact_dtype(d, top, (right.dtype,))
     k = mods.size
     left = np.tensordot(block, table, axes=(1, 0)).transpose(0, 2, 1) % mods[:, None]
-    prods = left.reshape(r * k, d).astype(right.dtype) @ right
+    prods, ints, q = bufs[0][: r * k], bufs[1][: r * k], bufs[2][:r]
+    np.matmul(left.reshape(r * k, d).astype(right.dtype), right, out=prods)
     if prods.dtype == np.float32:
-        prods = prods.astype(np.int32)  # exact integers below 2**24
-    prods = prods.reshape(r, k, -1)
+        np.copyto(ints, prods, casting="unsafe")  # exact integers below 2**24
+    ints = ints.reshape(r, k, -1)
     # Floor division by one scalar modulus is several times faster than a
     # broadcast remainder.
     for i, mod in enumerate(mods.tolist()):
-        col = prods[:, i]
-        q = col // mod
+        col = ints[:, i]
+        np.floor_divide(col, mod, out=q)
         q *= mod
         col -= q
-    return ~prods.any(axis=1)
+    return ~ints.any(axis=1)
 
 
 def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
@@ -303,11 +317,11 @@ def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
     additive orders of a TableRing).  Only the k output coordinates the
     table reaches are contracted.  A block of r rows costs one
     (r*k, d) @ (d, n) matmul, whose exact integer products are reduced in
-    place mod each coordinate's order; every temporary holds at most about
-    _PRODUCT_BLOCK entries.  With M the largest of the reached orders and of
-    max |vec| + 1, every sum is below d * (M - 1)**2: the matmul runs in
-    float32 when that is under 2**24, in int64 when it is under 2**63, and
-    raises ValueError otherwise.
+    place mod each coordinate's order; every buffer holds at most about
+    _PRODUCT_BLOCK entries and is reused from block to block.  With M the
+    largest of the reached orders and of max |vec| + 1, every sum is below
+    d * (M - 1)**2: the matmul runs in float32 when that is under 2**24, in
+    int64 when it is under 2**63, and raises ValueError otherwise.
     """
     n, d = vecs.shape
     mods = np.broadcast_to(np.asarray(p, dtype=np.int64), table.shape[2:])
@@ -320,8 +334,9 @@ def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
     top = max(int(mods.max()), int(np.abs(vecs).max()) + 1)
     right = vecs.T.astype(_exact_dtype(d, top, (np.float32, np.int64)))
     step = max(1, _PRODUCT_BLOCK // (mods.size * n))
+    bufs = _row_buffers(min(step, n), mods.size, n, right.dtype)
     for lo in range(0, n, step):
-        zero[lo : lo + step] = _zero_rows(vecs[lo : lo + step], table, mods, right, top)
+        zero[lo : lo + step] = _zero_rows(vecs[lo : lo + step], table, mods, right, top, bufs)
     return zero
 
 
@@ -380,16 +395,18 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     the degree-1 complement (dimension m), the map b -> a*b of its
     representative a is an m x t matrix, where t counts the output
     coordinates that products of complement vectors reach; a block of
-    representatives gets its matrices from one matmul with the product
-    table.  The left kernels of all c matrices come from fpcore's batched
-    elimination; every projective point b of the kernel of a gives the
-    adjacent class pair {a, b}.  Walking b -> a*b for every a finds each
-    pair with a*b = 0 or b*a = 0, so the right products need no walk of
-    their own.  A class is a clique when a*a = 0.  Time grows with
-    c * (m*m*t + m*p^k) for kernel dimension k; no c x c array is built.
-    Raises CapExceeded before any array is built when c exceeds class_cap
-    or the walk's estimated peak (_walk_bytes) exceeds _GRAPH_BYTES, and
-    before the pair walk when its kernel points exceed KERNEL_POINT_CAP.
+    representatives gets its matrices, transposed and held matrices-last,
+    from one exact matmul with the product table, and a second gives every
+    a*a.  fpcore's elimination loop reduces the block in place and the left
+    kernels are read off its pivot rows; every projective point b of the
+    kernel of a gives the adjacent class pair {a, b}.  Walking b -> a*b for
+    every a finds each pair with a*b = 0 or b*a = 0, so the right products
+    need no walk of their own.  A class is a clique when a*a = 0.  Time
+    grows with c * (m*m*t + m*p^k) for kernel dimension k; no c x c array
+    is built.  Raises CapExceeded before any array is built when c exceeds
+    class_cap or the walk's estimated peak (_walk_bytes) exceeds
+    _GRAPH_BYTES, and before the pair walk when its kernel points exceed
+    KERNEL_POINT_CAP.
     """
     algebra = getattr(source, "algebra", source)
     if not isinstance(algebra, SCAlgebra):
@@ -409,17 +426,19 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     if need > _GRAPH_BYTES:
         raise CapExceeded(f"kernel walk needs about {need} bytes, cap is {_GRAPH_BYTES}")
     reps = _projective_reps(p, m)
-    dtype = _exact_dtype(m, p, (np.float32, np.int64))
-    table = prod.reshape(m, m * t).astype(dtype)
+    # weights[k*m + f, i] = prod[i, m-1-f, k], so weights @ a.T holds, per
+    # representative a, the matrix of b -> a*b transposed with its columns
+    # reversed: the matrices-last stack _kernel_rows reads kernels from.
+    weights = prod[:, ::-1].transpose(2, 1, 0).reshape(t * m, m)
     clique = np.empty(c, dtype=bool)
     kern = np.empty((c, m, m), dtype=_kernel_dtype(p))
     free = np.empty((c, m), dtype=bool)
     step = max(1, _BLOCK // (m * (t + m)))
     for lo in range(0, c, step):
         a = reps[lo : lo + step]
-        left = (a.astype(dtype) @ table).astype(np.int64).reshape(len(a), m, t) % p
-        clique[lo : lo + step] = ~(np.einsum("aj,ajk->ak", a, left) % p).any(axis=1)
-        kern[lo : lo + step], free[lo : lo + step] = _left_kernel_stack(left, p)
+        stack = _matmul_mod(weights, a.T, p).reshape(t, m, len(a))
+        clique[lo : lo + step] = ~_quadratic(a, prod, p).any(axis=1)
+        kern[lo : lo + step], free[lo : lo + step] = _kernel_rows(stack, _eliminate(stack, p), p)
     points = int(((p ** free.sum(axis=1) - 1) // (p - 1)).sum())
     if points > KERNEL_POINT_CAP:
         raise CapExceeded(f"{points} kernel points exceed cap {KERNEL_POINT_CAP}")
@@ -436,12 +455,12 @@ def _kernel_dtype(p: int):
 
 def _walk_bytes(c: int, m: int, p: int) -> int:
     """Upper estimate of compressed_graph's peak bytes for c classes of an
-    m-dimensional complement: per class its representative, its kernel
-    basis in _kernel_dtype(p), its flags, the kernel dimension and point
-    count read off them, and three references to its (mult, clique) tuple
-    while BlowupGraph builds its classes; at most KERNEL_POINT_CAP pairs,
-    each held a few times over while BlowupGraph sorts them; and the blocks
-    of the walk."""
+    m-dimensional complement: per class its int64 representative, its
+    kernel basis in _kernel_dtype(p), its flags, the kernel dimension and
+    point count read off them, and three references to its (mult, clique)
+    tuple while BlowupGraph builds its classes; at most KERNEL_POINT_CAP
+    pairs, each held a few times over while BlowupGraph sorts them; and one
+    block of the walk or of the pair walk."""
     per_class = 8 * m + _kernel_dtype(p).itemsize * m * m + m + 1 + 3 * 8 + 3 * 8
     return c * per_class + 64 * KERNEL_POINT_CAP + 96 * _BLOCK
 

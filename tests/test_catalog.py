@@ -23,7 +23,7 @@ from zdgforge.catalog import (
     wedge_pairs,
 )
 from zdgforge.errors import CapExceeded, RingAxiomViolation
-from zdgforge.fpcore import PrimeField, Subspace
+from zdgforge.fpcore import PrimeField, Subspace, _work_dtype
 from zdgforge.identities import holds, parse
 
 F2 = PrimeField(2)
@@ -117,7 +117,7 @@ def test_enumerate_subspaces_matches_reference_generator(dim, r):
     assert len(reference) == len(pool)
     assert all(np.array_equal(a, b) for a, b in zip(pool, reference))
     # Each row is its own rref, so its bytes are its key.
-    assert [rows.tobytes() for rows in pool] == _keys(pool)
+    assert [rows.tobytes() for rows in pool] == _keys(np.moveaxis(pool, 0, -1).astype(_work_dtype(2)))
 
 
 def test_census_to_order_128():

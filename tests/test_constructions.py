@@ -305,8 +305,8 @@ def test_annihilator_exhaustive_across_small_blocks(monkeypatch):
     # Blocks of five vectors of r x n = 14 x 6 entries: 63 vectors end in a partial block.
     monkeypatch.setattr(constructions, "_BLOCK", 5 * 14 * 6)
     sizes = []
-    rref = constructions._rref_stack
-    monkeypatch.setattr(constructions, "_rref_stack", lambda a, p: sizes.append(len(a)) or rref(a, p))
+    eliminate = constructions._eliminate
+    monkeypatch.setattr(constructions, "_eliminate", lambda m, p: sizes.append(m.shape[-1]) or eliminate(m, p))
     assert annihilator_exhaustive("A1", 2) == (True, 63)
     assert sizes == [5] * 12 + [3]
 
@@ -327,6 +327,9 @@ def _annihilator_reference(variant, p, n=6, projective=False):
         [np.einsum("bj,ijk->bik", a, table), np.einsum("bj,jik->bik", a, table)], axis=2
     )
     basis, free = _left_kernel_stack(right_left, p)
+    # The kernel rows stay at the coordinate they lead at; move them last, in order.
+    order = np.argsort(free, axis=1, kind="stable")
+    basis, free = np.take_along_axis(basis, order[:, :, None], axis=1), np.take_along_axis(free, order, axis=1)
     expected = np.broadcast_to(square, (len(a),) + square.shape)
     if kind == constructions.ALTERNATING:
         expected = _rref_stack(np.concatenate([expected, a[:, None, :]], axis=1), p)[0]
@@ -385,11 +388,12 @@ def _with_core(pres, core):
 
 
 def _spy_stack_shapes(monkeypatch):
-    """Record the (r, n) shape of every stack annihilator_exhaustive eliminates."""
+    """Record the (r, n) shape of every matrix of the matrices-last stacks
+    annihilator_exhaustive eliminates."""
     shapes = set()
-    rref = constructions._rref_stack
+    eliminate = constructions._eliminate
     monkeypatch.setattr(
-        constructions, "_rref_stack", lambda a, p: shapes.add(a.shape[1:]) or rref(a, p)
+        constructions, "_eliminate", lambda m, p: shapes.add(m.shape[:2]) or eliminate(m, p)
     )
     return shapes
 

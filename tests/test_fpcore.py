@@ -9,9 +9,14 @@ from zdgforge.fpcore import (
     FpMatrix,
     PrimeField,
     Subspace,
+    _eliminate,
     _exact_dtype,
     _left_kernel_stack,
+    _matmul_mod,
+    _quadratic,
     _rref_stack,
+    _stack_last,
+    _work_dtype,
     is_invertible,
     kernel,
     rref,
@@ -241,6 +246,21 @@ def test_left_kernel_rows_annihilate(stack):
         assert np.array_equal(reference_rref(k, p)[0], k)
 
 
+def _kernel_rows_last(basis, free):
+    """The kernel rows of _left_kernel_stack, which stay at the coordinate
+    they lead at, moved last in order, as rref([M | I]) holds them.  Checks
+    first that each marked row leads with 1 at its own coordinate and that
+    every other row is zero."""
+    r = free.shape[-1]
+    assert basis.shape == free.shape + (r,)
+    assert not basis[~free].any()
+    at = np.nonzero(free)[-1]
+    rows = basis[free]
+    assert np.array_equal((rows != 0).argmax(axis=-1), at) and (rows[np.arange(len(at)), at] == 1).all()
+    order = np.argsort(free, axis=-1, kind="stable")
+    return np.take_along_axis(basis, order[..., None], axis=-2), np.take_along_axis(free, order, axis=-1)
+
+
 def _left_kernel_reference(a, p):
     """The left kernels as the right block of rref([M | I]), read off the
     rows whose left block is zero: the elimination _left_kernel_stack
@@ -259,7 +279,7 @@ def test_left_kernel_matches_identity_block_reference(p):
         # M = X @ Y through a rank-k space, so kernels of dimension r - k or more.
         for k in range(0, min(r, c) + 1):
             a = rng.integers(0, p, (30, r, k)) @ rng.integers(0, p, (30, k, c)) % p
-            basis, free = _left_kernel_stack(a, p)
+            basis, free = _kernel_rows_last(*_left_kernel_stack(a, p))
             ref_basis, ref_free = _left_kernel_reference(a, p)
             assert np.array_equal(free, ref_free)
             assert np.array_equal(basis, np.where(free[..., None], ref_basis, 0))
@@ -287,6 +307,51 @@ def test_exact_dtype_bounds():
         _exact_dtype(4, 2049, (np.float32,))
     # Python ints always fit.
     assert _exact_dtype(2**63, 2, (np.int64, object)) is object
+
+
+def test_work_dtype_switches_where_int16_stops_being_exact():
+    # (p - 1)**2 + p: 32581 at p = 181, 36291 at p = 191 (no prime between).
+    assert (181 - 1) ** 2 + 181 < 2**15 <= (191 - 1) ** 2 + 191
+    assert _work_dtype(2) is _work_dtype(181) is np.int16
+    assert _work_dtype(191) is _work_dtype(32749) is np.int32
+    with pytest.raises(ValueError, match="2\\*\\*15"):
+        _work_dtype(2**15 + 3)
+    for p in (181, 191):
+        assert _stack_last(np.eye(3, dtype=np.int64), p).dtype == _work_dtype(p)
+    # The loop refuses a stack in any other dtype rather than risk a wrap.
+    with pytest.raises(AssertionError):
+        _eliminate(np.zeros((2, 2, 1), dtype=np.int16), 191)
+    with pytest.raises(AssertionError):
+        _eliminate(np.zeros((2, 2, 1), dtype=np.int32), 181)
+
+
+def test_matmul_exactness_bounds():
+    # The reduction dtype: 2 * 127**2 < 2**15 = 2 * 128**2.
+    dtypes = (np.int16, np.int32, np.int64)
+    assert _exact_dtype(2, 128, dtypes) is np.int16
+    assert _exact_dtype(2, 129, dtypes) is np.int32
+    assert _exact_dtype(2, 46341, dtypes) is np.int64  # 2 * 46340**2 >= 2**31
+    assert _exact_dtype(1, 46341, dtypes) is np.int32
+    # float32 to 2**24 and its int64 fallback, both exact at the largest entries.
+    assert _exact_dtype(4, 2039, (np.float32, np.int64)) is np.float32
+    assert _exact_dtype(4, 2053, (np.float32, np.int64)) is np.int64
+    for p in (2039, 2053, 32749):
+        a = np.full((3, 4), p - 1, dtype=np.int64)
+        got = _matmul_mod(a, a.T, p)
+        assert got.dtype == _work_dtype(p)
+        assert got.tolist() == [[4 * (p - 1) ** 2 % p] * 3] * 3
+    # Three factors: a's entries are products of two residues.
+    p = 32749
+    alpha = np.array([[p - 1, p - 2, 1]], dtype=np.int64)
+    forms = np.full((3, 3, 2), p - 1, dtype=np.int64)
+    want = [int(sum(x * y * (p - 1) for x in alpha[0].tolist() for y in alpha[0].tolist())) % p] * 2
+    assert _quadratic(alpha, forms, p).tolist() == [want]
+    # Past int64 the matmul refuses before it runs: terms * (p - 1)**3 >= 2**63.
+    terms = 2**63 // (p - 1) ** 3 + 1
+    with pytest.raises(ValueError, match="int64"):
+        _matmul_mod(np.ones((1, terms), dtype=np.int64), np.ones((terms, 1), dtype=np.int64), p, factors=3)
+    with pytest.raises(ValueError, match="int64"):
+        _exact_dtype(terms, p, dtypes, factors=3)
 
 
 def test_elimination_refuses_moduli_past_int32_exactness():
@@ -338,14 +403,16 @@ def _rref_stack_reference(a, p):
     return m.astype(np.int64).reshape(shape), rank.reshape(shape[:-2])
 
 
-CORE_PRIMES = [2, 3, 5, 7, 13, 32749]
+# The last two straddle the work-dtype switch: int16 up to 181, int32 from 191.
+CORE_PRIMES = [2, 3, 5, 7, 13, 32749, 181, 191]
 
 
 def _seeded_stacks():
-    """Stacks of every kind the elimination meets, four per (prime, shape)
-    and 312 in all: uniform residues, a rank-deficient product with zero
-    columns, unreduced int64 entries beyond int32, and residues moved a few
-    multiples of p, some of them below zero."""
+    """Stacks of every kind the elimination meets, four per (prime, shape):
+    uniform residues, a rank-deficient product with zero columns, unreduced
+    int64 entries beyond int32, and residues moved a few multiples of p,
+    some of them below zero; and at the two primes around the work-dtype
+    switch, a stack of the largest intermediates."""
     shapes = [(0, 3, 4), (1, 1, 1), (1, 4, 6), (1, 6, 4), (5, 1, 7), (5, 7, 1),
               (8, 3, 5), (8, 5, 3), (4, 6, 6), (2, 3, 20, 6), (30, 6, 20), (40, 14, 6),
               (1, 0, 3)]
@@ -362,6 +429,13 @@ def _seeded_stacks():
             yield p, low
             yield p, rng.integers(-(2**40), 2**40, shape)
             yield p, rng.integers(0, p, shape) - p * rng.integers(-3, 4, shape)
+    # Entries p - 1 off a unit diagonal: column steps subtract (p - 1)**2
+    # from p - 1, the extreme the work-dtype rule allows for.
+    for p in (181, 191):
+        a = np.full((3, 4, 4), p - 1, dtype=np.int64)
+        a[:, np.arange(4), np.arange(4)] = 1
+        a[1] = np.triu(a[1])
+        yield p, a
 
 
 SEEDED_STACKS = list(_seeded_stacks())
@@ -401,14 +475,14 @@ def test_rref_stack_never_writes_its_input(dtype, shape):
     assert not np.shares_memory(red, a)
 
 
-@pytest.mark.parametrize("p", [7, 13, 32749])
+@pytest.mark.parametrize("p", [7, 13, 181, 191, 32749])
 def test_left_kernel_matches_reference_at_every_dimension(p):
     rng = np.random.default_rng(p)
     for r, c in [(1, 1), (1, 4), (4, 1), (5, 3), (6, 6), (6, 20)]:
         dims = set()
         for k in range(0, min(r, c) + 1):
             a = rng.integers(0, p, (12, r, k)) @ rng.integers(0, p, (12, k, c)) % p
-            basis, free = _left_kernel_stack(a, p)
+            basis, free = _kernel_rows_last(*_left_kernel_stack(a, p))
             eye = np.broadcast_to(np.eye(r, dtype=np.int64), a.shape[:-1] + (r,))
             red, _ = _rref_stack_reference(np.concatenate([a, eye], axis=-1), p)
             ref_free = ~red[..., :c].any(axis=-1)

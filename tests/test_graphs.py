@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zdgforge import graphs
 from zdgforge.algebra import SCAlgebra, _two_step_core, direct_sum, field_algebra, zero_mul_algebra
 from zdgforge.catalog import enumerate_variety_rings
-from zdgforge.constructions import construct, free_m1
+from zdgforge.constructions import construct, free_m1, free_m2
 from zdgforge.errors import CapExceeded
 from zdgforge.fpcore import PrimeField, _grid
 from zdgforge.graphs import (
@@ -163,7 +163,7 @@ def test_two_step_core_matches_brute_force(p):
         assert np.array_equal(core, want_core) and core.dtype == np.int64
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_compressed_matches_all_pairs_reference(p):
     rng = np.random.default_rng(20260810 + p)
     algebras = [_random_two_step(rng, p) for _ in range(30)]
@@ -174,6 +174,25 @@ def test_compressed_matches_all_pairs_reference(p):
         assert got == _all_pairs_reference(algebra), algebra.table.tolist()
         cross += len(got["cross"])
     assert cross > 0
+
+
+def test_compressed_matches_all_pairs_reference_in_int32():
+    # From p = 191 on the elimination works in int32.  Two generators keep
+    # the all-pairs reference to p + 1 = 192 classes.
+    p = 191
+    rng = np.random.default_rng(20261019)
+    algebras = [free_m1(p, 2).algebra, free_m2(p, 2).algebra, zero_mul_algebra(p, 2)]
+    for s in (1, 1, 2, 3):
+        table = np.zeros((2 + s,) * 3, dtype=np.int64)
+        table[:2, :2, 2:] = rng.integers(0, p, (2, 2, s)) * (rng.random((2, 2, s)) < 0.6)
+        algebras.append(SCAlgebra(PrimeField(p), table))
+    cross, cliques = 0, set()
+    for algebra in algebras:
+        got = compressed_graph(algebra).to_json()
+        assert got == _all_pairs_reference(algebra), algebra.table.tolist()
+        cross += len(got["cross"])
+        cliques.update(c["clique"] for c in got["classes"])
+    assert cross > 0 and cliques == {False, True}
 
 
 def test_compressed_builds_no_pair_matrix(monkeypatch):
@@ -614,9 +633,9 @@ def test_zero_product_kernel_matches_reference(monkeypatch):
     dtypes = []
     real = graphs._zero_rows
 
-    def record(block, table, mods, right, top):
+    def record(block, table, mods, right, top, bufs):
         dtypes.append(right.dtype)
-        return real(block, table, mods, right, top)
+        return real(block, table, mods, right, top, bufs)
 
     monkeypatch.setattr(graphs, "_zero_rows", record)
     cases = _kernel_battery()
@@ -654,6 +673,21 @@ def test_zero_product_kernel_row_blocks(monkeypatch):
     assert np.array_equal(got, _reference_zero_product_matrix(vecs, ring.table, ring.orders))
 
 
+def test_zero_product_kernel_reuses_one_set_of_buffers(monkeypatch):
+    # 728 elements, three reached coordinates, blocks of 50 rows: 15 blocks.
+    ring = free_m1(3, 3).algebra
+    vecs = _grid(ring.orders)[1:]
+    made, seen = [], []
+    real_buffers, real_rows = graphs._row_buffers, graphs._zero_rows
+    monkeypatch.setattr(graphs, "_row_buffers", lambda *args: made.append(args) or real_buffers(*args))
+    monkeypatch.setattr(graphs, "_zero_rows", lambda *args: seen.append(args[-1]) or real_rows(*args))
+    monkeypatch.setattr(graphs, "_PRODUCT_BLOCK", 3 * len(vecs) * 50)
+    got = graphs._zero_product_matrix(vecs, ring.table, 3)
+    assert made == [(50, 3, 728, np.float32)]
+    assert len(seen) == 15 and all(bufs is seen[0] for bufs in seen)
+    assert np.array_equal(got, _reference_zero_product_matrix(vecs, ring.table, 3))
+
+
 def test_zero_product_exactness_bounds():
     # int64: one coordinate, sums of one product below top**2.
     top = 3037000500
@@ -677,10 +711,12 @@ def test_zero_product_exactness_bounds():
         t = top - 1
         elems = np.array([[t] * 4, [0, 1, 2, 3], [0, 0, 0, 0], [t, 0, 0, 0]], dtype=np.int64)
         expected = [[a[0] * sum(b) % top == 0 for b in elems.tolist()] for a in elems.tolist()]
-        got = graphs._zero_rows(elems, table, np.array([top]), elems.T.astype(dtype), top)
+        bufs = graphs._row_buffers(4, 1, 4, dtype)
+        got = graphs._zero_rows(elems, table, np.array([top]), elems.T.astype(dtype), top, bufs)
         assert got.tolist() == expected
     with pytest.raises(ValueError, match="float32"):
-        graphs._zero_rows(elems, table, np.array([2049]), elems.T.astype(np.float32), 2049)
+        bufs = graphs._row_buffers(4, 1, 4, np.float32)
+        graphs._zero_rows(elems, table, np.array([2049]), elems.T.astype(np.float32), 2049, bufs)
 
 
 def test_explicit_graph_refuses_before_allocating(monkeypatch):
