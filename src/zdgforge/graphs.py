@@ -28,8 +28,10 @@ class representatives.
 compressed_graph finds that adjacency by a kernel walk rather than by
 testing all pairs: fpcore's elimination loop gives, for every class
 representative a, the kernel of b -> a*b, and the projective points of that
-kernel are the classes joined to a.  The all-pairs zero-product kernel
-remains for explicit graphs, and tests use it as the reference for the walk.
+kernel are the classes joined to a.  explicit_graph is the only caller of
+the all-pairs zero-product kernel in the package; the product criterion in
+constructions counts kernel dimensions the same way instead, and tests use
+the kernel as the all-pairs reference for the walk.
 
 Cost model, for c classes of a complement of dimension m, t reached output
 coordinates and kernel dimension k:

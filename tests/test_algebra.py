@@ -14,9 +14,9 @@ from zdgforge.algebra import (
     quotient,
     zero_mul_algebra,
 )
-from zdgforge.constructions import construct, free_m1
+from zdgforge.constructions import construct, free_m1, free_m2
 from zdgforge.errors import AssociativityViolation, NotAnIdeal
-from zdgforge.fpcore import PrimeField, Subspace
+from zdgforge.fpcore import PrimeField, Subspace, _rref_stack
 
 F2 = PrimeField(2)
 
@@ -165,6 +165,29 @@ def test_square_ideal_is_two_sided_and_absorbs_products():
         x = a.element(rng.integers(0, 3, a.dim))
         y = a.element(rng.integers(0, 3, a.dim))
         assert sq.contains((x * y).coords)
+
+
+def _square_ideal_cases():
+    for variant, p in (("A1", 3), ("B1", 5), ("A2", 3), ("B2", 5)):
+        yield construct(variant, p).algebra
+    yield free_m1(3, 4).algebra
+    yield free_m2(5, 3).algebra
+    yield field_algebra(7)
+    yield zero_mul_algebra(3, 4)
+    rng = np.random.default_rng(20261020)
+    for _ in range(12):
+        p = int(rng.choice([2, 3, 5, 7]))
+        dim = int(rng.integers(1, 7))
+        # Mostly zero tables, so that many of the dim^2 products vanish.
+        table = rng.integers(0, p, (dim, dim, dim)) * (rng.random((dim, dim, 1)) < 0.3)
+        yield SCAlgebra(PrimeField(p), table, verify=False)
+
+
+def test_square_ideal_on_nonzero_rows_equals_rref_of_full_table():
+    for algebra in _square_ideal_cases():
+        d, p = algebra.dim, algebra.field.p
+        red, rank = _rref_stack(algebra.table.reshape(d * d, d), p)
+        assert np.array_equal(algebra.square_ideal().basis, red[:rank])
 
 
 def test_annihilator_contains_square_ideal_in_graded_algebras():

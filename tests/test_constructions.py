@@ -128,7 +128,10 @@ def test_product_criterion_matches_scalar_loop_p2():
             assert product_criterion("B1", 2, a, b) == expected
 
 
-@pytest.mark.parametrize("variant,p", [("A1", 2), ("B1", 2), ("A1", 3), ("B1", 3)])
+# At n = 6, N x N pair matrices would take 0.7 GB at p = 5 and 41 GB at p = 7.
+@pytest.mark.parametrize(
+    "variant,p", [("A1", 2), ("B1", 2), ("A1", 3), ("B1", 3), ("A1", 5), ("B1", 5), ("A2", 7)]
+)
 def test_product_criterion_exhaustive(variant, p):
     ok, pairs, mismatches = product_criterion_exhaustive(variant, p)
     assert ok
@@ -180,7 +183,7 @@ def _product_criterion_reference(variant, p, n=6):
 @pytest.mark.parametrize(
     "variant,p,n",
     [("A1", 2, 6), ("B1", 2, 6), ("A1", 3, 6), ("B1", 3, 6), ("A2", 3, 6), ("B2", 3, 6),
-     ("A1", 5, 4), ("A2", 5, 4)],
+     ("A1", 5, 4), ("A2", 5, 4), ("A1", 7, 4), ("A2", 7, 4)],
 )
 def test_product_criterion_exhaustive_matches_reference(variant, p, n):
     assert product_criterion_exhaustive(variant, p, n) == _product_criterion_reference(variant, p, n)
@@ -229,8 +232,11 @@ def test_product_criterion_exhaustive_refuses_before_building_vectors(monkeypatc
     monkeypatch.setattr(constructions, "construct", unreachable)
     with pytest.raises(CapExceeded):
         product_criterion_exhaustive("A1", 131, 4)
+    # The cap tracks the p**n x n vectors: n = 6 runs up to p = 13 and stops at 17.
+    assert constructions._criterion_bytes(13, 6) <= constructions._GRAPH_BYTES
+    assert constructions._criterion_bytes(17, 6) > constructions._GRAPH_BYTES
     with pytest.raises(CapExceeded):
-        product_criterion_exhaustive("A2", 7, 6)
+        product_criterion_exhaustive("A2", 17, 6)
 
 
 def test_relation_form_ranks():
@@ -594,6 +600,40 @@ def test_obstruction_replay_matches_per_sample_loop(p):
         assert counts == _obstruction_failures_loop(kind, mats, p)
         assert 0 < counts < len(mats)
     assert constructions._obstruction_failures(kinds[0], np.zeros((0, 6, 6), np.int64), p) == 0
+
+
+def _invertible_mod(m, p):
+    """Gaussian elimination in Python ints: whether m is invertible mod p."""
+    rows = [[int(x) % p for x in row] for row in m]
+    n = len(rows)
+    for j in range(n):
+        k = next((i for i in range(j, n) if rows[i][j]), None)
+        if k is None:
+            return False
+        rows[j], rows[k] = rows[k], rows[j]
+        inv = pow(rows[j][j], -1, p)
+        for i in range(j + 1, n):
+            f = rows[i][j] * inv
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[j])]
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sample_invertible_reads_the_stream_of_a_per_matrix_loop(p):
+    # Recorded --seed values must keep giving the same samples: one
+    # (k, n, n) draw per round equals k draws of one matrix each.
+    for n, count, seed in ((6, 300, p), (3, 50, 100 + p), (2, 40, 200 + p)):
+        rng = np.random.default_rng(seed)
+        got = constructions._sample_invertible(rng, p, n, count)
+        ref_rng = np.random.default_rng(seed)
+        expected = []
+        while len(expected) < count:
+            m = ref_rng.integers(0, p, size=(n, n), dtype=np.int64)
+            if _invertible_mod(m, p):
+                expected.append(m)
+        assert np.array_equal(got, np.array(expected))
+        # Both leave the generator at the same point of its stream.
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
 def test_noniso_certificate_diagnostic_same_variant():
