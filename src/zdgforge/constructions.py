@@ -313,11 +313,12 @@ def nonzero_vectors(p: int, n: int) -> np.ndarray:
 
 def _criterion_bytes(p: int, n: int) -> int:
     """Upper estimate of product_criterion_exhaustive's peak bytes: the
-    p**n x n int64 grid of nonzero_vectors, twice while its transposed copy
-    is made, and one block of the rank loop (_block_ranks: the float32 and
-    integer matmul copies, the work stack and the elimination's per-column
-    temporaries, a few times _BLOCK entries each)."""
-    return 16 * n * p**n + 64 * _BLOCK
+    (p**n - 1)/(p - 1) x n int64 projective representatives, twice while
+    _projective_reps joins its blocks, and one block of the rank loop
+    (_block_ranks: the float32 and integer matmul copies, the work stack
+    and the elimination's per-column temporaries, a few times _BLOCK
+    entries each)."""
+    return 16 * n * ((p**n - 1) // (p - 1)) + 64 * _BLOCK
 
 
 def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
@@ -332,15 +333,18 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
     case, so it contributes p**k - 1 mismatches.  In the anticommutative
     case it is the p - 1 nonzero multiples c*a, and a*(c*a) = c*(a*a) puts
     all of them in the zero set when a*a = 0 and none otherwise, which gives
-    p**k - 1 + (p - 1) - 2*(p - 1)*[a*a = 0].
+    p**k - 1 + (p - 1) - 2*(p - 1)*[a*a = 0].  Neither k nor [a*a = 0]
+    changes under a -> c*a, so the counts are summed over one
+    representative per scalar class (fpcore._projective_reps) and
+    multiplied by p - 1.
 
     The maps come from the degree-1 products that _graded_core checks and
-    returns: per block of vectors, one exact matmul stacks the (t, n)
-    matrices of b -> a*b matrices-last and fpcore._eliminate gives their
-    ranks (_block_ranks, shared with annihilator_exhaustive), and
-    fpcore._quadratic gives every a*a.  Time is linear in p**n, n
+    returns: per block of representatives, one exact matmul stacks the
+    (t, n) matrices of b -> a*b matrices-last and fpcore._eliminate gives
+    their ranks (_block_ranks, shared with annihilator_exhaustive), and
+    fpcore._quadratic gives every a*a.  Time is linear in p**(n-1), n
     elimination column steps per block of _BLOCK stack entries; memory is
-    the p**n x n int64 vectors plus one block, and no N x N array is built.
+    the representatives plus one block, and no N x N array is built.
     Raises CapExceeded, before any vector is built, when that estimate
     (_criterion_bytes) exceeds _GRAPH_BYTES.
     """
@@ -358,13 +362,13 @@ def product_criterion_exhaustive(variant: str, p: int, n: int = 6):
     # the (t, n) matrix of b -> a*b with one row per output coordinate.
     weights = core.transpose(2, 1, 0).reshape(-1, n)
     mismatches = 0
-    for _, a, rank in _block_ranks(weights, nonzero_vectors(p, n), p):
+    for _, a, rank in _block_ranks(weights, _projective_reps(p, n), p):
         miss = p ** (n - rank) - 1
         if kind == ALTERNATING:
             square_zero = ~_quadratic(a, core, p).any(axis=1)
             miss += (p - 1) * (1 - 2 * square_zero)
         mismatches += int(miss.sum())
-    return mismatches == 0, cnt * cnt, mismatches
+    return mismatches == 0, cnt * cnt, (p - 1) * mismatches
 
 
 def _block_ranks(weights: np.ndarray, vs: np.ndarray, p: int):

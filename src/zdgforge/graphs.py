@@ -8,15 +8,18 @@ two-sided zero divisors are vertices; there is no option to change that.
 
 explicit_graph reads every ring, TableRing or SCAlgebra, through the same
 dense view: additive orders per generator and an int64 product table.  The
-elements form the grid of those orders in lexicographic order, and one
-zero-product kernel decides every pair.  It contracts only the output
-coordinates the table reaches, a block of rows at a time: one matmul per
-block gives the integer products of the block's rows with every element,
-which are reduced in place mod each coordinate's order.  The products are
-exact in float32 while d * (max order - 1)**2 < 2**24 and in int64 while it
-stays below 2**63; past that the kernel raises ValueError.  explicit_graph
-estimates its peak bytes from the vertex count and raises CapExceeded before
-it allocates anything when they exceed _GRAPH_BYTES.
+elements form the grid of those orders in lexicographic order, and one of
+two kernels, chosen from the orders alone, decides every pair.  When every
+order is 2, _f2_rows reads each product coordinate as a bit and packs the
+zero rows directly, with no matmul and no n x n matrix.  Otherwise the
+all-pairs kernel contracts only the output coordinates the table reaches,
+a block of rows at a time: one matmul per block gives the integer products
+of the block's rows with every element, reduced in place mod each
+coordinate's order.  They are exact in float32 while
+d * (max order - 1)**2 < 2**24 and in int64 while it stays below 2**63;
+past that the kernel raises ValueError.  explicit_graph estimates the peak
+bytes of its kernel and raises CapExceeded before it allocates anything
+when they exceed _GRAPH_BYTES.
 
 For an algebra with R*R^2 = R^2*R = 0 and R^2 != 0 every element is a zero
 divisor and the graph is a clique blow-up: the p^s - 1 nonzero elements of
@@ -28,10 +31,10 @@ class representatives.
 compressed_graph finds that adjacency by a kernel walk rather than by
 testing all pairs: fpcore's elimination loop gives, for every class
 representative a, the kernel of b -> a*b, and the projective points of that
-kernel are the classes joined to a.  explicit_graph is the only caller of
-the all-pairs zero-product kernel in the package; the product criterion in
-constructions counts kernel dimensions the same way instead, and tests use
-the kernel as the all-pairs reference for the walk.
+kernel are the classes joined to a.  explicit_graph calls no elimination,
+so expand-vs-explicit checks the walk independently; it is the only caller
+of the all-pairs kernel in the package, and tests use that kernel as the
+reference for the walk and for the F_2 kernel.
 
 Cost model, for c classes of a complement of dimension m, t reached output
 coordinates and kernel dimension k:
@@ -50,6 +53,10 @@ coordinates and kernel dimension k:
   round directly; only that quotient, one vertex per twin group, gets bit
   rows.  The paper's blow-ups have no cross pairs and uniform flags, so
   their quotient has two vertices at every p.
+* explicit_graph, n elements, k reached coordinates: over F_2, n*k*n/8
+  byte operations per side (one side for a commutative table) and half
+  tables of 2^h + 2^(d-h) rows of n/8 bytes (h = d // 2; 2 MB each at
+  d = 16); otherwise n*n*k*d multiply-adds and an n x n boolean matrix.
 * expand and explicit_graph: n^2/8 bytes of bit rows for n vertices, as the
   explicit graph needs; both estimate their peak first.
 """
@@ -97,8 +104,9 @@ DEFAULT_ELEMENT_CAP = 2**16
 DEFAULT_ISO_CAP = 4096
 DEFAULT_CLASS_CAP = 2**19
 KERNEL_POINT_CAP = 2**21
-# Products per row block of the zero-product kernel; blocks that stay in
-# cache ran about twice as fast as 2**20 on free_m1(2, 4).
+# Products per row block of the all-pairs kernel, and bytes per row block
+# of the F_2 kernel; blocks that stay in cache ran about twice as fast as
+# 2**20 on free_m1(2, 4).
 _PRODUCT_BLOCK = 2**17
 # Largest estimated peak, in bytes, of one explicit graph.
 _GRAPH_BYTES = 2**31
@@ -133,17 +141,22 @@ class ZdGraph:
         full = (1 << n) - 1
         return cls(n, [full ^ (1 << v) for v in range(n)])
 
-    def edges(self):
-        """Pairs (v, u) with v < u, sorted, read off the packed rows a block
-        at a time."""
+    def _edge_blocks(self):
+        """Arrays (v, u) of the pairs v < u, sorted, read off the packed
+        rows a block of rows at a time."""
         n = self.n
         packed = _packed_rows(self.adj, n)
-        out = []
         step = max(1, _BLOCK // max(n, 1))
         for lo in range(0, n, step):
             bits = np.unpackbits(packed[lo : lo + step], axis=1, count=n, bitorder="little")
             v, u = np.nonzero(np.triu(bits, lo + 1))
-            out.extend(zip((v + lo).tolist(), u.tolist()))
+            yield v + lo, u
+
+    def edges(self):
+        """Pairs (v, u) with v < u, sorted."""
+        out = []
+        for v, u in self._edge_blocks():
+            out.extend(zip(v.tolist(), u.tolist()))
         return out
 
     @property
@@ -154,10 +167,15 @@ class ZdGraph:
         return tuple(sorted(a.bit_count() for a in self.adj))
 
     def export_edge_list(self) -> str:
-        """Plain text: "n m" header then sorted "u v" lines, 0-indexed."""
-        lines = [f"{self.n} {self.num_edges}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        """Plain text: "n m" header then sorted "u v" lines, 0-indexed.
+        Each block of edges is joined from per-vertex strings, "u " and
+        "v" plus a newline, made once and picked by index."""
+        n = self.n
+        words = np.array([f"{v} " for v in range(n)] + [f"{v}\n" for v in range(n)], dtype=object)
+        parts = [f"{n} {self.num_edges}\n"]
+        for v, u in self._edge_blocks():
+            parts.append("".join(words[np.stack([v, u + n], axis=1).ravel()].tolist()))
+        return "".join(parts)
 
     def __repr__(self):
         return f"ZdGraph(n={self.n}, m={self.num_edges})"
@@ -342,14 +360,79 @@ def _zero_product_matrix(vecs: np.ndarray, table: np.ndarray, p) -> np.ndarray:
     return zero
 
 
-def _explicit_bytes(n: int, d: int) -> int:
-    """Upper estimate of the peak bytes of an explicit graph on n candidate
-    vertices with d coordinates: the n x n boolean matrix and the bitmask
-    ints packed from it (ZdGraph's check, after the matrix is freed, holds
-    less), the element grid, its transpose and the labels, and the blocks of
-    the kernel and of the bit-row passes."""
+def _matmul_rows(vecs: np.ndarray, table: np.ndarray, orders) -> np.ndarray:
+    """Packed zero rows of the elements vecs from the all-pairs kernel, its
+    n x n matrix made symmetric in place a block of rows at a time."""
+    zero = _zero_product_matrix(vecs, table, orders)
+    step = max(1, _BLOCK // len(vecs))
+    for lo in range(0, len(vecs), step):
+        zero[lo : lo + step] |= zero[:, lo : lo + step].T
+    return np.packbits(zero, axis=1, bitorder="little")
+
+
+def _parity_rows(part: np.ndarray, bits: int) -> np.ndarray:
+    """Row x < 2**bits is parity(x & e) over the entries e of part, packed."""
+    par = np.zeros(1 << bits, dtype=np.uint8)
+    for i in range(bits):
+        par[1 << i : 2 << i] = par[: 1 << i] ^ 1
+    x = np.arange(1 << bits, dtype=part.dtype)[:, None]
+    return np.packbits(par[x & part], axis=1, bitorder="little")
+
+
+def _f2_rows(table: np.ndarray, d: int) -> np.ndarray:
+    """Packed zero rows of the 2**d - 1 nonzero elements of a ring whose d
+    additive orders are all 2.  Element e has coordinate j at bit d-1-j, and
+    b -> (a*b)_k, b -> (b*a)_k are d-bit forms L with value parity(L & b),
+    whose packed truth table is tt(L) = lo[L mod 2**h] ^ hi[L >> h] for the
+    half tables of h = d // 2 and d - h bits.  A row is
+    ~(OR_k tt(left forms)) | ~(OR_k tt(right forms)), built per block."""
+    n = (1 << d) - 1
+    table = table % 2
+    table = table[:, :, table.any(axis=(0, 1))]
+    w = 1 << np.arange(d - 1, -1, -1)
+    # Per side, the (k, n) forms of the nonzero elements: an element's form
+    # is the XOR of its generators'.
+    sides = []
+    for gens in (table.transpose(0, 2, 1) @ w, table.transpose(1, 2, 0) @ w):
+        forms = np.zeros((gens.shape[1], 1), dtype=np.intp)
+        for g in gens[::-1]:
+            forms = np.concatenate([forms, forms ^ g[:, None]], axis=1)
+        sides.append(forms[:, 1:])
+    if np.array_equal(*sides):  # commutative: one side decides
+        del sides[1]
+    h = d // 2
+    low = (1 << h) - 1
+    e = np.arange(1, n + 1, dtype=np.min_scalar_type(n))
+    lo_tab, hi_tab = _parity_rows(e & low, h), _parity_rows(e >> h, d - h)
+    rows = np.empty((n, lo_tab.shape[1]), dtype=np.uint8)
+    step = max(1, _PRODUCT_BLOCK // rows.shape[1])
+    for lo in range(0, n, step):
+        out = rows[lo : lo + step]
+        out[:] = 255
+        for forms in sides:
+            acc = np.zeros_like(out)
+            for f in forms[:, lo : lo + step]:
+                acc |= lo_tab[f & low] ^ hi_tab[f >> h]
+            out &= acc
+        np.invert(out, out=out)
+    if n % 8:
+        rows[:, -1] &= (1 << n % 8) - 1
+    return rows
+
+
+def _explicit_bytes(orders) -> int:
+    """Upper estimate of explicit_graph's peak bytes for the additive orders
+    (n candidate vertices, d coordinates): three copies of the packed rows
+    (the ints, and ZdGraph's bytes copy and join), the grid, labels and a
+    few blocks, plus the all-pairs kernel's n x n matrix or the F_2
+    kernel's forms (two (k, n) intp, k <= d, twice while built) and half
+    tables with their parity bits."""
+    d, n = len(orders), math.prod(orders) - 1
     width = (n + 7) // 8
-    return n * n + 2 * n * width + n * (200 + 64 * d) + 4 * _BLOCK
+    need = 3 * n * width + n * (200 + 64 * d) + 4 * _BLOCK
+    if set(orders) == {2}:
+        return need + 32 * d * (n + 1) + 4 * 2 ** (d - d // 2) * n + 4 * _PRODUCT_BLOCK
+    return need + n * n
 
 
 def explicit_graph(ring, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
@@ -357,35 +440,39 @@ def explicit_graph(ring, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
 
     Vertices are labelled by their coordinate tuples, in the lexicographic
     order of ring.elements().  Raises CapExceeded before allocating when the
-    ring has more than cap elements or the graph's estimated peak exceeds
-    _GRAPH_BYTES.  The zero-product matrix is the only n x n array: it is
-    made symmetric in place and packed into bitmask rows, a block of rows at
-    a time, and freed before ZdGraph checks the rows.
+    ring has more than cap elements or the graph's estimated peak
+    (_explicit_bytes) exceeds _GRAPH_BYTES.  The packed zero rows come from
+    _f2_rows when every additive order is 2, else from the all-pairs kernel.
+    A row with a bit set (the diagonal counts) is a vertex; the rows are
+    compacted to the vertices, become ints and are freed before ZdGraph's
+    check.
     """
     orders, table = _dense_view(ring)
     size = math.prod(orders)
     if size > cap:
         raise CapExceeded(f"ring has {size} elements, cap is {cap}")
-    need = _explicit_bytes(size - 1, len(orders))
+    need = _explicit_bytes(orders)
     if need > _GRAPH_BYTES:
         raise CapExceeded(f"explicit graph needs about {need} bytes, cap is {_GRAPH_BYTES}")
     vecs = _grid(orders)[1:]
-    if vecs.shape[0] == 0:
+    n = len(vecs)
+    if n == 0:
         return ZdGraph(0, [], ())
-    zero = _zero_product_matrix(vecs, table, orders)
-    step = max(1, _BLOCK // len(vecs))
-    for lo in range(0, len(vecs), step):
-        zero[lo : lo + step] |= zero[:, lo : lo + step].T
-    vertex_mask = zero.any(axis=1)
-    np.fill_diagonal(zero, False)
-    rows = np.flatnonzero(vertex_mask)
-    adj = []
-    for lo in range(0, rows.size, step):
-        packed = np.packbits(zero[np.ix_(rows[lo : lo + step], vertex_mask)], axis=1, bitorder="little")
-        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    del zero
-    labels = tuple(map(tuple, vecs[vertex_mask].tolist()))
-    return ZdGraph(len(adj), adj, labels)
+    rows = _f2_rows(table, len(orders)) if set(orders) == {2} else _matmul_rows(vecs, table, orders)
+    vertex = rows.any(axis=1)
+    v = np.arange(n)
+    rows[v, v >> 3] &= ~(1 << (v & 7)).astype(np.uint8)
+    if not vertex.all():
+        keep = np.flatnonzero(vertex)
+        packed = np.empty((keep.size, (keep.size + 7) // 8), dtype=np.uint8)
+        step = max(1, _BLOCK // n)
+        for lo in range(0, keep.size, step):
+            bits = np.unpackbits(rows[keep[lo : lo + step]], axis=1, count=n, bitorder="little")
+            packed[lo : lo + step] = np.packbits(bits[:, vertex], axis=1, bitorder="little")
+        rows = packed
+    adj = list(map(int.from_bytes, rows, ["little"] * len(rows)))
+    del rows
+    return ZdGraph(len(adj), adj, tuple(map(tuple, vecs[vertex].tolist())))
 
 
 def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:

@@ -229,14 +229,17 @@ def test_product_criterion_exhaustive_refuses_before_building_vectors(monkeypatc
         raise AssertionError("built vectors past the cap")
 
     monkeypatch.setattr(constructions, "nonzero_vectors", unreachable)
+    monkeypatch.setattr(constructions, "_projective_reps", unreachable)
     monkeypatch.setattr(constructions, "construct", unreachable)
+    # The cap tracks the (p**n - 1)/(p - 1) x n representatives: n = 4
+    # runs up to p = 317 and stops at 331, n = 6 up to p = 29 and at 31.
+    assert constructions._criterion_bytes(317, 4) <= constructions._GRAPH_BYTES
     with pytest.raises(CapExceeded):
-        product_criterion_exhaustive("A1", 131, 4)
-    # The cap tracks the p**n x n vectors: n = 6 runs up to p = 13 and stops at 17.
-    assert constructions._criterion_bytes(13, 6) <= constructions._GRAPH_BYTES
-    assert constructions._criterion_bytes(17, 6) > constructions._GRAPH_BYTES
+        product_criterion_exhaustive("A1", 331, 4)
+    assert constructions._criterion_bytes(29, 6) <= constructions._GRAPH_BYTES
+    assert constructions._criterion_bytes(31, 6) > constructions._GRAPH_BYTES
     with pytest.raises(CapExceeded):
-        product_criterion_exhaustive("A2", 17, 6)
+        product_criterion_exhaustive("A2", 31, 6)
 
 
 def test_relation_form_ranks():

@@ -721,7 +721,7 @@ def test_zero_product_exactness_bounds():
 
 def test_explicit_graph_refuses_before_allocating(monkeypatch):
     ring = free_m1(2, 4).algebra
-    need = graphs._explicit_bytes(1023, ring.dim)
+    need = graphs._explicit_bytes(ring.orders)
     monkeypatch.setattr(graphs, "_GRAPH_BYTES", need)
     assert explicit_graph(ring).n == 1023
 
@@ -747,6 +747,141 @@ def test_explicit_graph_caps_fit_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _matmul_graph(ring):
+    """The graph from the all-pairs kernel and the packing that preceded the
+    F_2 kernel: the n x n matrix made symmetric, the vertex rows and columns
+    selected and packed, one Python int per row."""
+    vecs = _grid(ring.orders)[1:]
+    zero = graphs._zero_product_matrix(vecs, ring.table, ring.orders)
+    zero |= zero.T
+    vertex = zero.any(axis=1)
+    np.fill_diagonal(zero, False)
+    packed = np.packbits(zero[np.ix_(vertex, vertex)], axis=1, bitorder="little")
+    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return len(adj), adj, tuple(map(tuple, vecs[vertex].tolist()))
+
+
+def _f2_rings():
+    """(name, ring) over F_2: seeded random tables as SCAlgebras and as
+    all-2 TableRings for d = 1 to 12, zero multiplication, and rings with
+    elements that kill nothing."""
+    rng = np.random.default_rng(20261020)
+    f2 = PrimeField(2)
+    cases = []
+    for d in range(1, 13):
+        for i in range(3 if d < 11 else 1):
+            table = rng.integers(0, 2, (d, d, d)) * (rng.random((d, d, d)) < rng.random())
+            cases.append((f"random d={d} #{i}", SCAlgebra(f2, table, verify=False)))
+            cases.append((f"table d={d} #{i}", TableRing((2,) * d, table.tolist(), verify=False)))
+    upper = np.zeros((3, 3, 3), dtype=np.int64)  # e11, e12, e22 of 2x2 upper triangular
+    upper[0, 0, 0] = upper[0, 1, 1] = upper[1, 2, 1] = upper[2, 2, 2] = 1
+    cubic = np.zeros((3, 3, 3), dtype=np.int64)  # F_2[x]/(x^3) on 1, x, x^2
+    for i in range(3):
+        for j in range(3 - i):
+            cubic[i, j, i + j] = 1
+    cases += [
+        ("zero d=1", zero_mul_algebra(2)),
+        ("zero d=5", zero_mul_algebra(2, 5)),
+        ("null table d=3", TableRing((2,) * 3, np.zeros((3, 3, 3), dtype=np.int64).tolist())),
+        ("F2+F2", direct_sum(field_algebra(2), field_algebra(2))),
+        ("F2[x]/(x^3)", SCAlgebra(f2, cubic)),
+        ("upper triangular", SCAlgebra(f2, upper)),
+        ("free_m1(2, 3)", free_m1(2, 3).algebra),
+        ("A1 p=2 n=4", construct("A1", 2, 4).algebra),
+    ]
+    return cases
+
+
+def test_f2_kernel_matches_all_pairs_kernel():
+    compacted = noncommutative = 0
+    for name, ring in _f2_rings():
+        g = explicit_graph(ring)
+        assert (g.n, g.adj, g.labels) == _matmul_graph(ring), name
+        compacted += g.n < ring.size - 1
+        noncommutative += not np.array_equal(ring.table, ring.table.transpose(1, 0, 2))
+    assert compacted >= 3 and noncommutative >= 20
+
+
+def test_f2_kernel_against_brute_force_on_small_rings():
+    for name, ring in _f2_rings():
+        if ring.size <= 64:
+            twin = TableRing(ring.orders, ring.table.tolist(), verify=False)
+            g = explicit_graph(ring)
+            assert (g.n, g.adj, g.labels) == _brute_force_graph(twin), name
+
+
+def test_f2_kernel_runs_no_matmul_and_no_elimination(monkeypatch):
+    from zdgforge import fpcore
+
+    calls = []
+    real = graphs._zero_product_matrix
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    def refuse(*args):
+        raise AssertionError("elimination called")
+
+    rings = _f2_rings()
+    ring = ring_direct_sum(ring_direct_sum(zn_ring(4), zn_ring(6)), zn_ring(20))
+    monkeypatch.setattr(graphs, "_zero_product_matrix", spy)
+    monkeypatch.setattr(graphs, "_eliminate", refuse)
+    monkeypatch.setattr(fpcore, "_eliminate", refuse)
+    for name, f2_ring in rings:
+        explicit_graph(f2_ring)
+    assert calls == []
+    assert explicit_graph(ring).n == 447
+    assert [tuple(orders) for orders in calls] == [(4, 6, 20)]
+
+
+def test_f2_kernel_in_small_blocks(monkeypatch):
+    # Blocks of 64 rows and of one row.
+    ring = free_m1(2, 4).algebra
+    want = explicit_graph(ring)
+    for block in (64 * 128, 1):
+        monkeypatch.setattr(graphs, "_PRODUCT_BLOCK", block)
+        g = explicit_graph(ring)
+        assert (g.n, g.adj, g.labels) == (want.n, want.adj, want.labels)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_explicit_graph_each_path_refuses_before_allocating(monkeypatch, binary):
+    ring = free_m1(2, 4).algebra if binary else ring_direct_sum(ring_direct_sum(zn_ring(4), zn_ring(6)), zn_ring(20))
+    need = graphs._explicit_bytes(ring.orders)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need)
+    want = explicit_graph(ring)
+
+    def refuse(*args):
+        raise AssertionError("allocated past the cap")
+
+    for name in ("_grid", "_f2_rows", "_matmul_rows"):
+        monkeypatch.setattr(graphs, name, refuse)
+    monkeypatch.setattr(graphs, "_GRAPH_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="bytes"):
+            explicit_graph(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16 and want.n > 0
+
+
+def test_explicit_bytes_bounds_tracemalloc_peaks():
+    # 1,023 and 8,191 vertices on the F_2 kernel, 1,023 on the all-pairs one.
+    z4 = ring_direct_sum(zn_ring(4), null_ring(4))
+    rings = [free_m1(2, 4).algebra, construct("A2", 2, 4).algebra, ring_direct_sum(ring_direct_sum(z4, z4), zn_ring(4))]
+    for ring, n in zip(rings, (1023, 8191, 1023)):
+        tracemalloc.start()
+        try:
+            assert explicit_graph(ring).n == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= graphs._explicit_bytes(ring.orders)
 
 
 def _bit_loop_edges(g):
@@ -775,6 +910,27 @@ def test_explicit_graph_and_edges_in_small_blocks(monkeypatch, block):
     assert g.edges() == _bit_loop_edges(g)
     assert g.export_edge_list() == f"{g.n} {g.num_edges}\n" + "".join(f"{u} {v}\n" for u, v in _bit_loop_edges(g))
     assert ZdGraph(0, []).edges() == []
+
+
+def _per_edge_edge_list(g):
+    """The export format as it was first written: one f-string per edge of
+    edges(), joined with newlines."""
+    lines = [f"{g.n} {g.num_edges}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [graphs._BLOCK, 64])
+def test_export_edge_list_matches_per_edge_formatting(monkeypatch, block):
+    monkeypatch.setattr(graphs, "_BLOCK", block)
+    rng = np.random.default_rng(20261020)
+    cases = [ZdGraph(0, []), ZdGraph(1, [0]), ZdGraph(3, [0, 0, 0]), ZdGraph.complete(12)]
+    for n in (2, 9, 100, 300):
+        upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+        cases.append(ZdGraph.from_edges(n, zip(*(ends.tolist() for ends in np.nonzero(upper)))))
+    cases += [explicit_graph(free_m1(2, 4).algebra), explicit_graph(zn_ring(12))]
+    for g in cases:
+        assert g.export_edge_list() == _per_edge_edge_list(g), g
 
 
 def test_adjacency_validation_in_small_blocks(monkeypatch):
