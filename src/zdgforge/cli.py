@@ -429,14 +429,14 @@ def cmd_census(args) -> int:
 def cmd_export_graph(args) -> int:
     pres = construct(args.variant, _prime(args.p), _generators(args.variant, args.n))
     if args.format == "blowup":
-        payload = json.dumps(compressed_graph(pres).to_json(), indent=2) + "\n"
+        pieces = [json.dumps(compressed_graph(pres).to_json(), indent=2) + "\n"]
     else:
-        payload = explicit_graph(pres.algebra).export_edge_list()
+        pieces = explicit_graph(pres.algebra).iter_edge_list()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -224,6 +225,38 @@ def test_export_graph_formats(tmp_path, capsys):
     data = json.loads(out)
     assert data["universal"] == 2**14 - 1
     assert len(data["classes"]) == 63
+
+
+def test_export_graph_writes_each_block_as_it_is_joined(monkeypatch, tmp_path):
+    # Blocks of 8 rows: events alternate between a block of edges made and
+    # its text written, so no more than one block is held.
+    from zdgforge import graphs
+    from zdgforge.constructions import construct
+
+    monkeypatch.setattr(graphs, "_BLOCK", 16 * 8 * 511)
+    want = graphs.explicit_graph(construct("A1", 2, 4).algebra).export_edge_list()
+    events = []
+    blocks = graphs.ZdGraph._edge_blocks
+
+    def spy_blocks(self):
+        for block in blocks(self):
+            events.append("block")
+            yield block
+
+    class Out(io.StringIO):
+        def write(self, text):
+            events.append("write")
+            return super().write(text)
+
+    monkeypatch.setattr(graphs.ZdGraph, "_edge_blocks", spy_blocks)
+    out = Out()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["export-graph", "--variant", "A1", "--p", "2", "--n", "4", "--format", "edges"]) == 0
+    assert out.getvalue() == want
+    assert events == ["write"] + ["block", "write"] * 64
+    path = tmp_path / "edges.txt"
+    assert main(["export-graph", "--variant", "A1", "--p", "2", "--n", "4", "--format", "edges", "--out", str(path)]) == 0
+    assert path.read_text() == want
 
 
 def test_console_entry_point():

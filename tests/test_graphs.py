@@ -937,3 +937,44 @@ def test_adjacency_validation_in_small_blocks(monkeypatch):
     # Eight rows per block of the 100-vertex check: 13 blocks, the last partial.
     monkeypatch.setattr(graphs, "_BLOCK", 800)
     test_adjacency_validation_across_several_words()
+
+
+@pytest.mark.parametrize("block, tile", [(graphs._BLOCK, 3), (800, 3), (800, 5)])
+def test_adjacency_validation_in_small_tiles(monkeypatch, block, tile):
+    # Tiles of 3 and 5 rows split every block, the one block that holds all
+    # 100 rows as well as the 8-row blocks, and leave partial last tiles.
+    monkeypatch.setattr(graphs, "_BLOCK", block)
+    monkeypatch.setattr(graphs, "_TILE", tile)
+    test_adjacency_validation_across_several_words()
+
+
+def test_graph_from_packed_rows_is_checked_like_int_rows():
+    rng = np.random.default_rng(1935)
+    for n in (1, 7, 8, 9, 100, 300):
+        upper = np.triu(rng.random((n, n)) < 0.4, 1)
+        packed = np.packbits(upper | upper.T, axis=1, bitorder="little")
+        g = ZdGraph._from_rows(packed, [(v,) for v in range(n)])
+        want = ZdGraph(n, [int.from_bytes(row.tobytes(), "little") for row in packed], [(v,) for v in range(n)])
+        assert (g.n, g.adj, g.labels) == (want.n, want.adj, want.labels)
+        if n < 2:
+            continue
+        u, v = rng.choice(n, 2, replace=False)
+        broken = packed.copy()
+        broken[u, v >> 3] ^= 1 << (v & 7)
+        with pytest.raises(ValueError, match="symmetric"):
+            ZdGraph._from_rows(broken, [])
+        broken = packed.copy()
+        broken[u, u >> 3] |= 1 << (u & 7)
+        with pytest.raises(ValueError, match="self loops"):
+            ZdGraph._from_rows(broken, [])
+
+
+def test_edge_list_pieces_hold_a_bounded_block(monkeypatch):
+    # A block of 16 * 400 bit entries is 4 rows of the complete graph on
+    # 100 vertices: at most 400 edges per piece, the most in the first.
+    monkeypatch.setattr(graphs, "_BLOCK", 16 * 400)
+    g = ZdGraph.complete(100)
+    header, *pieces = g.iter_edge_list()
+    assert header == "100 4950\n"
+    assert len(pieces) == 25 and pieces[0].count("\n") == 99 + 98 + 97 + 96
+    assert header + "".join(pieces) == _per_edge_edge_list(g)

@@ -6,6 +6,7 @@ the symplectic quotient of the order-128 census."""
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -318,6 +319,71 @@ def test_verify_mapping_matches_reference(monkeypatch, block):
     assert 1_000 <= accepted < 2_000
 
 
+def _rows_relabelled(adj, perm):
+    """Row perm[v] of the result is row v of adj with bit u moved to perm[u];
+    no symmetry assumed."""
+    out = [0] * len(adj)
+    for v, row in enumerate(adj):
+        out[perm[v]] = sum(1 << perm[u] for u in range(len(adj)) if row >> u & 1)
+    return out
+
+
+@pytest.mark.parametrize("block", [isomorph._BLOCK, 480, 8])
+def test_verify_mapping_on_rows_that_are_not_symmetric(monkeypatch, block):
+    # verify_mapping checks rows; directed rows, with loops, must verify
+    # exactly as the reference does.  A block of 480 entries holds 3 rows
+    # of a 40-vertex graph, 8 entries one row of any graph over 2 vertices.
+    monkeypatch.setattr(isomorph, "_BLOCK", block)
+    rng = random.Random(1999)
+    verdicts = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        density = rng.random()
+        adj_g = [sum(1 << u for u in range(n) if rng.random() < density) for _ in range(n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        adj_h = _rows_relabelled(adj_g, perm)
+        transposed = [sum(1 << u for u in range(n) if adj_h[u] >> w & 1) for w in range(n)]
+        w = rng.randrange(n)
+        flipped = list(adj_h)
+        flipped[w] ^= 1 << rng.randrange(n)
+        cases = [adj_h, transposed, flipped]
+        # bits at n and above on the h side: inside the last byte, past it,
+        # and a negative row
+        for bad in (1 << n, 1 << (n + 8 + rng.randrange(9)), -1 - adj_h[w]):
+            broken = list(adj_h)
+            broken[w] = adj_h[w] | bad if bad > 0 else bad
+            cases.append(broken)
+        for adj in cases:
+            got = verify_mapping(adj_g, adj, perm)
+            assert got == _verify_mapping_reference(adj_g, adj, perm)
+            verdicts[got] += 1
+        assert verify_mapping(adj_g, adj_h, perm) and not verify_mapping(adj_g, flipped, perm)
+        for adj in cases[3:]:
+            assert not verify_mapping(adj_g, adj, perm)
+        # the transposed rows verify exactly when the rows are symmetric
+        symmetric = all(adj_g[v] >> u & 1 == adj_g[u] >> v & 1 for u in range(n) for v in range(n))
+        assert verify_mapping(adj_g, transposed, perm) == symmetric
+        verdicts["symmetric"] += symmetric
+    assert verdicts[True] == 400 + verdicts["symmetric"] and verdicts["symmetric"] < 50
+
+
+def test_graphs_isomorphic_peak_memory_on_free_m1():
+    # The parent's peak on this input was 2.48-2.57 MB, most of it two
+    # unpacked 1,023 x 1,023 blocks of the mapping check; the bound is
+    # half its lowest value.
+    g = explicit_graph(free_m1(2, 4).algebra)
+    h = _relabel(g, random.Random(24))
+    tracemalloc.start()
+    try:
+        res = graphs_isomorphic(g, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res and verify_mapping(g.adj, h.adj, res.witness)
+    assert peak < 1_240_000
+
+
 def _refine_per_edge(adj, colors):
     """The per-edge refinement the per-class one replaced, kept as the
     reference: count each neighbor's color through a Counter."""
@@ -365,6 +431,56 @@ def _colored_graphs(draw, n):
 def test_refine_matches_per_edge_reference(graph):
     adj, colors = graph
     assert _refine(adj, colors) == _refine_per_edge(adj, colors)
+
+
+def _seeded_colored_graph(rng):
+    """A graph on 1 to 80 vertices with initial colors in a few classes:
+    random edges of a random density, or a blow-up of a graph on up to ten
+    parts, whose twins make cells that refinement cannot split."""
+    n = rng.randint(1, 80)
+    density = rng.random()
+    adj = [0] * n
+    if rng.random() < 0.5:
+        k = rng.randint(1, 10)
+        owner = [rng.randrange(k) for _ in range(n)]
+        joined = [[rng.random() < density for _ in range(k)] for _ in range(k)]
+        cliques = [rng.random() < 0.5 for _ in range(k)]
+
+        def adjacent(u, v):
+            a, b = sorted((owner[u], owner[v]))
+            return cliques[a] if a == b else joined[a][b]
+    else:
+        def adjacent(u, v):
+            return rng.random() < density
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adjacent(u, v):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    top = rng.randint(0, 3)
+    return adj, [rng.randint(0, top) for _ in range(n)]
+
+
+def test_refine_matches_per_edge_reference_up_to_80_vertices():
+    # Each graph is refined, then individualized twice with a fresh color
+    # as the canonical search does, and refined again: the later colorings
+    # have singleton cells next to larger ones, where cell-wise ids skip
+    # the signature.
+    rng = random.Random(2014)
+    mixed = 0
+    for _ in range(2_000):
+        adj, colors = _seeded_colored_graph(rng)
+        for _ in range(3):
+            refined = _refine(adj, colors)
+            assert refined == _refine_per_edge(adj, colors)
+            sizes = Counter(refined)
+            mixed += 1 in sizes.values() and max(sizes.values()) > 1
+            wide = [v for v, c in enumerate(refined) if sizes[c] > 1]
+            if not wide:
+                break
+            colors = list(refined)
+            colors[rng.choice(wide)] = max(refined) + 1
+    assert mixed > 1_000
 
 
 def _canonical_unpruned(adj):
@@ -927,3 +1043,20 @@ def test_twin_classes_are_disjoint_modules(graph):
         adj_q, labels_q, members = collapse_twins(adj, labels)
         assert (adj_q, labels_q) == _collapse_twins_reference(adj, labels)[:2]
         assert sorted(u for mem in members for u in mem) == list(range(n))
+
+
+@pytest.mark.parametrize("block", [isomorph._BLOCK, 64])
+def test_collapse_twins_matches_reference_up_to_80_vertices(monkeypatch, block):
+    # A block of 64 entries gathers the quotient rows of a graph on more
+    # than 64 vertices one at a time.
+    monkeypatch.setattr(isomorph, "_BLOCK", block)
+    rng = random.Random(1935)
+    merged = 0
+    for _ in range(300):
+        adj, colors = _seeded_colored_graph(rng)
+        labels = [("c", c) for c in colors]
+        adj_q, labels_q, members = collapse_twins(adj, labels)
+        assert (adj_q, labels_q) == _collapse_twins_reference(adj, labels)[:2]
+        assert sorted(u for mem in members for u in mem) == list(range(len(adj)))
+        merged += len(adj_q) < len(adj)
+    assert merged > 100
