@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import AssociativityViolation, NotAnIdeal
-from .fpcore import FpMatrix, PrimeField, Subspace, _exact_dtype, _rref_stack
+from .fpcore import FpMatrix, PrimeField, Subspace, _exact_dtype, _matmul_mod, _rref_stack
 
 __all__ = [
     "SCAlgebra",
@@ -49,9 +49,15 @@ def associativity_failure(orders, table):
 
 
 class SCAlgebra:
-    """An associative Z_p-algebra presented by structure constants."""
+    """An associative Z_p-algebra presented by structure constants.
 
-    __slots__ = ("field", "dim", "orders", "labels", "table")
+    The table is read-only, so the structure derived from it is computed
+    once per instance and kept: square_ideal() in _square, _two_step_core in
+    _core.  Both are immutable, and an algebra built from another table
+    starts with neither.
+    """
+
+    __slots__ = ("field", "dim", "orders", "labels", "table", "_square", "_core")
 
     def __init__(self, field: PrimeField, table, labels=None, verify: bool = True):
         self.field = field
@@ -68,6 +74,8 @@ class SCAlgebra:
         if len(labels) != self.dim:
             raise ValueError("label count does not match dimension")
         self.labels = labels
+        self._square = None
+        self._core = None
         if verify:
             self.verify_associativity()
 
@@ -122,6 +130,16 @@ class SCAlgebra:
         """Matrix of x -> x*a acting on row coordinate vectors."""
         return np.einsum("j,ijk->ik", a, self.table) % self.field.p
 
+    def _mul_maps(self, vs):
+        """For every row v of the (k, dim) array vs, the matrices of
+        x -> x*v and of x -> v*x, flattened: two (k, dim*dim) arrays from one
+        exact matmul, whose sums hold dim products of two residues."""
+        d = self.dim
+        # Row j: the products e_i e_j, then e_j e_i, over (i, k).
+        maps = np.concatenate([self.table.transpose(1, 0, 2), self.table], axis=1)
+        both = _matmul_mod(vs, maps.reshape(d, 2 * d * d), self.field.p)
+        return both[:, : d * d], both[:, d * d :]
+
     def generators(self):
         return [self.basis_element(i) for i in range(self.dim)]
 
@@ -129,10 +147,13 @@ class SCAlgebra:
 
     def square_ideal(self) -> Subspace:
         """Span of all basis products: the ideal generated by products.
-        Only the nonzero products are eliminated (36 of 676 in a B
-        quotient)."""
-        rows = self.table.reshape(self.dim * self.dim, self.dim)
-        return Subspace(self.field, self.dim, rows[rows.any(axis=1)])
+        Computed once per algebra, from the nonzero products only (36 of
+        676 in a B quotient); every call returns the same Subspace, whose
+        basis is read-only."""
+        if self._square is None:
+            d = self.dim
+            self._square = Subspace(self.field, d, self.table.reshape(d * d, d))
+        return self._square
 
     def annihilator(self, a: "AlgebraElement") -> Subspace:
         """All x with x*a = 0 and a*x = 0."""
@@ -173,34 +194,33 @@ class SCAlgebra:
         """
         if ideal.field != self.field or ideal.ambient != self.dim:
             raise ValueError("ideal does not live in this algebra")
-        p = self.field.p
-        rows = [ideal.basis]
-        for v in ideal.basis:
-            rows += [self.right_mul_matrix(v), self.left_mul_matrix(v)]
-        if Subspace(self.field, self.dim, np.vstack(rows)) != ideal:
+        p, d, table = self.field.p, self.dim, self.table
+        # Every product below, the homomorphism check's two-step one reduced
+        # in between, sums at most d products of two residues.
+        _exact_dtype(d, p)
+        rows = [ideal.basis] + [m.reshape(-1, d) for m in self._mul_maps(ideal.basis)]
+        if Subspace(self.field, d, np.vstack(rows)) != ideal:
             raise NotAnIdeal("subspace is not closed under basis multiplication")
         rev, rank = _rref_stack(ideal.basis[:, ::-1], p)
         elim_rows = rev[:rank, ::-1]
-        elim_cols = [self.dim - 1 - int(c) for c in (rev[:rank] != 0).argmax(axis=1)]
-        kept = [i for i in range(self.dim) if i not in set(elim_cols)]
+        elim_cols = [d - 1 - int(c) for c in (rev[:rank] != 0).argmax(axis=1)]
+        kept = [i for i in range(d) if i not in set(elim_cols)]
         q = len(kept)
         # Each eliminated coordinate pc satisfies e_pc == e_pc - row (mod ideal),
         # and reverse-rref guarantees row is supported on pc plus kept coords.
-        proj = np.zeros((self.dim, q), dtype=np.int64)
+        proj = np.zeros((d, q), dtype=np.int64)
         for col, i in enumerate(kept):
             proj[i, col] = 1
         for row, pc in zip(elim_rows, elim_cols):
             proj[pc] = (-row[kept]) % p
-        # Every contraction below, the homomorphism check's pairwise ones
-        # reduced in between, sums at most dim products of two residues.
-        _exact_dtype(self.dim, p)
-        sub_table = self.table[np.ix_(kept, kept)].reshape(q * q, self.dim)
-        new_table = ((sub_table @ proj) % p).reshape(q, q, q)
-        lhs = np.einsum("ijk,kq->ijq", self.table, proj) % p
-        right = np.einsum("jb,abq->ajq", proj, new_table)
-        right %= p
-        rhs = np.einsum("ia,ajq->ijq", proj, right)
-        rhs %= p
+        sub_table = table[np.ix_(kept, kept)].reshape(q * q, d)
+        new_table = _matmul_mod(sub_table, proj, p).reshape(q, q, q)
+        # proj(e_i e_j) == proj(e_i) proj(e_j) on every basis pair.  On the
+        # right, right[a, j] = f_a proj(e_j) for the quotient basis f_a, and
+        # row i of proj weights these products.
+        lhs = _matmul_mod(table.reshape(d * d, d), proj, p).reshape(d, d, q)
+        right = _matmul_mod(proj, new_table, p).reshape(q, d * q)
+        rhs = _matmul_mod(proj, right, p).reshape(d, d, q)
         if not np.array_equal(lhs, rhs):
             raise AssertionError("quotient projection failed the homomorphism check")
         labels = tuple(self.labels[i] for i in kept)
@@ -289,22 +309,30 @@ class AlgebraElement:
 def _two_step_core(algebra: SCAlgebra):
     """(comp, core, s) for an algebra with R*R^2 = R^2*R = 0, else ValueError.
 
-    comp lists the non-pivot coordinates of R^2's rref basis, a complement
-    of R^2; core is the (m, m, t) int64 table of the products of comp's
-    basis vectors on the t output coordinates they reach, which decides
-    every product; s = dim R^2.
+    comp is the tuple of non-pivot coordinates of R^2's rref basis, a
+    complement of R^2; core is the (m, m, t) int64 table of the products of
+    comp's basis vectors on the t output coordinates they reach, which
+    decides every product; s = dim R^2.  Computed once per algebra: every
+    later call returns the same tuple, and core is read-only.  A table that
+    fails the check is checked again on every call.
     """
+    if algebra._core is not None:
+        return algebra._core
     p, d, table = algebra.field.p, algebra.dim, algebra.table
     basis = algebra.square_ideal().basis
     _exact_dtype(d, p)
-    if (np.einsum("sj,ijk->sik", basis, table) % p).any():
+    right, left = algebra._mul_maps(basis)
+    if right.any():
         raise ValueError("algebra is not two-step graded (R * R^2 != 0)")
-    if (np.einsum("sj,jik->sik", basis, table) % p).any():
+    if left.any():
         raise ValueError("algebra is not two-step graded (R^2 * R != 0)")
     pivots = set((basis != 0).argmax(axis=1).tolist())
-    comp = [i for i in range(d) if i not in pivots]
+    comp = tuple(i for i in range(d) if i not in pivots)
     core = table[np.ix_(comp, comp)]
-    return comp, core[:, :, core.any(axis=(0, 1))], len(basis)
+    core = core[:, :, core.any(axis=(0, 1))]
+    core.setflags(write=False)
+    algebra._core = (comp, core, len(basis))
+    return algebra._core
 
 
 # -- spec-level operation surface ---------------------------------------------

@@ -86,7 +86,7 @@ def _graded_core(variant: str, p: int, n: int) -> np.ndarray:
     unless R^2 is the whole degree-2 part: together, every structure
     constant takes two generators to degree 2."""
     comp, core, _ = _two_step_core(construct(variant, p, n).algebra)
-    if comp != list(range(n)):
+    if comp != tuple(range(n)):
         raise AssertionError(f"{variant}, p={p}: the square ideal is not the whole degree-2 part")
     return core
 
@@ -271,12 +271,16 @@ def relation_form(variant: str, p: int, n: int = 6) -> RelationForm:
 
 
 def proportional(field: PrimeField, alpha, beta) -> bool:
-    """True iff beta is a nonzero scalar multiple of alpha (both nonzero)."""
+    """True iff beta is a nonzero scalar multiple of alpha (both nonzero):
+    the two rows have rank 1, that is every 2 x 2 minor a_i b_j - a_j b_i
+    vanishes mod p.  Each product is below p**2 < 2**30, exact in int64."""
     a = field.canon(alpha)
     b = field.canon(beta)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("alpha and beta must be vectors of one length")
     if not a.any() or not b.any():
         return False
-    return bool(_rref_stack(np.vstack([a, b]), field.p)[1] == 1)
+    return not ((np.outer(a, b) - np.outer(b, a)) % field.p).any()
 
 
 def product_criterion(variant: str, p: int, alpha, beta, n: int = 6) -> bool:

@@ -8,8 +8,11 @@ step is a few long contiguous operations over all n matrices rather than n
 short ones.  Its work dtype is a function of p alone (_work_dtype): int16
 while (p - 1)**2 + p < 2**15, that is for p <= 181, and int32 above, since a
 column step's products reach (p - 1)**2 and its floor division takes off a
-multiple of p below (p - 1)**2 + p.  _rref_stack and _left_kernel_stack are
-layouts around the loop: each copies the caller's stack matrices-last,
+multiple of p below (p - 1)**2 + p.  The loop stops once every row of every
+matrix is a pivot row, so a short wide stack pays only for the columns up to
+its last pivot; Subspace drops zero rows before it eliminates, so the zero
+subspace takes no column step at all.  _rref_stack and _left_kernel_stack
+are layouts around the loop: each copies the caller's stack matrices-last,
 reduced mod p only when some entry lies outside [0, p) and never writing
 into the caller's array; the first reads the rref out, the second reads the
 left kernels off the pivot rows where they stand (_kernel_rows).  The hot
@@ -95,12 +98,14 @@ def _inverses(p: int) -> np.ndarray:
     return inv
 
 
+@lru_cache(maxsize=1024)
 def _exact_dtype(terms: int, top: int, dtypes=(np.int64,), factors: int = 2):
     """The first of dtypes in which every sum of `terms` products of
     `factors` integers below `top` is exact: an integer dtype while the
     sums stay below 2**15, 2**31 or 2**63, float32 while they stay below
     2**24 (float32 holds every integer up to 2**24), and object (Python
-    ints) always.  ValueError if none of dtypes fits."""
+    ints) always.  ValueError if none of dtypes fits.  Cached: every exact
+    matmul asks twice, and the answer depends on the arguments alone."""
     bound = terms * (top - 1) ** factors
     limits = {np.dtype(t): 2**b for t, b in ((np.int16, 15), (np.int32, 31), (np.int64, 63), (np.float32, 24))}
     for dtype in dtypes:
@@ -145,7 +150,8 @@ def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
     scaled to a leading 1, and clears the column in every other row.  Rows
     stay where they are; sorted by lead, the pivot rows are the one rref of
     the row space.  A matrix with no pivot in the column is not gathered
-    out: all its clearing factors are 0."""
+    out: all its clearing factors are 0.  The loop stops at the first
+    column j >= r at which every row of every matrix is a pivot row."""
     r, c, n = m.shape
     assert m.dtype == _work_dtype(p)
     lead = np.full((r, n), c, dtype=np.intp)
@@ -155,6 +161,10 @@ def _eliminate(m: np.ndarray, p: int) -> np.ndarray:
     # narrow max over rows runs several times faster than argmax.
     rise = np.arange(r - 1, -1, -1, dtype=np.min_scalar_type(r))[:, None]
     for j in range(c):
+        # Once every row of every matrix is a pivot row, no later column has
+        # a candidate row.  That takes r pivots, so it is only asked from j = r on.
+        if j >= r and (lead < c).all():
+            break
         # Entries left of column j are zero in every row that can be a pivot.
         block = m[:, j:]
         col = block[:, 0]
@@ -405,7 +415,8 @@ class Subspace:
             a = np.zeros((0, self.ambient), dtype=np.int64)
         if a.ndim != 2 or a.shape[1] != self.ambient:
             raise ValueError("basis rows do not match ambient dimension")
-        r, rank = _rref_stack(a, field.p)
+        # Zero rows span nothing; dropped, they cost no elimination.
+        r, rank = _rref_stack(a[a.any(axis=1)], field.p)
         b = r[:rank].copy()
         b.setflags(write=False)
         self.basis = b

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from zdgforge import cli
 from zdgforge.algebra import (
     SCAlgebra,
+    _two_step_core,
     algebra_from_json,
     algebra_to_json,
     direct_sum,
@@ -226,23 +228,36 @@ def test_verify_associativity_reports_first_failing_triple():
 
 
 def test_products_and_quotients_check_the_int64_bound(monkeypatch):
+    # The bound is asserted before the first product: the calls of the bound
+    # and of the exact matmul are recorded in one list, in order.
     from zdgforge import algebra
 
     calls = []
-    real = algebra._exact_dtype
+    real_bound, real_matmul = algebra._exact_dtype, algebra._matmul_mod
 
-    def record(*args, **kw):
+    def bound(*args, **kw):
         calls.append((args, kw))
-        return real(*args, **kw)
+        return real_bound(*args, **kw)
 
-    monkeypatch.setattr(algebra, "_exact_dtype", record)
+    def matmul(*args, **kw):
+        calls.append("matmul")
+        return real_matmul(*args, **kw)
+
+    monkeypatch.setattr(algebra, "_exact_dtype", bound)
+    monkeypatch.setattr(algebra, "_matmul_mod", matmul)
     free = free_m1(3, 4)
+    d = free.algebra.dim
     x = free.algebra.basis_element(0)
     calls.clear()
     x * x
-    assert calls == [((free.algebra.dim**2, 3), {"factors": 3})]
-    free.algebra.quotient(Subspace.zero(PrimeField(3), free.algebra.dim))
-    assert calls[-1] == ((free.algebra.dim, 3), {})
+    assert calls == [((d**2, 3), {"factors": 3})]
+    calls.clear()
+    # The closure's products, the table, then three for the homomorphism check.
+    free.algebra.quotient(Subspace.zero(PrimeField(3), d))
+    assert calls == [((d, 3), {})] + ["matmul"] * 5
+    calls.clear()
+    _two_step_core(free.algebra)
+    assert calls == [((d, 3), {}), "matmul"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -254,3 +269,169 @@ def test_quotients_are_associative(variant, p):
 
     quot = construct(variant, p).algebra
     assert associativity_failure(quot.orders, quot.table) is None
+
+
+def test_square_ideal_and_two_step_core_are_computed_once_and_read_only():
+    algebra = free_m1(3, 4).algebra
+    square = algebra.square_ideal()
+    assert algebra.square_ideal() is square
+    with pytest.raises(ValueError):
+        square.basis[0, 0] = 2
+    core = _two_step_core(algebra)
+    assert _two_step_core(algebra) is core
+    comp, prod, size = core
+    with pytest.raises(TypeError):
+        comp[0] = 1
+    with pytest.raises(ValueError):
+        prod[0, 1, 0] = 2
+    # x1 x2 = m12 + m13 in a fresh algebra from the bumped table: the same
+    # R^2, found again, and its own core.
+    table = algebra.table.copy()
+    table[0, 1, 5] = 1
+    bumped = SCAlgebra(algebra.field, table, verify=False)
+    assert bumped.square_ideal() is not square and bumped.square_ideal() == square
+    bumped_comp, bumped_prod, bumped_size = _two_step_core(bumped)
+    assert bumped_comp == comp and bumped_size == size
+    assert bumped_prod[0, 1].tolist() == [1, 1, 0, 0, 0, 0] and prod[0, 1].tolist() == [1, 0, 0, 0, 0, 0]
+    # x1 m12 = m13: R * R^2 != 0, refused on every call.
+    table[0, 4, 5] = 1
+    ungraded = SCAlgebra(algebra.field, table, verify=False)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"R \* R\^2 != 0"):
+            _two_step_core(ungraded)
+
+
+def test_verify_lemmas_eliminates_each_square_ideal_once(monkeypatch, capsys):
+    # Every Subspace algebra.py builds is recorded with its rows; the square
+    # ideal of a quotient is the one built from the rows of its table.
+    from zdgforge import algebra as algebra_module
+
+    built = []
+    real = algebra_module.Subspace
+
+    def spy(field, ambient, rows):
+        built.append(np.array(rows))
+        return real(field, ambient, rows)
+
+    monkeypatch.setattr(algebra_module, "Subspace", spy)
+    construct.cache_clear()
+    assert cli.main(["verify-lemmas", "--p", "3"]) == 0
+    capsys.readouterr()
+    for variant in ("A1", "B1", "A2", "B2"):
+        quot = construct(variant, 3).algebra
+        products = quot.table.reshape(-1, quot.dim)
+        assert sum(rows.shape == products.shape and np.array_equal(rows, products) for rows in built) == 1
+
+
+def _quotient_reference(algebra, ideal):
+    """quotient() as it was before its products moved to the exact float32
+    matmul, kept as its reference: the closure from per-vector
+    multiplication matrices, then the table and the homomorphism check as
+    int64 einsum contractions.  Returns (table, proj, kept); raises
+    NotAnIdeal, or AssertionError if the check fails."""
+    p, d, t = algebra.field.p, algebra.dim, algebra.table
+    rows = [ideal.basis]
+    for v in ideal.basis:
+        rows += [algebra.right_mul_matrix(v), algebra.left_mul_matrix(v)]
+    if Subspace(algebra.field, d, np.vstack(rows)) != ideal:
+        raise NotAnIdeal("not closed")
+    rev, rank = _rref_stack(ideal.basis[:, ::-1], p)
+    elim_cols = [d - 1 - int(c) for c in (rev[:rank] != 0).argmax(axis=1)]
+    kept = [i for i in range(d) if i not in elim_cols]
+    proj = np.zeros((d, len(kept)), dtype=np.int64)
+    proj[kept, np.arange(len(kept))] = 1
+    for row, pc in zip(rev[:rank, ::-1], elim_cols):
+        proj[pc] = (-row[kept]) % p
+    table = np.einsum("ijk,kq->ijq", t[np.ix_(kept, kept)], proj) % p
+    if not _is_homomorphism_reference(t, proj, table, p):
+        raise AssertionError("homomorphism check failed")
+    return table, proj, kept
+
+
+def _is_homomorphism_reference(t, proj, table, p):
+    lhs = np.einsum("ijk,kq->ijq", t, proj) % p
+    right = np.einsum("jb,abq->ajq", proj, table) % p
+    rhs = np.einsum("ia,ajq->ijq", proj, right) % p
+    return np.array_equal(lhs, rhs)
+
+
+def _seeded_ideals(algebra, rng):
+    """Subspaces to quotient by: the zero and the full subspace, then random
+    spans inside R^2, the ideals generated by random elements, and random
+    spans with degree-1 parts (as a rule no ideal)."""
+    p, d = algebra.field.p, algebra.dim
+    square = algebra.square_ideal().basis
+    yield Subspace.zero(algebra.field, d)
+    yield Subspace.full(algebra.field, d)
+    for k in (1, 2, 3):
+        yield Subspace(algebra.field, d, rng.integers(0, p, (k, len(square))) @ square)
+        gens = rng.integers(0, p, (k, d)) * (rng.random((k, d)) < 0.3)
+        yield algebra.ideal_generated(gens)
+        yield Subspace(algebra.field, d, gens)
+
+
+def _quotient_cases():
+    rng = np.random.default_rng(20261020)
+    for p in (2, 3, 5, 13):
+        for n in (2, 3, 4):
+            for free in (free_m1(p, n), free_m2(p, n)):
+                for ideal in _seeded_ideals(free.algebra, rng):
+                    yield free.algebra, ideal
+    for variant in ("A1", "B1", "A2", "B2"):
+        quot = construct(variant, 3).algebra
+        for ideal in list(_seeded_ideals(quot, rng))[2:5]:
+            yield quot, ideal
+
+
+def test_quotient_matches_the_einsum_reference():
+    verdicts = set()
+    for algebra, ideal in _quotient_cases():
+        try:
+            want = _quotient_reference(algebra, ideal)
+        except NotAnIdeal:
+            with pytest.raises(NotAnIdeal):
+                algebra.quotient(ideal)
+            verdicts.add("not an ideal")
+            continue
+        quot, proj = algebra.quotient(ideal)
+        assert np.array_equal(quot.table, want[0]) and np.array_equal(proj.a, want[1])
+        assert quot.labels == tuple(algebra.labels[i] for i in want[2])
+        verdicts.add(quot.dim)
+    assert "not an ideal" in verdicts and 0 in verdicts and len(verdicts) > 5
+
+
+@pytest.mark.parametrize("variant", ["A1", "B1", "A2", "B2"])
+def test_named_quotients_match_the_einsum_reference(variant):
+    p = 5
+    free = (free_m1 if variant.endswith("1") else free_m2)(p, 6)
+    pres = construct(variant, p)
+    rel = np.concatenate([np.zeros(6, dtype=np.int64), pres.relation.basis[0]])
+    table, _, _ = _quotient_reference(free.algebra, Subspace(free.field, free.algebra.dim, rel[None, :]))
+    assert np.array_equal(pres.algebra.table, table)
+
+
+def test_quotient_refuses_a_wrong_projection(monkeypatch):
+    # The reverse rref gains x1 in the row that eliminates m12: the
+    # projection sends m12 to something with a degree-1 part, which is no
+    # homomorphism since m12 x2 = 0 but x1 x2 != 0.
+    from zdgforge import algebra as algebra_module
+
+    free = free_m1(3, 4)
+    ideal = Subspace(free.field, free.algebra.dim, [[0, 0, 0, 0, 1, 0, 0, 0, 0, 0]])
+    real = algebra_module._rref_stack
+
+    def moved(a, p):
+        red, rank = real(a, p)
+        red[0, -1] = 1
+        return red, rank
+
+    monkeypatch.setattr(algebra_module, "_rref_stack", moved)
+    with pytest.raises(AssertionError, match="homomorphism check"):
+        free.algebra.quotient(ideal)
+    # The reference check refuses the same projection.
+    kept = [0, 1, 2, 3, 5, 6, 7, 8, 9]
+    proj = np.zeros((10, 9), dtype=np.int64)
+    proj[kept, np.arange(9)] = 1
+    proj[4, 0] = 2
+    table = np.einsum("ijk,kq->ijq", free.algebra.table[np.ix_(kept, kept)], proj) % 3
+    assert not _is_homomorphism_reference(free.algebra.table, proj, table, 3)

@@ -118,6 +118,37 @@ def test_product_criterion_examples():
         product_criterion("A2", 2, e[0], e[0])
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 32749])
+def test_proportional_matches_the_rank_definition(p):
+    # The definition proportional replaced: both vectors nonzero and the two
+    # rows of rank 1.  Pairs are exact multiples (the multiplier 0 among
+    # them), near multiples with one coordinate moved, zero vectors and
+    # uniform draws, with entries up to a few multiples of p off [0, p).
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    seen = set()
+    for n in range(1, 7):
+        for kind in range(40):
+            a = rng.integers(0, p, n) * (rng.random(n) < 0.7)
+            if kind % 4 == 0:
+                b = a * int(rng.integers(0, p))
+            elif kind % 4 == 1:
+                b = a * int(rng.integers(1, p))
+                b[int(rng.integers(0, n))] += int(rng.integers(1, p))
+            elif kind % 4 == 2:
+                b = np.zeros(n, dtype=np.int64)
+            else:
+                b = rng.integers(0, p, n)
+            b = b + p * rng.integers(-3, 4, n)
+            for x, y in ((a, b), (b, a)):
+                want = bool((x % p).any() and (y % p).any() and _rref_stack(np.vstack([x, y]), p)[1] == 1)
+                assert proportional(field, x, y) is want
+                seen.add((want, bool((x % p).any())))
+    assert seen == {(True, True), (False, True), (False, False)}
+    with pytest.raises(ValueError):
+        proportional(field, [1, 0], [1])
+
+
 def test_product_criterion_matches_scalar_loop_p2():
     # oracle: direct proportionality predicate over all 63 x 63 pairs
     pres = construct("B1", 2)

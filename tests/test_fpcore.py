@@ -490,3 +490,66 @@ def test_left_kernel_matches_reference_at_every_dimension(p):
             assert np.array_equal(basis, np.where(free[..., None], red[..., c:], 0))
             dims.update(free.sum(axis=-1).tolist())
         assert dims == set(range(max(0, r - c), r + 1))
+
+
+def _full_row_rank_stacks():
+    """Stacks for the stop at full row rank, at primes on both sides of the
+    work-dtype switch: no rows at all; then, per shape with r <= c, mixed
+    stacks in which some matrices reach full row rank in their first r
+    columns, some only in their last column, and some never: they hold a
+    zero row, a row of multiples of p, or are zero throughout."""
+    rng = np.random.default_rng(2025)
+    for p in (2, 3, 13, 191):
+        yield p, np.zeros((4, 0, 6), dtype=np.int64)
+        yield p, np.zeros((0, 6), dtype=np.int64)
+        for r, c in [(1, 1), (1, 9), (2, 7), (3, 5), (4, 12), (5, 6), (6, 6)]:
+            a = rng.integers(0, p, (40, r, c))
+            a[0::4, :, :r] = np.eye(r, dtype=np.int64)
+            a[1::4, -1] = p * rng.integers(-2, 3, c)
+            a[2::4, -1] = np.eye(c, dtype=np.int64)[-1]
+            a[3::8] = 0
+            yield p, a
+
+
+FULL_ROW_RANK_STACKS = list(_full_row_rank_stacks())
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 191])
+def test_elimination_stopping_at_full_row_rank_matches_reference(p):
+    # _rref_stack eliminates each stack as it is, which stops early wherever
+    # r <= c; _left_kernel_stack eliminates the transposes of its input, so
+    # it is given the transposed stacks to stop early on the same ones.
+    full = set()
+    for q, a in FULL_ROW_RANK_STACKS:
+        if q != p:
+            continue
+        r, c = a.shape[-2:]
+        red, rank = _rref_stack(a, p)
+        ref, ref_rank = _rref_stack_reference(a, p)
+        assert np.array_equal(red, ref) and np.array_equal(rank, ref_rank)
+        full.update((rank == r).reshape(-1).tolist())
+        t = np.swapaxes(a, -1, -2)
+        basis, free = _kernel_rows_last(*_left_kernel_stack(t, p))
+        eye = np.broadcast_to(np.eye(c, dtype=np.int64), t.shape[:-1] + (c,))
+        ref, _ = _rref_stack_reference(np.concatenate([t, eye], axis=-1), p)
+        ref_free = ~ref[..., :r].any(axis=-1)
+        assert np.array_equal(free, ref_free)
+        assert np.array_equal(basis, np.where(free[..., None], ref[..., r:], 0))
+    assert full == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 5, 191])
+def test_subspace_basis_ignores_zero_rows(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p + 25)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        rows = rng.integers(0, p, (int(rng.integers(0, 6)), n))
+        # Zero rows mod p, some of them multiples of p, shuffled in.
+        zeros = p * rng.integers(-2, 3, (int(rng.integers(1, 4)), n))
+        padded = np.concatenate([rows, zeros])[rng.permutation(len(rows) + len(zeros))]
+        ref, rank = _rref_stack_reference(padded, p)
+        assert np.array_equal(Subspace(field, n, padded).basis, ref[:rank])
+        assert Subspace(field, n, padded) == Subspace(field, n, rows)
+    assert Subspace(field, 4, np.zeros((3, 4), dtype=np.int64)) == Subspace.zero(field, 4)
+    assert Subspace.zero(field, 4).basis.shape == (0, 4)

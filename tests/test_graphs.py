@@ -138,7 +138,7 @@ def _two_step_core_brute_force(algebra):
         for e in algebra.generators():
             assert (e * algebra.element(v)).is_zero() and (algebra.element(v) * e).is_zero()
     leads = {next(i for i, x in enumerate(v) if x) for v in square if any(v)}
-    comp = [i for i in range(d) if i not in leads]
+    comp = tuple(i for i in range(d) if i not in leads)
     basis = algebra.generators()
     core = np.array(
         [[(basis[i] * basis[j]).coords for j in comp] for i in comp], dtype=np.int64
