@@ -52,14 +52,12 @@ def wedge_pairs(m: int):
 
 def wedge_matrix(g: np.ndarray, m: int) -> np.ndarray:
     """Matrix of the induced action on wedge^2(F_2^m) for g in GL(m, 2):
-    column (i, j) expands (g e_i) ^ (g e_j) over the pair basis."""
-    pairs = wedge_pairs(m)
-    d = len(pairs)
-    w = np.zeros((d, d), dtype=np.int64)
-    for col, (i, j) in enumerate(pairs):
-        for row, (a, b) in enumerate(pairs):
-            w[row, col] = (g[a, i] * g[b, j] + g[b, i] * g[a, j]) % 2
-    return w
+    column (i, j) expands (g e_i) ^ (g e_j) over the pair basis, so entry
+    ((a, b), (i, j)) is the 2 x 2 minor g[a, i] g[b, j] + g[b, i] g[a, j],
+    taken for every entry at once from four gathers of g."""
+    a, b = np.array(wedge_pairs(m), dtype=np.intp).reshape(-1, 2).T
+    g = np.asarray(g, dtype=np.int64)
+    return (g[a][:, a] * g[b][:, b] + g[b][:, a] * g[a][:, b]) % 2
 
 
 def _gl2_generators(m: int):
@@ -221,8 +219,11 @@ def _orbit_partition(m: int, subspace_dim: int):
     is in rref, so each subspace's key is its own bytes; the keys of its
     images under each generator come from batched eliminations, one block
     of _BLOCK entries of the pool at a time, so that no image of the whole
-    pool is held."""
+    pool is held.  A pool of one subspace (the zero subspace or the whole
+    space: every k = 0 or k = d cell) is its own orbit, with no images."""
     pool = enumerate_subspaces(len(wedge_pairs(m)), subspace_dim)
+    if len(pool) == 1:
+        return [[pool[0].tobytes()]]
     step = max(1, _BLOCK // max(1, pool[0].size))
     wedges = [wedge_matrix(g, m) for g in _gl2_generators(m)]
     images = [[] for _ in wedges]

@@ -17,6 +17,7 @@ x_i x_j:
 ([x, y] = 0, odd p for the certificates).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +35,7 @@ from .fpcore import (
     _projective_reps,
     _quadratic,
     _rref_stack,
+    _stack_last,
 )
 from .graphs import _GRAPH_BYTES
 
@@ -411,16 +413,20 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     rank M = n - 1 (anticommutative, where alpha.M = 0 says a*a = 0).
 
     Column k of M is C_k.alpha for a fixed n x n matrix C_k: core[:, :, k]
-    for the left half, its transpose for the right half.  A linear relation
-    among the C_k holds among the columns of M for every alpha, so with an
-    rref basis B_1..B_r of span{C_k}, found once per call, the columns
-    B_l.alpha span the column space of M (same rank), and alpha.B_l.alpha = 0
-    for every l iff alpha.M = 0.  Each vector then costs one elimination of
-    an (r, n) stack instead of (2*d2, n); on the four quotients r = d2 (14
-    or 20), because the right half repeats the left up to sign.  Per block
-    of vectors, one exact matmul gives the stacks, held matrices-last for
-    fpcore._eliminate, which is read for the rank alone (_block_ranks), and
-    one more gives every alpha.B_l.alpha (fpcore._quadratic).
+    for the left half, its transpose for the right half.  A transpose equal
+    to +C_k or -C_k only repeats a left-half column up to sign, so the
+    columns S.alpha, for S among the C_k and the other transposes, span the
+    column space of M: the same rank, from a spanning set read off the
+    grading, with no elimination of the C_k (which _graded_core has shown
+    independent, R^2 being the whole degree-2 part).  And
+    alpha.C_k^T.alpha = alpha.C_k.alpha, so alpha.M = 0 iff
+    alpha.C_k.alpha = 0 for every k.  Each vector then costs one
+    elimination of an (r, n) stack, r = d2 plus the unpaired transposes;
+    on the four quotients every C_k is skew or symmetric, so r = d2 (14 or
+    20).  Per block of vectors, one exact matmul gives the stacks, held
+    matrices-last for fpcore._eliminate, which is read for the rank alone
+    (_block_ranks), and one more gives every alpha.C_k.alpha
+    (fpcore._quadratic).
 
     Both facts the reduction to M rests on, the grading and R^2 = span{e_n,
     ..., e_(dim-1)}, are checked once per call by _graded_core, which
@@ -429,21 +435,20 @@ def annihilator_exhaustive(variant: str, p: int, n: int = 6, projective: bool = 
     kind = VARIANTS[variant][0]
     _require_odd(kind, p, "the commutative-variety annihilator check requires odd p")
     core = _graded_core(variant, p, n)
-    # The 2*d2 matrices C_k, flattened, and an rref basis B_1..B_r of their span.
-    coeff = np.concatenate([core.transpose(2, 0, 1), core.transpose(2, 1, 0)])
-    basis = Subspace(PrimeField(p), n * n, coeff.reshape(-1, n * n)).basis
-    r = len(basis)
-    # Row l*n + i of weights is row i of B_l, so weights @ alpha stacks
-    # B_l.alpha for every l; forms[:, :, l] is B_l.
-    weights = basis.reshape(r * n, n)
-    forms = basis.reshape(r, n, n).transpose(1, 2, 0)
+    # The d2 matrices C_k and the transposes that are not +C_k or -C_k.
+    left = core.transpose(2, 0, 1)
+    right = core.transpose(2, 1, 0)
+    unpaired = ((right != left) & (right != (-left) % p)).any(axis=(1, 2))
+    spanning = np.concatenate([left, right[unpaired]])
+    # Row l*n + i of weights is row i of the l-th spanning matrix, so
+    # weights @ alpha stacks the columns of M up to sign and repetition.
+    weights = spanning.reshape(-1, n)
     rank = n - 1 if kind == ALTERNATING else n
     vs = _projective_reps(p, n) if projective else nonzero_vectors(p, n)
-    # The span stand-in for M transposed, (r, n) per vector.
     for lo, a, got in _block_ranks(weights, vs, p):
         ok = got == rank
         if kind == ALTERNATING:
-            ok &= ~_quadratic(a, forms, p).any(axis=1)
+            ok &= ~_quadratic(a, core, p).any(axis=1)
         if not ok.all():
             return False, lo + int(ok.argmin())
     return True, len(vs)
@@ -508,16 +513,28 @@ def _obstruction_failures(kind: str, mats: np.ndarray, p: int) -> int:
 
 def _sample_invertible(rng, p: int, n: int, count: int) -> np.ndarray:
     """The first count invertible n x n matrices among uniform draws from
-    rng, as a (count, n, n) array.  Each round draws as many as are still
-    missing in one (k, n, n) call and ranks them in one batch.  A round
-    never draws past the count-th invertible matrix, and one call of k
-    matrices reads the stream as k calls of one do, so rng yields what a
-    draw-until-invertible loop of one matrix per call would."""
-    out = []
-    while len(out) < count:
-        draws = rng.integers(0, p, size=(count - len(out), n, n), dtype=np.int64)
-        out.extend(m for m, rank in zip(draws, _rref_stack(draws, p)[1]) if rank == n)
-    return np.array(out, dtype=np.int64).reshape(count, n, n)
+    rng, as a (count, n, n) array, with rng left just past the count-th
+    invertible draw.  One call of k matrices reads the stream as k calls of
+    one do, so this is what a draw-until-invertible loop of one matrix per
+    call yields.  A fraction f = prod_{i=1..n} (1 - p**-i) of the matrices
+    is invertible, so it draws ahead about count / f of them plus a margin
+    of a few standard deviations, and again as many as it has drawn so far
+    whenever that falls short; each draw is ranked by one
+    fpcore._eliminate.  It then rewinds rng to its starting state and
+    redraws exactly up to the count-th invertible draw."""
+    if count == 0:
+        return np.zeros((0, n, n), dtype=np.int64)
+    start = rng.bit_generator.state
+    f = math.prod(1 - p**-i for i in range(1, n + 1))
+    size = math.ceil((count + 4 * math.sqrt(count) + 8) / f)
+    invertible = np.zeros(0, dtype=bool)
+    while np.count_nonzero(invertible) < count:
+        lead = _eliminate(_stack_last(rng.integers(0, p, size=(size, n, n), dtype=np.int64), p), p)
+        invertible = np.concatenate([invertible, (lead < n).all(axis=0)])
+        size = len(invertible)
+    last = np.flatnonzero(invertible)[count - 1] + 1
+    rng.bit_generator.state = start
+    return rng.integers(0, p, size=(last, n, n), dtype=np.int64)[invertible[:last]]
 
 
 def noniso_certificate(pair, p: int, samples: int = 1000, seed: int = DEFAULT_SEED) -> Certificate:

@@ -40,6 +40,40 @@ def test_wedge_matrix_is_a_group_action():
         assert np.array_equal(lhs, rhs)
 
 
+def _wedge_matrix_loop(g, m):
+    """The induced action on wedge^2(F_2^m) entry by entry: the reference
+    for the gathered wedge_matrix."""
+    pairs = wedge_pairs(m)
+    w = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
+    for col, (i, j) in enumerate(pairs):
+        for row, (a, b) in enumerate(pairs):
+            w[row, col] = (g[a, i] * g[b, j] + g[b, i] * g[a, j]) % 2
+    return w
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_wedge_matrix_matches_entry_loop(m):
+    rng = np.random.default_rng(40 + m)
+    for g in _gl2_generators(m) + [rng.integers(0, 2, (m, m)) for _ in range(20)]:
+        got = wedge_matrix(g, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _wedge_matrix_loop(g, m))
+
+
+def test_one_subspace_cells_are_their_own_orbit(monkeypatch):
+    # The zero subspace and the whole space are fixed by GL: cells with k = 0
+    # or k = d make no generator images.  A two-subspace pool still does.
+    calls = []
+    keys = catalog._keys
+    monkeypatch.setattr(catalog, "_keys", lambda stack: calls.append(stack.shape) or keys(stack))
+    for m in range(1, 7):
+        d = len(wedge_pairs(m))
+        for dim in {0, d}:
+            assert _orbit_partition(m, dim) == [[enumerate_subspaces(d, dim)[0].tobytes()]]
+    assert calls == []
+    assert _orbit_partition(3, 1) and calls
+
+
 @pytest.mark.parametrize("m, dim", [(2, 0), (3, 1), (4, 4), (4, 5)])
 def test_orbit_partition_matches_per_subspace_closure(m, dim):
     """The batched image keys give the orbits that closing each Subspace

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -451,6 +453,36 @@ def test_annihilator_exhaustive_eliminates_the_span_basis(monkeypatch, variant, 
     assert shapes == {(span, 6)}
 
 
+@pytest.mark.parametrize(
+    "variant, p",
+    [(v, p) for v in ("A1", "B1") for p in (2, 3, 5)] + [(v, p) for v in ("A2", "B2") for p in (3, 5)],
+)
+def test_annihilator_exhaustive_eliminates_only_vector_stacks(monkeypatch, variant, p):
+    # The spanning set is read off the core: no Subspace, no rref, and every
+    # elimination is one of _block_ranks' per-vector stacks.
+    constructions._graded_core(variant, p, 6)
+    calls = []
+    for name in ("Subspace", "_rref_stack"):
+        monkeypatch.setattr(constructions, name, lambda *args, name=name: calls.append(name))
+    inside = []
+    block_ranks = constructions._block_ranks
+
+    def spy_block_ranks(*args):
+        inside.append(True)
+        yield from block_ranks(*args)
+        inside.pop()
+
+    eliminate = constructions._eliminate
+    monkeypatch.setattr(constructions, "_block_ranks", spy_block_ranks)
+    monkeypatch.setattr(
+        constructions,
+        "_eliminate",
+        lambda m, p: calls.append(("_eliminate", bool(inside))) or eliminate(m, p),
+    )
+    assert annihilator_exhaustive(variant, p)[0]
+    assert calls and set(calls) == {("_eliminate", True)}
+
+
 @pytest.mark.parametrize("variant", ["A1", "B1", "A2", "B2"])
 def test_annihilator_exhaustive_survives_a_change_of_coordinates(monkeypatch, variant):
     # An invertible change of generators (Q) and of degree-2 coordinates (D)
@@ -493,12 +525,12 @@ def _random_core(rng, p, d2, shape):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_annihilator_exhaustive_matches_reference_on_random_cores(monkeypatch, p):
-    # Random cores reach every span dimension from d2 up to all 36 of the
-    # 6 x 6 matrices, and verdicts of both kinds, each at its first failure.
-    # The commutative kind needs odd p: at p = 2 every core runs as A1.
+    # Random cores give spanning sets from d2 up to 2*d2 matrices, and
+    # verdicts of both kinds, each at its first failure.  The commutative
+    # kind needs odd p: at p = 2 every core runs as A1.
     rng = np.random.default_rng(100 + p)
     projective = p == 5
-    spans, outcomes = set(), []
+    outcomes = []
     for shape, d2, variant in [
         ("skew", 6, "A1"),
         ("skew", 15, "A1"),
@@ -516,10 +548,14 @@ def test_annihilator_exhaustive_matches_reference_on_random_cores(monkeypatch, p
         shapes = _spy_stack_shapes(monkeypatch)
         got = annihilator_exhaustive(variant, p, projective=projective)
         assert got == _annihilator_reference(variant, p, projective=projective)
-        spans |= {r for r, _ in shapes}
+        # Each vector's stack has a row per C_k and per transpose not +-C_k.
+        unpaired = sum(
+            not any(np.array_equal(c.T, sign * c % p) for sign in (1, -1))
+            for c in core.transpose(2, 0, 1)
+        )
+        assert shapes == {(d2 + unpaired, 6)}
         outcomes.append(got)
         monkeypatch.undo()
-    assert {6, 15, 36} <= spans
     assert {ok for ok, _ in outcomes} == {True, False}
     assert any(not ok and index > 0 for ok, index in outcomes)
 
@@ -668,6 +704,56 @@ def test_sample_invertible_reads_the_stream_of_a_per_matrix_loop(p):
         assert np.array_equal(got, np.array(expected))
         # Both leave the generator at the same point of its stream.
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+def _spy_eliminations(monkeypatch):
+    calls = []
+    eliminate = constructions._eliminate
+    monkeypatch.setattr(constructions, "_eliminate", lambda m, p: calls.append(m.shape) or eliminate(m, p))
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sample_invertible_ranks_in_at_most_two_eliminations(monkeypatch, p):
+    calls = _spy_eliminations(monkeypatch)
+    rng = np.random.default_rng(30 + p)
+    assert constructions._sample_invertible(rng, p, 6, 1000).shape == (1000, 6, 6)
+    assert 1 <= len(calls) <= 2
+    # A count of 0 draws nothing: the stream is where it was.
+    calls.clear()
+    state = rng.bit_generator.state
+    assert constructions._sample_invertible(rng, p, 6, 0).shape == (0, 6, 6)
+    assert calls == [] and rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sample_invertible_draws_again_when_short(monkeypatch, p):
+    # With the invertible fraction taken as 1, the first draw falls short and
+    # later ones double it; the samples still follow the per-matrix stream.
+    calls = _spy_eliminations(monkeypatch)
+    fake_math = types.SimpleNamespace(prod=lambda factors: 1.0, ceil=math.ceil, sqrt=math.sqrt)
+    monkeypatch.setattr(constructions, "math", fake_math)
+    rng = np.random.default_rng(60 + p)
+    got = constructions._sample_invertible(rng, p, 6, 300)
+    assert len(calls) >= 2
+    assert [shape[-1] for shape in calls] == [calls[0][-1] * 2 ** max(0, k - 1) for k in range(len(calls))]
+    ref_rng = np.random.default_rng(60 + p)
+    expected = []
+    while len(expected) < 300:
+        m = ref_rng.integers(0, p, size=(6, 6), dtype=np.int64)
+        if _invertible_mod(m, p):
+            expected.append(m)
+    assert np.array_equal(got, np.array(expected))
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("pair, p", [(("A1", "B1"), 3), (("A2", "B2"), 5)])
+@pytest.mark.parametrize("seed", [constructions.DEFAULT_SEED, 7])
+def test_noniso_certificate_obstruction_failures_are_pinned(pair, p, seed):
+    # Captured before the sampler ranked its draws in one batch: every
+    # sampled matrix fails the obstruction condition.
+    got = [noniso_certificate(pair, p, samples=s, seed=seed).obstruction_failures for s in (0, 1, 50, 1000)]
+    assert got == [0, 1, 50, 1000]
 
 
 def test_noniso_certificate_diagnostic_same_variant():
