@@ -24,10 +24,10 @@ import numpy as np
 
 from .algebra import SCAlgebra
 from .errors import CapExceeded, RingAxiomViolation
-from .fpcore import PrimeField, Subspace, _eliminate, _grid, _matmul_mod, _pivot_rows, _rref_stack
+from .fpcore import PrimeField, Subspace, _eliminate_packed, _grid, _pack, _rref_stack, _xor_span
 from .graphs import _GRAPH_BYTES, compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
 from .identities import holds, parse
-from .isomorph import _BLOCK, _orbit
+from .isomorph import _orbit
 
 __all__ = [
     "RingPresentation",
@@ -103,35 +103,46 @@ def enumerate_subspaces(dim: int, r: int) -> np.ndarray:
     return pool
 
 
-def _keys(stack: np.ndarray):
-    """Canonical key of the row space of each full-rank matrix over F_2 in
-    a matrices-last (r, c, n) stack in _work_dtype(2): the bytes of its
-    rref basis.  The stack is eliminated in place."""
-    return [rows.tobytes() for rows in _pivot_rows(stack, _eliminate(stack, 2), np.uint8)]
-
-
 def _cell_bytes(dim: int, r: int) -> int:
     """Upper estimate of _orbit_partition's peak bytes on the r-subspaces of
-    F_2^dim: 6 per pool entry (the uint8 pool and its four lists of bytes
-    keys), 400 per subspace (the keys' headers, lists, dict and sets), and
-    24 per entry of one block (its float32 copy and image, the int16 stack
-    and elimination's temporaries).  tracemalloc peaks: 125 MB on cell
-    (m, k) = (5, 2) against 178 estimated, 45 on (6, 1) against 80."""
-    return _subspace_count(dim, r) * (6 * r * dim + 400) + 24 * _BLOCK
+    F_2^dim, packed words taking w bytes: per subspace, r * dim for the pool,
+    8 * r * w for its packed copies, keys and images, 64 for index arrays and
+    labels; then the XOR spans and 1 MB.  tracemalloc peaks: 37.6 MB on cell
+    (m, k) = (5, 2) against 48.4 estimated, 13.7 on (6, 1) against 17.5."""
+    w = np.min_scalar_type((1 << dim) - 1).itemsize
+    return _subspace_count(dim, r) * (r * dim + 8 * r * w + 64) + (2 * w << dim) + 2**20
 
 
-def _orbits(keys, images):
-    """The orbits of a pool of hashable keys, where images[g][i] is the key
-    of keys[i]'s image under generator g: each sorted, in order of least key."""
-    index = {key: i for i, key in enumerate(keys)}
-    orbits = []
-    seen = set()
-    for key in sorted(index):
-        if key not in seen:
-            orbit = _orbit(key, lambda x: (image[index[x]] for image in images))
-            seen |= orbit
-            orbits.append(sorted(orbit))
-    return orbits
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One void key per matrix of an (r, n) stack of packed rows, its words
+    big-endian: keys compare as the bytes of the uint8 rows do."""
+    rows = np.ascontiguousarray(words.T, dtype=words.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+
+
+def _index_in(table: np.ndarray, keys) -> np.ndarray:
+    """The index of each key in the sorted array table; AssertionError if
+    some key is not in it, so that no two keys are ever merged."""
+    index = np.searchsorted(table, keys)
+    if not np.array_equal(table[np.minimum(index, len(table) - 1)], keys):
+        raise AssertionError("a generator image is not in the table")
+    return index
+
+
+def _orbit_labels(images) -> np.ndarray:
+    """The least point of each point's orbit, where each of images is an
+    (n,) permutation of range(n), one generator's image of every point.  A
+    round pulls the lesser label along every image edge, then jumps pointers
+    until each label is its own; pulling suffices, since labels that never
+    rise around a permutation's cycle are equal."""
+    label, before = np.arange(len(images[0])), None
+    while not np.array_equal(label, before):
+        before = label.copy()
+        for image in images:
+            np.minimum(label, label[image], out=label)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
 
 
 @dataclass(frozen=True)
@@ -215,25 +226,27 @@ class CatalogEntry:
 
 def _orbit_partition(m: int, subspace_dim: int):
     """Partition all subspace_dim-subspaces of wedge^2(F_2^m) into
-    GL(m, 2)-orbits by closure under the induced generator action.  The pool
-    is in rref, so each subspace's key is its own bytes; the keys of its
-    images under each generator come from batched eliminations, one block
-    of _BLOCK entries of the pool at a time, so that no image of the whole
-    pool is held.  A pool of one subspace (the zero subspace or the whole
-    space: every k = 0 or k = d cell) is its own orbit, with no images."""
+    GL(m, 2)-orbits.  Returns the enumerate_subspaces pool and, for each of
+    its subspaces, the pool index of the least rref (as bytes) in its orbit.
+    The pool is packed once and sorted by key.  Under each generator, its
+    images are one gather from the XOR span of the wedge matrix's packed
+    columns, taken to rref by one packed elimination and found among the
+    keys by binary search; _orbit_labels closes the orbits.  A pool of one
+    subspace (every k = 0 or k = d cell) is its own orbit, with no images."""
     pool = enumerate_subspaces(len(wedge_pairs(m)), subspace_dim)
     if len(pool) == 1:
-        return [[pool[0].tobytes()]]
-    step = max(1, _BLOCK // max(1, pool[0].size))
-    wedges = [wedge_matrix(g, m) for g in _gl2_generators(m)]
-    images = [[] for _ in wedges]
-    for lo in range(0, len(pool), step):
-        # The block held last, (r, d, B): the images of its rows under a
-        # generator are one exact matmul with its wedge matrix.
-        block = pool[lo : lo + step].transpose(1, 2, 0)
-        for w, keys in zip(wedges, images):
-            keys += _keys(_matmul_mod(w, block, 2))
-    return _orbits([rows.tobytes() for rows in pool], images)
+        return pool, np.zeros(1, dtype=np.intp)
+    packed = _pack(pool)
+    keys = _row_keys(packed.T)
+    order = np.argsort(keys, kind="stable")
+    words, keys = packed[order].T.copy(), keys[order]
+    images = []
+    for g in _gl2_generators(m):
+        image = _xor_span(_pack(wedge_matrix(g, m).T))[words]
+        images.append(_index_in(keys, _row_keys(_eliminate_packed(image))))
+    labels = np.empty_like(order)
+    labels[order] = order[_orbit_labels(images)]
+    return pool, labels
 
 
 def enumerate_variety_rings(max_order: int = 64):
@@ -242,8 +255,8 @@ def enumerate_variety_rings(max_order: int = 64):
     max_order must be a power of two.  Each cell (m, k) is partitioned into
     orbits on its own.  Every cell's peak is estimated before the first is
     built, and CapExceeded is raised when one exceeds _GRAPH_BYTES: order
-    128 passes, and order 256 is refused at cell (5, 3), whose pool has
-    6,347,715 subspaces.
+    128 passes, and order 256 is refused at cell (6, 2), whose pool has
+    178,940,587 subspaces.
     """
     if max_order < 2 or max_order & (max_order - 1):
         raise ValueError("max_order must be a power of two, at least 2")
@@ -262,17 +275,16 @@ def enumerate_variety_rings(max_order: int = 64):
             )
     entries = []
     for m, k, d in cells:
-        for orbit in _orbit_partition(m, d - k):
-            canon = orbit[0]
-            kernel = Subspace(_F2, d, np.frombuffer(canon, dtype=np.uint8).reshape(d - k, d))
-            pres = presentation_from_kernel(m, kernel)
+        pool, labels = _orbit_partition(m, d - k)
+        for basis in pool[np.unique(labels)]:
+            pres = presentation_from_kernel(m, Subspace(_F2, d, basis))
             validate_in_variety(pres.algebra)
             entries.append(
                 CatalogEntry(
                     order=2 ** (m + k),
                     m=m,
                     k=k,
-                    kernel_canon=canon,
+                    kernel_canon=basis.tobytes(),
                     fingerprint=fingerprint(compressed_graph(pres.algebra)),
                     presentation=pres,
                 )
@@ -393,7 +405,7 @@ def _oracle_valid_tables(d: int):
 
 def _oracle_images(valid, d: int):
     """Encodings of the tables pulled back along each GL(d, 2) generator g,
-    one list per generator aligned with valid: the image table multiplies
+    one array per generator aligned with valid: the image table multiplies
     x_i x_j = g^-1((g e_i)(g e_j)), the table of an isomorphic ring.  All
     tables are decoded into full (d, d, d) product tensors at once."""
     a, b = np.array(wedge_pairs(d), dtype=np.int64).reshape(-1, 2).T
@@ -409,7 +421,7 @@ def _oracle_images(valid, d: int):
         ginv = _rref_stack(np.hstack([g, eye]), 2)[0][:, d:]
         prod = np.einsum("ai,bj,nabm->nijm", g, g, full, optimize=True)
         image = prod[:, a, b] @ ginv.T % 2
-        out.append((image << shifts).sum(axis=(1, 2)).tolist())
+        out.append((image << shifts).sum(axis=(1, 2)))
     return out
 
 
@@ -427,6 +439,7 @@ def brute_force_census(max_order: int = 16) -> dict:
         raise ValueError("max_order must be a power of two, at least 2")
     counts = {}
     for d in range(1, max_order.bit_length()):
-        valid = _oracle_valid_tables(d)
-        counts[2**d] = len(_orbits(valid, _oracle_images(valid, d)))
+        valid = np.array(_oracle_valid_tables(d), dtype=np.int64)
+        images = [_index_in(valid, image) for image in _oracle_images(valid, d)]
+        counts[2**d] = len(np.unique(_orbit_labels(images)))
     return counts

@@ -20,6 +20,12 @@ callers build their stacks matrices-last in the work dtype with one exact
 matmul (_matmul_mod) and call the loop themselves.  Subspaces are stored as
 reduced row-echelon bases, which makes subspace equality a plain array
 comparison.
+
+At p = 2 a vector can also be one packed word (_pack): coordinate j at bit
+d - 1 - j, in the narrowest unsigned dtype that holds d bits.  Read row by
+row, such words compare as the uint8 rows do.  _xor_span applied to a
+matrix's packed columns tabulates its action on all 2**d vectors, and
+_eliminate_packed takes stacks of packed full-rank rows to rref.
 """
 
 import math
@@ -202,22 +208,6 @@ def _stack_last(a, p: int) -> np.ndarray:
     return a.reshape(n, r, c).transpose(1, 2, 0).astype(_work_dtype(p), order="C")
 
 
-def _pivot_rows(m: np.ndarray, lead: np.ndarray, dtype) -> np.ndarray:
-    """The rref of every matrix of a stack that _eliminate reduced, as an
-    (n, r, c) array of dtype: the pivot rows in order of their pivot
-    columns, then zero rows.  They are gathered a block of matrices at a
-    time, so that the copy holds little more than the stack and the result."""
-    r, c, n = m.shape
-    top = min(r, c)
-    order = np.argsort(lead.T, axis=1, kind="stable")[:, :top]
-    red = np.zeros((n, r, c), dtype=dtype)
-    every = np.arange(n)
-    step = max(1, 2**14 // max(1, top * c))
-    for lo in range(0, n, step):
-        red[lo : lo + step, :top] = m[order[lo : lo + step], :, every[lo : lo + step, None]]
-    return red
-
-
 def _rref_stack(a, p: int):
     """Canonical reduced row-echelon forms of a stack of matrices over Z_p.
 
@@ -228,9 +218,14 @@ def _rref_stack(a, p: int):
     """
     shape = np.shape(a)
     m = _stack_last(a, p)
+    r, c, n = m.shape
     lead = _eliminate(m, p)
-    rank = (lead < shape[-1]).sum(axis=0, dtype=np.int64)
-    return _pivot_rows(m, lead, np.int64).reshape(shape), rank.reshape(shape[:-2])
+    # The pivot rows in order of their pivot columns, then zero rows.
+    top = min(r, c)
+    red = np.zeros((n, r, c), dtype=np.int64)
+    red[:, :top] = m[np.argsort(lead.T, axis=1, kind="stable")[:, :top], :, np.arange(n)[:, None]]
+    rank = (lead < c).sum(axis=0, dtype=np.int64)
+    return red.reshape(shape), rank.reshape(shape[:-2])
 
 
 def _kernel_rows(m: np.ndarray, lead: np.ndarray, p: int):
@@ -268,6 +263,42 @@ def _left_kernel_stack(a, p: int):
     m = _stack_last(np.swapaxes(a, -1, -2)[..., ::-1], p)
     basis, free = _kernel_rows(m, _eliminate(m, p), p)
     return basis.reshape(shape[:-1] + shape[-2:-1]), free.reshape(shape[:-1])
+
+
+def _pack(a) -> np.ndarray:
+    """The rows of a (..., d) array of bits as packed words, shape (...)."""
+    d = np.shape(a)[-1]
+    weights = (1 << np.arange(d - 1, -1, -1)).astype(np.min_scalar_type((1 << d) - 1))
+    # einsum casts as it goes; matmul would first cast all of a.
+    return np.einsum("...j,j->...", a, weights, dtype=weights.dtype, casting="unsafe")
+
+
+def _xor_span(gens) -> np.ndarray:
+    """The XOR of every subset of the d rows of gens, in grid order: entry v
+    is the XOR of gens[j] over the coordinates j set in the packed word v."""
+    span = np.zeros((1 << len(gens),) + gens.shape[1:], dtype=gens.dtype)
+    for t, g in enumerate(gens[::-1]):
+        np.bitwise_xor(span[: 1 << t], g, out=span[1 << t : 2 << t])
+    return span
+
+
+def _eliminate_packed(m: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan elimination over F_2, in place, of an (r, n) stack of
+    packed rows held matrices-last, each matrix of full row rank; the rows
+    end as the rref in pivot order, and m is returned.  A row's pivot is its
+    highest bit, so row = min(row, row ^ piv) clears piv's pivot from row.
+    Row i is cleared by the pivot rows above it (none holds another's
+    pivot, so in any order), clears its pivot from them, and is inserted
+    among them, since in pivot order the rows fall."""
+    for i in range(len(m)):
+        for row in m[:i]:
+            np.minimum(m[i], m[i] ^ row, out=m[i])
+        for row in m[:i]:
+            np.minimum(row, row ^ m[i], out=row)
+        for above, row in zip(m[i - 1 :: -1], m[i:0:-1]):
+            above[...], row[...] = np.maximum(above, row), np.minimum(above, row)
+    assert m.all(), "the rows are not independent"
+    return m
 
 
 def _grid(orders) -> np.ndarray:

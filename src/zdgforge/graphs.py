@@ -69,7 +69,7 @@ import numpy as np
 
 from .algebra import SCAlgebra, _two_step_core
 from .errors import CapExceeded
-from .fpcore import _eliminate, _exact_dtype, _grid, _kernel_rows, _matmul_mod, _projective_reps, _quadratic
+from .fpcore import _eliminate, _exact_dtype, _grid, _kernel_rows, _matmul_mod, _pack, _projective_reps, _quadratic, _xor_span
 from .isomorph import (
     _BLOCK,
     _SEARCH_BUDGET,
@@ -412,7 +412,7 @@ def _parity_rows(part: np.ndarray, bits: int) -> np.ndarray:
 
 def _f2_rows(table: np.ndarray, d: int) -> np.ndarray:
     """Packed zero rows of the 2**d - 1 nonzero elements of a ring whose d
-    additive orders are all 2.  Element e has coordinate j at bit d-1-j, and
+    additive orders are all 2.  Elements are packed words (fpcore._pack), and
     b -> (a*b)_k, b -> (b*a)_k are d-bit forms L with value parity(L & b),
     whose packed truth table is tt(L) = lo[L mod 2**h] ^ hi[L >> h] for the
     half tables of h = d // 2 and d - h bits.  A row is
@@ -420,15 +420,10 @@ def _f2_rows(table: np.ndarray, d: int) -> np.ndarray:
     n = (1 << d) - 1
     table = table % 2
     table = table[:, :, table.any(axis=(0, 1))]
-    w = 1 << np.arange(d - 1, -1, -1)
     # Per side, the (k, n) forms of the nonzero elements: an element's form
     # is the XOR of its generators'.
-    sides = []
-    for gens in (table.transpose(0, 2, 1) @ w, table.transpose(1, 2, 0) @ w):
-        forms = np.zeros((gens.shape[1], 1), dtype=np.intp)
-        for g in gens[::-1]:
-            forms = np.concatenate([forms, forms ^ g[:, None]], axis=1)
-        sides.append(forms[:, 1:])
+    gens = (_pack(table.transpose(0, 2, 1)), _pack(table.transpose(1, 2, 0)))
+    sides = [_xor_span(g)[1:].T.copy() for g in gens]
     if np.array_equal(*sides):  # commutative: one side decides
         del sides[1]
     h = d // 2
@@ -456,7 +451,7 @@ def _explicit_bytes(orders) -> int:
     (n candidate vertices, d coordinates): three copies of the packed rows
     (the kernel's, their compaction and the ints), the grid, labels and a
     few blocks, plus the all-pairs kernel's n x n matrix or the F_2
-    kernel's forms (two (k, n) intp, k <= d, twice while built) and half
+    kernel's forms (two (k, n) word arrays, k <= d, twice while built) and half
     tables with their parity bits."""
     d, n = len(orders), math.prod(orders) - 1
     width = (n + 7) // 8

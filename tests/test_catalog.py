@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from zdgforge import catalog
 from zdgforge.catalog import (
     _gl2_generators,
-    _keys,
+    _index_in,
     _oracle_images,
     _oracle_valid_tables,
+    _orbit_labels,
     _orbit_partition,
+    _row_keys,
     _subspace_count,
     brute_force_census,
     determinacy_report,
@@ -23,8 +27,9 @@ from zdgforge.catalog import (
     wedge_pairs,
 )
 from zdgforge.errors import CapExceeded, RingAxiomViolation
-from zdgforge.fpcore import PrimeField, Subspace, _work_dtype
+from zdgforge.fpcore import PrimeField, Subspace, _grid, _pack, _rref_stack, _xor_span
 from zdgforge.identities import holds, parse
+from zdgforge.isomorph import _orbit
 
 F2 = PrimeField(2)
 
@@ -60,18 +65,95 @@ def test_wedge_matrix_matches_entry_loop(m):
         assert np.array_equal(got, _wedge_matrix_loop(g, m))
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_xor_span_images_match_wedge_matmul(m):
+    # The span of a wedge matrix's packed columns, read at a packed vector v,
+    # is the packed W @ v: every vector up to d = 10, a seeded sample above.
+    d = len(wedge_pairs(m))
+    rng = np.random.default_rng(70 + m)
+    vs = _grid((2,) * d) if d <= 10 else rng.integers(0, 2, (500, d))
+    for g in _gl2_generators(m) + [rng.integers(0, 2, (m, m)) for _ in range(3)]:
+        w = wedge_matrix(g, m)
+        span = _xor_span(_pack(w.T))
+        assert span.shape == (2**d,)
+        assert np.array_equal(span[_pack(vs)], _pack(vs @ w.T % 2))
+
+
+@pytest.mark.parametrize("d", [6, 10, 21])
+def test_row_keys_compare_as_rref_bytes(d):
+    rng = np.random.default_rng(d)
+    rows = rng.integers(0, 2, (300, 3, d), dtype=np.uint8)
+    rows[100:200, 0] = rows[0, 0]  # ties on the first row
+    keys = _row_keys(_pack(rows).T)
+    by_bytes = sorted(range(len(rows)), key=lambda i: rows[i].tobytes())
+    assert np.argsort(keys, kind="stable").tolist() == by_bytes
+
+
+def test_index_in_refuses_a_key_outside_the_table():
+    table = np.array([2, 5, 9])
+    assert _index_in(table, np.array([9, 2, 5])).tolist() == [2, 0, 1]
+    for missing in (0, 3, 10):
+        with pytest.raises(AssertionError):
+            _index_in(table, np.array([5, missing]))
+
+
+def _orbits_reference(keys, images):
+    """The orbits of a pool of hashable keys, where images[g][i] is the key
+    of keys[i]'s image under generator g: each sorted, in order of least key.
+    The dict closure that the array labels replaced."""
+    index = {key: i for i, key in enumerate(keys)}
+    orbits = []
+    seen = set()
+    for key in sorted(index):
+        if key not in seen:
+            orbit = _orbit(key, lambda x: (image[index[x]] for image in images))
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+def _assert_labels_name_least_keys(keys, labels, images):
+    """labels[i] is the index of the least key in keys[i]'s orbit, orbits
+    taken by the dict closure over the image keys."""
+    least = {key: orbit[0] for orbit in _orbits_reference(keys, images) for key in orbit}
+    assert [keys[label] for label in labels] == [least[key] for key in keys]
+
+
+_CELLS_TO_64 = [
+    (m, k) for m in range(1, 7) for d in [len(wedge_pairs(m))] for k in range(min(d, 6 - m) + 1)
+]
+
+
+@pytest.mark.parametrize("m, k", _CELLS_TO_64 + [(4, 3), (6, 1)])
+def test_orbit_labels_match_dict_closure(m, k):
+    """Every census cell through order 64 and two of order 128: the labels
+    name the least key of each orbit that the dict closure finds, with the
+    image keys taken by the int16 elimination."""
+    d = len(wedge_pairs(m))
+    pool, labels = _orbit_partition(m, d - k)
+    keys = [rows.tobytes() for rows in pool]
+    images = [
+        [rows.tobytes() for rows in _rref_stack(pool @ wedge_matrix(g, m).T, 2)[0].astype(np.uint8)]
+        for g in _gl2_generators(m)
+    ]
+    _assert_labels_name_least_keys(keys, labels, images)
+
+
 def test_one_subspace_cells_are_their_own_orbit(monkeypatch):
     # The zero subspace and the whole space are fixed by GL: cells with k = 0
     # or k = d make no generator images.  A two-subspace pool still does.
     calls = []
-    keys = catalog._keys
-    monkeypatch.setattr(catalog, "_keys", lambda stack: calls.append(stack.shape) or keys(stack))
+    eliminate = catalog._eliminate_packed
+    monkeypatch.setattr(catalog, "_eliminate_packed", lambda m: calls.append(m.shape) or eliminate(m))
     for m in range(1, 7):
         d = len(wedge_pairs(m))
         for dim in {0, d}:
-            assert _orbit_partition(m, dim) == [[enumerate_subspaces(d, dim)[0].tobytes()]]
+            pool, labels = _orbit_partition(m, dim)
+            assert np.array_equal(pool, enumerate_subspaces(d, dim))
+            assert labels.tolist() == [0]
     assert calls == []
-    assert _orbit_partition(3, 1) and calls
+    _orbit_partition(3, 1)
+    assert calls
 
 
 @pytest.mark.parametrize("m, dim", [(2, 0), (3, 1), (4, 4), (4, 5)])
@@ -94,10 +176,8 @@ def test_orbit_partition_matches_per_subspace_closure(m, dim):
                     frontier.append(img)
         left -= orbit
         orbits.append(orbit)
-    batched = [
-        {Subspace(F2, d, np.frombuffer(key, dtype=np.uint8).reshape(dim, d)) for key in orbit}
-        for orbit in _orbit_partition(m, dim)
-    ]
+    pool, labels = _orbit_partition(m, dim)
+    batched = [{Subspace(F2, d, pool[i]) for i in np.flatnonzero(labels == label)} for label in np.unique(labels)]
     assert sorted(map(len, batched)) == sorted(map(len, orbits))
     assert all(orbit in batched for orbit in orbits)
 
@@ -150,8 +230,8 @@ def test_enumerate_subspaces_matches_reference_generator(dim, r):
     reference = list(_subspaces_reference(dim, r))
     assert len(reference) == len(pool)
     assert all(np.array_equal(a, b) for a, b in zip(pool, reference))
-    # Each row is its own rref, so its bytes are its key.
-    assert [rows.tobytes() for rows in pool] == _keys(np.moveaxis(pool, 0, -1).astype(_work_dtype(2)))
+    # Each basis is its own rref, so its bytes are its key.
+    assert np.array_equal(_rref_stack(pool, 2)[0], pool)
 
 
 def test_census_to_order_128():
@@ -160,6 +240,25 @@ def test_census_to_order_128():
     report = determinacy_report(entries)
     assert [row["classes"] for row in report] == [1, 1, 2, 2, 4, 8, 16]
     assert all(row["violations"] == [] for row in report)
+    # The catalog lines that census --out writes.  Cells (5, 2) and (6, 1)
+    # first appear at order 128, so this pins their representatives.
+    lines = "".join(json.dumps(e.to_json()) + "\n" for e in entries)
+    assert len(entries) == 34
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "0419f69621b8c2d3c68e79987fec9ce56b275775346ded90a46c6b8c4e62bd72"
+    )
+
+
+@pytest.mark.parametrize("m, k", [(5, 2), (6, 1)])
+def test_cell_bytes_bounds_tracemalloc_peaks(m, k):
+    d = len(wedge_pairs(m))
+    tracemalloc.start()
+    try:
+        _orbit_partition(m, d - k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= catalog._cell_bytes(d, d - k)
 
 
 def test_census_refuses_a_cell_over_the_cap_before_building(monkeypatch):
@@ -306,6 +405,14 @@ def test_oracle_images_match_bit_loop_reference(oracle_tables, d):
         assert set(encs) <= index
         for n in sample:
             assert encs[n] == _transport_reference(valid[n], g, ginv, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_oracle_labels_match_dict_closure(oracle_tables, d):
+    valid = oracle_tables[d]
+    images = _oracle_images(valid, d)
+    labels = _orbit_labels([_index_in(np.array(valid), image) for image in images])
+    _assert_labels_name_least_keys(valid, labels, [image.tolist() for image in images])
 
 
 def test_oracle_refuses_tables_beyond_int64():

@@ -144,7 +144,7 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
 
 
 def test_census_past_the_cap_is_a_usage_error(capsys, monkeypatch):
-    # Order 256 is refused at cell (5, 3) before any pool is built.
+    # Order 256 is refused at cell (6, 2) before any pool is built.
     def unbuilt(m, subspace_dim):
         raise AssertionError("a pool was built")
 
@@ -152,7 +152,7 @@ def test_census_past_the_cap_is_a_usage_error(capsys, monkeypatch):
     code = main(["census", "--max-order", "256"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: census cell (m=5, k=3) has 6347715 subspaces")
+    assert captured.err.startswith("error: census cell (m=6, k=2) has 178940587 subspaces")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 

@@ -10,9 +10,11 @@ from zdgforge.fpcore import (
     PrimeField,
     Subspace,
     _eliminate,
+    _eliminate_packed,
     _exact_dtype,
     _left_kernel_stack,
     _matmul_mod,
+    _pack,
     _quadratic,
     _rref_stack,
     _stack_last,
@@ -553,3 +555,31 @@ def test_subspace_basis_ignores_zero_rows(p):
         assert Subspace(field, n, padded) == Subspace(field, n, rows)
     assert Subspace(field, 4, np.zeros((3, 4), dtype=np.int64)) == Subspace.zero(field, 4)
     assert Subspace.zero(field, 4).basis.shape == (0, 4)
+
+
+def _unpack(words, d):
+    """The bits of packed words, coordinate j read from bit d - 1 - j."""
+    return (words[..., None].astype(np.int64) >> np.arange(d - 1, -1, -1)) & 1
+
+
+@pytest.mark.parametrize("d", range(1, 22))
+def test_packed_elimination_matches_rref_stack(d):
+    rng = np.random.default_rng(600 + d)
+    for r in sorted({1, (d + 1) // 2, d}):
+        for n in (0, 1, 40):
+            # Seeded draws, the first n of full row rank.
+            a = rng.integers(0, 2, (10 * n + 10, r, d))
+            ref, rank = _rref_stack(a, 2)
+            a, ref = a[rank == r][:n], ref[rank == r][:n]
+            assert len(a) == n
+            words = _pack(a)
+            assert words.dtype == np.min_scalar_type(2**d - 1)
+            assert np.array_equal(_unpack(words, d), a)
+            got = _eliminate_packed(words.T.copy())
+            assert got.shape == (r, n) and got.dtype == words.dtype
+            assert np.array_equal(_unpack(got.T, d), ref)
+
+
+def test_packed_elimination_refuses_dependent_rows():
+    with pytest.raises(AssertionError):
+        _eliminate_packed(np.array([[5], [3], [6]], dtype=np.uint8))
