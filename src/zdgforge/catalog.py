@@ -95,7 +95,9 @@ def enumerate_subspaces(dim: int, r: int) -> np.ndarray:
     for pivots in itertools.combinations(range(dim), r):
         pivots = np.array(pivots, dtype=np.intp)
         # Free cells: right of their row's pivot, in no pivot column.
-        free = np.nonzero((cols > pivots[:, None]) & ~np.isin(cols, pivots))
+        open_col = np.ones(dim, dtype=bool)
+        open_col[pivots] = False
+        free = np.nonzero((cols > pivots[:, None]) & open_col)
         block = pool[lo : lo + 2 ** len(free[0])]
         block[:, np.arange(r), pivots] = 1
         block[:, free[0], free[1]] = _grid((2,) * len(free[0]))

@@ -1,6 +1,7 @@
 """zdg-forge: construct the quotient algebras, verify their structure,
-compare zero-divisor graphs, certify non-isomorphism, check identities, and
-run the small-ring census.
+compare zero-divisor graphs, prove the paired graphs isomorphic at any
+prime, certify non-isomorphism, check identities, and run the small-ring
+census.
 
 Each report check carries a stable ``claim`` identifier naming the assertion
 it exercises, so a failing run points at the claim it contradicts.  Reports
@@ -12,9 +13,12 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from .algebra import algebra_from_json, algebra_to_json
 from .catalog import brute_force_census, determinacy_report, enumerate_variety_rings
 from .constructions import (
+    ALTERNATING,
     DEFAULT_SEED,
     VARIANTS,
     annihilator_exhaustive,
@@ -25,6 +29,8 @@ from .constructions import (
 from .errors import ZdgError
 from .fpcore import _is_prime
 from .graphs import (
+    _polar_gram,
+    _relation_certificate,
     blowup_isomorphic,
     compressed_graph,
     expand,
@@ -288,6 +294,60 @@ def cmd_compare(args) -> int:
     return _emit(report, args.report)
 
 
+def _closed_form_side(variant, p, n=6):
+    """The closed-form blow-up counts of a named quotient on n generators
+    and the certificate of its one relation at p (None when refused), read
+    off the integer relation in VARIANTS; no algebra or class is built."""
+    kind, coeffs, _ = VARIANTS[variant]
+    alternating = kind == ALTERNATING
+    upper = np.zeros((n, n), dtype=np.int64)
+    for (i, j), c in coeffs.items():
+        upper[i, j] = c
+    monomials = n * (n - 1) // 2 if alternating else n * (n + 1) // 2
+    s = monomials - bool((upper % p).any())
+    found = _relation_certificate(_polar_gram(upper, alternating), p, alternating)
+    side = {
+        "variant": variant,
+        "universal": p**s - 1,
+        "classes": (p**n - 1) // (p - 1),
+        "mult": (p - 1) * p**s,
+        "clique": alternating,
+        "cross_pairs": 0,
+    }
+    if found is None:
+        return side, None
+    rows, det = found
+    # A unit minor of size >= 3 is nonzero mod every prime.
+    proof = {"rows": rows, "columns": rows, "determinant": det, "every_prime": len(rows) >= 3 and abs(det) == 1}
+    return side, proof
+
+
+def cmd_prove_pairs(args) -> int:
+    started = time.perf_counter()
+    p = _prime(args.p)
+    if p >= 2**15:
+        raise ZdgError(f"--p must be below 2**15, the bound of exact elimination, got {p}")
+    checks, profiles = [], {}
+    for pair in ("A1B1", "A2B2"):
+        sides = [_closed_form_side(variant, p) for variant in _PAIRS[pair]]
+        for side, proof in sides:
+            checks.append(
+                _check(
+                    f"certificate/{side['variant']}/p={p}",
+                    "no-multiple-of-the-relation-is-a-product-of-two-linear-forms",
+                    proof is not None,
+                    certificate=proof,
+                )
+            )
+        (first, proof_a), (second, proof_b) = sides
+        same = all(first[k] == second[k] for k in first if k != "variant")
+        proved = same and proof_a is not None and proof_b is not None
+        checks.append(_check(f"graphs/{pair}/p={p}", "zero-divisor-graphs-isomorphic", proved, verdict=proved))
+        profiles[pair] = {"first": first, "second": second, "isomorphic": proved}
+    report = _finish("prove-pairs", {"p": p}, checks, started, extra={"profiles": profiles})
+    return _emit(report, args.report)
+
+
 def cmd_certify_noniso(args) -> int:
     started = time.perf_counter()
     pair = _PAIRS[args.pair]
@@ -486,6 +546,16 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--expect", choices=["auto", "isomorphic", "nonisomorphic", "none"], default="auto")
     cp.add_argument("--report")
     cp.set_defaults(func=cmd_compare)
+
+    pp = sub.add_parser(
+        "prove-pairs",
+        help="prove the A1/B1 and A2/B2 graphs isomorphic at p from the closed "
+        "form (claim: no multiple of either relation is a product of two "
+        "linear forms), without walking the classes",
+    )
+    pp.add_argument("--p", type=int, required=True)
+    pp.add_argument("--report")
+    pp.set_defaults(func=cmd_prove_pairs)
 
     ce = sub.add_parser(
         "certify-noniso",

@@ -28,19 +28,51 @@ vertices split into classes indexed by the projective classes of nonzero
 cosets mod R^2, each of size (p-1) * p^s, with adjacency decided by any two
 class representatives.
 
-compressed_graph finds that adjacency by a kernel walk rather than by
-testing all pairs: fpcore's elimination loop gives, for every class
-representative a, the kernel of b -> a*b, and the projective points of that
-kernel are the classes joined to a.  explicit_graph calls no elimination,
-so expand-vs-explicit checks the walk independently; it is the only caller
-of the all-pairs kernel in the package, and tests use that kernel as the
-reference for the walk and for the F_2 kernel.
+When its products anticommute with x*x = 0 (the alternating kind) or
+commute (the symmetric kind), such an algebra is the relatively free
+two-step algebra on m = dim R/R^2 generators modulo a relation space K in
+degree 2.  A product a*b depends only on the degree-1 parts x, y of a and
+b: it is 0 exactly when x^y (alternating) or x.y (symmetric) lies in K.
+Of the d2 = m(m-1)/2 or m(m+1)/2 degree-2 monomials, s survive, so
+dim K = d2 - s.  When K = 0 or K = span(r) and no nonzero multiple of r is
+of the form x^y or x.y, a*b = 0 only for proportional x, y: there are no
+cross pairs, and every class is a clique exactly in the alternating kind,
+where x^x = 0 (x.x = 0 would need r = x.x up to a scalar).  The graph is
+then a closed form in p, m, s and the kind.
+
+The proof that r is no such product is its polar Gram matrix: r_ij at
+(i, j) and -r_ij at (j, i), i < j, for the alternating kind; r_ij at both
+and 2*r_ii on the diagonal for the symmetric kind.  For x^y or x.y that
+matrix is x y^T -/+ y x^T, of rank at most 2 in every characteristic, so a
+nonzero minor of size >= 3 mod p certifies r.  At odd p a symmetric r of
+rank 2 is a binary form, a product of two linear forms exactly when minus
+its Gram determinant D is a square; Euler's criterion, (-D)^((p-1)/2) = -1
+mod p, certifies it otherwise.  compressed_graph reads this off the core
+(_closed_form) before it walks.  The gate is the count d2 - s, with no
+elimination; the relation takes one small left-kernel elimination, and the
+minor is the principal one on the pivot columns of the Gram matrix mod p
+(_relation_certificate).  Its exact integer determinant holds at every
+prime that does not divide it: for the paper's relations it is +-1, of
+size 4 (A) and 6 (B), which `zdg-forge prove-pairs` reports at any p.
+
+Otherwise compressed_graph finds the adjacency by a kernel walk
+(_kernel_walk) rather than by testing all pairs: fpcore's elimination loop
+gives, for every class representative a, the kernel of b -> a*b, and the
+projective points of that kernel are the classes joined to a.
+explicit_graph calls no elimination, so expand-vs-explicit checks the walk
+and the closed form independently; it is the only caller of the all-pairs
+kernel in the package, and tests use that kernel as the reference for the
+walk and for the F_2 kernel, and the walk as the reference for the closed
+form.
 
 Cost model, for c classes of a complement of dimension m, t reached output
 coordinates and kernel dimension k:
 
-* compressed_graph: time c * (m*m*t + m*p^k), one matmul and m elimination
-  steps per block of classes plus the kernel points; memory about
+* compressed_graph, closed form: one elimination of the d2 x t monomial
+  products, one of the m x m Gram matrix and c references to one
+  (mult, clique) tuple; the walk's _walk_bytes cap does not apply.
+* compressed_graph, kernel walk: time c * (m*m*t + m*p^k), one matmul and m
+  elimination steps per block of classes plus the kernel points; memory about
   b*m*m + 9*m + 49 bytes per class (the kernel bases in the narrowest
   unsigned dtype of b bytes that holds p - 1, b = 1 for p <= 256), plus
   the pairs and one block: about 13 bytes per entry of the walk's int16
@@ -69,7 +101,7 @@ import numpy as np
 
 from .algebra import SCAlgebra, _two_step_core
 from .errors import CapExceeded
-from .fpcore import _eliminate, _exact_dtype, _grid, _kernel_rows, _matmul_mod, _pack, _projective_reps, _quadratic, _xor_span
+from .fpcore import _eliminate, _exact_dtype, _grid, _kernel_rows, _left_kernel_stack, _matmul_mod, _pack, _projective_reps, _quadratic, _rref_stack, _xor_span
 from .isomorph import (
     _BLOCK,
     _SEARCH_BUDGET,
@@ -504,22 +536,12 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     algebra (accepts a graded presentation or a structure-constant algebra
     with R*R^2 = R^2*R = 0).
 
-    Kernel walk: for each of the c = (p^m - 1)/(p - 1) projective classes of
-    the degree-1 complement (dimension m), the map b -> a*b of its
-    representative a is an m x t matrix, where t counts the output
-    coordinates that products of complement vectors reach; a block of
-    representatives gets its matrices, transposed and held matrices-last,
-    from one exact matmul with the product table, and a second gives every
-    a*a.  fpcore's elimination loop reduces the block in place and the left
-    kernels are read off its pivot rows; every projective point b of the
-    kernel of a gives the adjacent class pair {a, b}.  Walking b -> a*b for
-    every a finds each pair with a*b = 0 or b*a = 0, so the right products
-    need no walk of their own.  A class is a clique when a*a = 0.  Time
-    grows with c * (m*m*t + m*p^k) for kernel dimension k; no c x c array
-    is built.  Raises CapExceeded before any array is built when c exceeds
-    class_cap or the walk's estimated peak (_walk_bytes) exceeds
-    _GRAPH_BYTES, and before the pair walk when its kernel points exceed
-    KERNEL_POINT_CAP.
+    The c = (p^m - 1)/(p - 1) projective classes of the degree-1
+    complement (dimension m) each have multiplicity (p - 1)*p^s, s = dim R^2.
+    Raises CapExceeded before any class list is built when c exceeds
+    class_cap.  When _closed_form accepts the two-step core, every class
+    has its one clique flag and there are no cross pairs; otherwise
+    _kernel_walk finds the flags and pairs, under its own caps.
     """
     algebra = getattr(source, "algebra", source)
     if not isinstance(algebra, SCAlgebra):
@@ -528,13 +550,116 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     # Products of the degree-1 parts only: the degree-2 parts of the factors
     # never contribute, so adjacency does not depend on the lift.
     comp, prod, s = _two_step_core(algebra)
-    m, t = len(comp), prod.shape[2]
-    universal = p**s - 1
+    m = len(comp)
     if m == 0:
-        return BlowupGraph(universal, [], [])
+        return BlowupGraph(p**s - 1, [], [])
     c = (p**m - 1) // (p - 1)
     if c > class_cap:
         raise CapExceeded(f"{c} projective classes exceed cap {class_cap}")
+    clique = _closed_form(prod, s, p)
+    if clique is None:
+        return _kernel_walk(prod, s, p)
+    return BlowupGraph(p**s - 1, [((p - 1) * p**s, clique)] * c, [])
+
+
+def _closed_form(prod: np.ndarray, s: int, p: int):
+    """The clique flag of every class when the blow-up of the two-step core
+    (m, m, t) prod with s = dim R^2 has the closed form of the module
+    docstring, else None.
+
+    An alternating core (zero diagonal, prod[j, i] = -prod[i, j] mod p) has
+    clique flag True, a symmetric one False; any other core is refused, as
+    is a relation space of dimension d2 - s > 1, before any elimination.
+    One relation r is the left kernel of the (d2, t) products of the
+    monomials x_i x_j, i < j (or i <= j), and is accepted when
+    _relation_certificate certifies its polar Gram matrix."""
+    m = prod.shape[0]
+    flip = prod.transpose(1, 0, 2)
+    if not prod[np.arange(m), np.arange(m)].any() and not ((prod + flip) % p).any():
+        alternating, pairs = True, np.triu_indices(m, 1)
+    elif np.array_equal(prod, flip):
+        alternating, pairs = False, np.triu_indices(m)
+    else:
+        return None
+    relations = len(pairs[0]) - s
+    if relations > 1:
+        return None
+    if relations == 1:
+        basis, free = _left_kernel_stack(prod[pairs], p)
+        upper = np.zeros((m, m), dtype=np.int64)
+        upper[pairs] = basis[free][0]
+        if _relation_certificate(_polar_gram(upper, alternating), p, alternating) is None:
+            return None
+    return alternating
+
+
+def _polar_gram(upper: np.ndarray, alternating: bool) -> np.ndarray:
+    """The polar Gram matrix of the relation with coefficient upper[i, j] at
+    x_i x_j, i < j (alternating) or i <= j (symmetric), as integers."""
+    return upper - upper.T if alternating else upper + upper.T
+
+
+def _relation_certificate(gram, p: int, alternating: bool):
+    """(rows, det) proving at p that no nonzero multiple of the relation
+    with integer polar Gram matrix gram is a product of two linear forms,
+    or None.  rows are the pivot columns of gram mod p; gram is symmetric
+    or antisymmetric, so its rows there are independent too and the
+    principal minor on them is nonzero mod p, of size the rank.  det is
+    that minor's exact integer determinant: it proves the bound at every
+    prime that does not divide it.  Accepted: size >= 3, or at odd p a
+    symmetric minor of size 2 with -det a non-square mod p."""
+    gram = np.asarray(gram, dtype=np.int64)
+    red, rank = _rref_stack(gram, p)
+    rows = (red[:rank] != 0).argmax(axis=1).tolist()
+    det = _int_det(gram[np.ix_(rows, rows)].tolist())
+    assert det % p, "a principal minor on the pivot columns vanishes"
+    if len(rows) >= 3:
+        return rows, det
+    if len(rows) == 2 and not alternating and p > 2 and pow(-det, (p - 1) // 2, p) == p - 1:
+        return rows, det
+    return None
+
+
+def _int_det(a) -> int:
+    """Exact determinant of a square matrix of Python ints (Bareiss)."""
+    a = [list(row) for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _kernel_walk(prod: np.ndarray, s: int, p: int) -> BlowupGraph:
+    """The blow-up of the two-step core (m, m, t) prod, m >= 1, with
+    s = dim R^2, by a kernel walk over its c projective classes.
+
+    For each class, the map b -> a*b of its representative a is an m x t
+    matrix, where t counts the output coordinates that products of
+    complement vectors reach; a block of representatives gets its matrices,
+    transposed and held matrices-last, from one exact matmul with the
+    product table, and a second gives every a*a.  fpcore's elimination loop
+    reduces the block in place and the left kernels are read off its pivot
+    rows; every projective point b of the kernel of a gives the adjacent
+    class pair {a, b}.  Walking b -> a*b for every a finds each pair with
+    a*b = 0 or b*a = 0, so the right products need no walk of their own.
+    A class is a clique when a*a = 0.  Time grows with c * (m*m*t + m*p^k)
+    for kernel dimension k; no c x c array is built.  Raises CapExceeded
+    before any array is built when the walk's estimated peak (_walk_bytes)
+    exceeds _GRAPH_BYTES, and before the pair walk when its kernel points
+    exceed KERNEL_POINT_CAP.  compressed_graph checks the class cap first;
+    tests call this directly as the reference for the closed form.
+    """
+    m, t = prod.shape[0], prod.shape[2]
+    c = (p**m - 1) // (p - 1)
     need = _walk_bytes(c, m, p)
     if need > _GRAPH_BYTES:
         raise CapExceeded(f"kernel walk needs about {need} bytes, cap is {_GRAPH_BYTES}")
@@ -558,7 +683,7 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     mult = (p - 1) * p**s
     kinds = ((mult, False), (mult, True))
     classes = map(kinds.__getitem__, clique.tolist())
-    return BlowupGraph(universal, classes, _kernel_pairs(kern, free, p))
+    return BlowupGraph(p**s - 1, classes, _kernel_pairs(kern, free, p))
 
 
 def _kernel_dtype(p: int):
@@ -567,7 +692,7 @@ def _kernel_dtype(p: int):
 
 
 def _walk_bytes(c: int, m: int, p: int) -> int:
-    """Upper estimate of compressed_graph's peak bytes for c classes of an
+    """Upper estimate of _kernel_walk's peak bytes for c classes of an
     m-dimensional complement: per class its int64 representative, its
     kernel basis in _kernel_dtype(p), its flags, the kernel dimension and
     point count read off them, and three references to its (mult, clique)

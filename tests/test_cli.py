@@ -77,6 +77,50 @@ def test_compare_pair_at_p7(capsys, pair):
     assert len(report["profiles"]["first"]["classes"]) == (7**6 - 1) // 6
 
 
+def test_compare_paper_pair_walks_no_class(capsys, monkeypatch):
+    from zdgforge import graphs
+
+    def refuse(*args):
+        raise AssertionError("kernel walk")
+
+    monkeypatch.setattr(graphs, "_eliminate", refuse)
+    monkeypatch.setattr(graphs, "_projective_reps", refuse)
+    code, out = run_cli(capsys, "compare", "--pair", "A1B1", "--p", "5")
+    assert code == 0 and json.loads(out)["profiles"]["isomorphic"] is True
+
+
+@pytest.mark.parametrize("p", [17, 32749])
+def test_prove_pairs_at_every_prime(capsys, p):
+    code, out = run_cli(capsys, "prove-pairs", "--p", str(p))
+    report = json.loads(out)
+    assert code == 0 and report["passed"] is True
+    certs = {c["name"]: c["payload"]["certificate"] for c in report["checks"] if c["name"].startswith("certificate/")}
+    assert sorted(certs) == [f"certificate/{v}/p={p}" for v in ("A1", "A2", "B1", "B2")]
+    for name, cert in certs.items():
+        size = 6 if "/B" in name else 4
+        assert cert["rows"] == cert["columns"] == list(range(size))
+        assert abs(cert["determinant"]) == 1 and cert["every_prime"] is True
+    side = report["profiles"]["A1B1"]["first"]
+    assert side["universal"] == p**14 - 1 and side["classes"] == (p**6 - 1) // (p - 1)
+    assert report["profiles"]["A2B2"]["second"]["mult"] == (p - 1) * p**20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prove_pairs_counts_match_compressed_graph(capsys, p):
+    from zdgforge.constructions import construct
+    from zdgforge.graphs import compressed_graph
+
+    code, out = run_cli(capsys, "prove-pairs", "--p", str(p))
+    assert code == 0
+    for profile in json.loads(out)["profiles"].values():
+        for side in (profile["first"], profile["second"]):
+            got = compressed_graph(construct(side["variant"], p))
+            kinds = set(got.classes)
+            assert kinds == {(side["mult"], side["clique"])}
+            assert got.universal == side["universal"] and len(got.classes) == side["classes"]
+            assert len(got.cross) == side["cross_pairs"] == 0
+
+
 def test_compare_cross_family_expectation(capsys):
     code, out = run_cli(
         capsys, "compare", "--pair", "A2B2", "--p", "3", "--expect", "nonisomorphic"
@@ -115,6 +159,8 @@ def test_certify_noniso_gates_even_p(capsys):
         ["export-graph", "--variant", "B1", "--p", "2", "--n", "4"],
         ["certify-noniso", "--pair", "A1B1", "--p", "4"],
         ["certify-noniso", "--pair", "A1B1", "--p", "3", "--samples", "-1"],
+        ["prove-pairs", "--p", "15"],
+        ["prove-pairs", "--p", "32771"],
         ["census", "--max-order", "12"],
         ["identity", "--ring", "Z0", "--expr", "x1"],
         ["identity", "--ring", "N0_0", "--expr", "x1"],
@@ -340,6 +386,7 @@ def test_report_writer_refuses_what_json_refuses():
         ["compare", "--pair", "A1A1", "--p", "2", "--cross-validate", "4"],
         ["census", "--max-order", "16", "--oracle"],
         ["verify-lemmas", "--p", "2,3"],
+        ["prove-pairs", "--p", "32749"],
     ],
 )
 def test_reports_are_json_dumps_byte_for_byte(argv, tmp_path, capsys, monkeypatch):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from zdgforge import graphs
 from zdgforge.algebra import SCAlgebra, _two_step_core, direct_sum, field_algebra, zero_mul_algebra
 from zdgforge.catalog import enumerate_variety_rings
-from zdgforge.constructions import construct, free_m1, free_m2
+from zdgforge.constructions import _free_presentation, construct, free_m1, free_m2
 from zdgforge.errors import CapExceeded
-from zdgforge.fpcore import PrimeField, _grid
+from zdgforge.fpcore import PrimeField, Subspace, _grid, _rref_stack
 from zdgforge.graphs import (
     BlowupGraph,
     ZdGraph,
@@ -59,17 +59,51 @@ def test_explicit_cap():
         explicit_graph(construct("A1", 2).algebra, cap=1000)
 
 
+def _walk(source):
+    """The kernel walk's blow-up of an algebra or presentation, the
+    reference for compressed_graph's closed form."""
+    algebra = getattr(source, "algebra", source)
+    _, core, s = _two_step_core(algebra)
+    return graphs._kernel_walk(core, s, algebra.field.p)
+
+
+def _one_relation(p, n, kind, upper):
+    """The free two-step algebra of the kind on n generators modulo the
+    relation with coefficient upper[i][j] at x_i x_j (i < j, or i <= j
+    when symmetric), or modulo several such relations."""
+    pres = _free_presentation(p, n, kind)
+    rels = np.array(upper, dtype=np.int64).reshape(-1, n, n)
+    rows = np.array([[u[i, j] % p for i, j in pres.monomials] for u in rels], dtype=np.int64)
+    full = np.concatenate([np.zeros((len(rows), n), dtype=np.int64), rows], axis=1)
+    return pres.algebra.quotient(Subspace(pres.field, pres.algebra.dim, full))[0]
+
+
+def _upper(n, coeffs):
+    u = np.zeros((n, n), dtype=np.int64)
+    for (i, j), c in coeffs.items():
+        u[i, j] = c
+    return u
+
+
+def _two_relation_quotient(kind="alternating"):
+    """Two relations on six generators at p = 3: 364 classes that the
+    closed form refuses, so compressed_graph walks them."""
+    return _one_relation(3, 6, kind, [_upper(6, {(0, 1): 1, (2, 3): 1}), _upper(6, {(0, 2): 1, (4, 5): 1})])
+
+
 def test_compressed_profiles():
-    b = compressed_graph(construct("A1", 2))
-    assert b.universal == 2**14 - 1
-    assert len(b.classes) == 63
-    assert all(c == (2**14, True) for c in b.classes)
-    assert len(b.cross) == 0
-    b2 = compressed_graph(construct("A2", 3))
-    assert b2.universal == 3**20 - 1
-    assert len(b2.classes) == (3**6 - 1) // 2
-    assert all(c == (2 * 3**20, False) for c in b2.classes)
-    assert len(b2.cross) == 0
+    # The closed form and the walk it replaces on these quotients.
+    for build in (compressed_graph, _walk):
+        b = build(construct("A1", 2))
+        assert b.universal == 2**14 - 1
+        assert len(b.classes) == 63
+        assert all(c == (2**14, True) for c in b.classes)
+        assert len(b.cross) == 0
+        b2 = build(construct("A2", 3))
+        assert b2.universal == 3**20 - 1
+        assert len(b2.classes) == (3**6 - 1) // 2
+        assert all(c == (2 * 3**20, False) for c in b2.classes)
+        assert len(b2.cross) == 0
 
 
 def test_compressed_zero_multiplication_is_one_clique():
@@ -199,12 +233,16 @@ def test_compressed_builds_no_pair_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("all-pairs matrix built")
 
+    walks = []
+    walk = graphs._kernel_walk
     monkeypatch.setattr(graphs, "_zero_product_matrix", refuse)
-    assert len(compressed_graph(construct("A2", 3)).classes) == 364
+    monkeypatch.setattr(graphs, "_kernel_walk", lambda *a: walks.append(1) or walk(*a))
+    assert len(compressed_graph(_two_relation_quotient("symmetric")).classes) == 364
+    assert walks == [1]
 
 
 def test_compressed_class_cap_boundary(monkeypatch):
-    pres = construct("A1", 3)
+    pres = _two_relation_quotient()
     assert len(compressed_graph(pres, class_cap=364).classes) == 364
 
     def refuse(*args):
@@ -216,8 +254,9 @@ def test_compressed_class_cap_boundary(monkeypatch):
 
 
 def test_compressed_walk_bytes_boundary(monkeypatch):
-    # A1 at p = 3: 364 classes of a 6-dimensional complement.
-    pres = construct("A1", 3)
+    # Two relations at p = 3: 364 classes of a 6-dimensional complement,
+    # walked.
+    pres = _two_relation_quotient()
     need = graphs._walk_bytes(364, 6, 3)
     monkeypatch.setattr(graphs, "_GRAPH_BYTES", need)
     assert len(compressed_graph(pres).classes) == 364
@@ -229,6 +268,22 @@ def test_compressed_walk_bytes_boundary(monkeypatch):
     monkeypatch.setattr(graphs, "_GRAPH_BYTES", need - 1)
     with pytest.raises(CapExceeded, match="kernel walk"):
         compressed_graph(pres)
+    # The closed form builds no walk, so the walk's cap does not apply.
+    assert len(compressed_graph(construct("A1", 3)).classes) == 364
+
+
+def test_compressed_closed_form_class_cap_boundary(monkeypatch):
+    pres = construct("A1", 3)
+    assert len(compressed_graph(pres, class_cap=364).classes) == 364
+
+    def refuse(*args):
+        raise AssertionError("class list built")
+
+    monkeypatch.setattr(graphs, "_closed_form", refuse)
+    monkeypatch.setattr(graphs, "BlowupGraph", refuse)
+    monkeypatch.setattr(graphs, "_projective_reps", refuse)
+    with pytest.raises(CapExceeded, match="364 projective classes"):
+        compressed_graph(pres, class_cap=363)
 
 
 def test_compressed_kernel_point_cap_boundary(monkeypatch):
@@ -238,6 +293,143 @@ def test_compressed_kernel_point_cap_boundary(monkeypatch):
     monkeypatch.setattr(graphs, "KERNEL_POINT_CAP", 48)
     with pytest.raises(CapExceeded):
         compressed_graph(zero_mul_algebra(2, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_matches_walk_on_named_quotients(p):
+    for variant, ns in (("A1", (4, 5, 6)), ("A2", (4, 5, 6)), ("B1", (6, 7)), ("B2", (6, 7))):
+        for n in ns:
+            algebra = construct(variant, p, n).algebra
+            _, core, s = _two_step_core(algebra)
+            assert graphs._closed_form(core, s, p) == variant.endswith("1")
+            assert compressed_graph(algebra).to_json() == _walk(algebra).to_json(), (variant, n)
+
+
+def _random_gram(rng, p, n, rank, alternating):
+    """A random polar Gram matrix mod p of the given rank on n generators,
+    alternating (zero diagonal) when asked or at p = 2, else symmetric."""
+    while True:
+        q = rng.integers(0, p, (n, n))
+        if _rref_stack(q, p)[1] == n:
+            break
+    d = np.zeros((n, n), dtype=np.int64)
+    if alternating or p == 2:
+        for k in range(0, rank, 2):
+            d[k, k + 1], d[k + 1, k] = 1, -1
+    else:
+        d[np.arange(rank), np.arange(rank)] = rng.integers(1, p, rank)
+    return q.T @ d @ q % p
+
+
+def _upper_of_gram(rng, gram, p, alternating):
+    """The relation whose polar Gram matrix is gram; at p = 2 a symmetric
+    relation also gets random square terms, which the polar form loses."""
+    upper = np.triu(gram, 1)
+    if not alternating:
+        diag = rng.integers(0, p, len(gram)) if p == 2 else gram.diagonal() * pow(2, -1, p)
+        upper[np.diag_indices(len(gram))] = diag % p
+    return upper
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closed_form_matches_walk_on_random_one_relation_algebras(p):
+    rng = np.random.default_rng(20261020 + p)
+    outcomes = set()
+    for alternating in (True, False):
+        kind = "alternating" if alternating else "symmetric"
+        for rank in range(1, 7):
+            if rank % 2 and (alternating or p == 2):
+                continue
+            for _ in range(2):
+                n = int(rng.integers(max(rank, 2), 7 if p < 7 else max(rank, 5) + 1))
+                upper = _upper_of_gram(rng, _random_gram(rng, p, n, rank, alternating), p, alternating)
+                if not (upper % p).any():
+                    continue
+                algebra = _one_relation(p, n, kind, upper)
+                _, core, s = _two_step_core(algebra)
+                accepted = graphs._closed_form(core, s, p) is not None
+                want = _walk(algebra)
+                assert compressed_graph(algebra).to_json() == want.to_json(), (kind, rank, upper.tolist())
+                # A polar rank of 3 or more is accepted and 1 refused; rank 2
+                # is accepted at odd p in the symmetric kind exactly when the
+                # walk finds the closed form, and refused otherwise.
+                closed = len(want.cross) == 0 and {f for _, f in want.classes} == {alternating}
+                if rank >= 3:
+                    assert accepted and closed
+                elif rank == 2 and not alternating and p > 2:
+                    assert accepted == closed
+                else:
+                    assert not accepted
+                outcomes.add((accepted, len(want.cross) > 0))
+    assert outcomes >= {(True, False), (False, True)}
+
+
+def test_closed_form_named_relations():
+    split_alt = _one_relation(3, 4, "alternating", _upper(4, {(0, 1): 1}))
+    split_sym = _one_relation(5, 3, "symmetric", _upper(3, {(0, 1): 1}))
+    isotropic = _one_relation(7, 3, "symmetric", _upper(3, {(1, 1): 1, (2, 2): -1}))
+    for algebra in (split_alt, split_sym, isotropic):
+        _, core, s = _two_step_core(algebra)
+        assert graphs._closed_form(core, s, algebra.field.p) is None
+        got = compressed_graph(algebra)
+        assert len(got.cross) > 0
+        assert got.to_json() == _walk(algebra).to_json()
+    # y^2 - n*z^2 for a non-square n is anisotropic, with or without a
+    # third generator outside the relation.
+    for p, nonsquare in ((3, 2), (5, 2), (7, 3)):
+        for n in (2, 3):
+            algebra = _one_relation(p, n, "symmetric", _upper(n, {(n - 2, n - 2): 1, (n - 1, n - 1): -nonsquare}))
+            _, core, s = _two_step_core(algebra)
+            assert graphs._closed_form(core, s, p) is False
+            assert compressed_graph(algebra).to_json() == _walk(algebra).to_json()
+    # Relation-free: every class is a clique in the alternating kind only.
+    for p in (2, 3, 5):
+        for free in (free_m1(p, 4), free_m2(p, 4)):
+            _, core, s = _two_step_core(free.algebra)
+            assert graphs._closed_form(core, s, p) is (free.kind == "alternating")
+            assert compressed_graph(free).to_json() == _walk(free).to_json()
+
+
+def test_two_relations_walk_without_another_elimination(monkeypatch):
+    algebra = _two_relation_quotient()
+    _, core, s = _two_step_core(algebra)
+    walked = []
+    eliminate = graphs._eliminate
+
+    def refuse(*args):
+        raise AssertionError("the gate eliminated")
+
+    monkeypatch.setattr(graphs, "_left_kernel_stack", refuse)
+    monkeypatch.setattr(graphs, "_rref_stack", refuse)
+    monkeypatch.setattr(graphs, "_eliminate", lambda *a: walked.append(1) or eliminate(*a))
+    got = compressed_graph(algebra).to_json()
+    calls = len(walked)
+    assert got == _walk(algebra).to_json() and len(walked) == 2 * calls > 0
+
+
+def test_relation_certificate_on_the_paper_relations():
+    # Integer polar Gram matrices: unit minors of size 4 (A) and 6 (B),
+    # accepted at every p; the split x1x2 is refused at every p.
+    a1 = graphs._polar_gram(_upper(6, {(2, 3): 1, (0, 1): -1}), True)
+    b2 = graphs._polar_gram(_upper(6, {(4, 5): 1, (0, 1): -1, (2, 3): -1}), False)
+    split = graphs._polar_gram(_upper(6, {(0, 1): 1}), False)
+    for p in (2, 3, 5, 7, 13, 17, 32749):
+        assert graphs._relation_certificate(a1, p, True) == ([0, 1, 2, 3], 1)
+        assert graphs._relation_certificate(b2, p, False) == (list(range(6)), -1)
+        assert graphs._relation_certificate(split, p, False) is None
+
+
+def test_int_det_matches_permutation_expansion():
+    rng = np.random.default_rng(20261020)
+    for n in range(0, 6):
+        for _ in range(20):
+            a = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.6)
+            want = sum(
+                np.prod([a[i, perm[i]] for i in range(n)], dtype=object)
+                * (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                for perm in itertools.permutations(range(n))
+            )
+            assert graphs._int_det(a.tolist()) == want
 
 
 def test_compressed_rejects_non_graded():
