@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _F2 = PrimeField(2)
+_XYZ = parse("x1x2x3")
 
 
 def wedge_pairs(m: int):
@@ -195,7 +196,7 @@ def validate_in_variety(algebra: SCAlgebra):
     """
     if algebra.field.p != 2:
         raise RingAxiomViolation("additive exponent is not 2")
-    if not holds(algebra, parse("x1x2x3"), mode="multilinear"):
+    if not holds(algebra, _XYZ, mode="multilinear"):
         raise RingAxiomViolation("triple products do not vanish")
     t = algebra.table
     for i in range(algebra.dim):

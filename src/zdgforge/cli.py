@@ -143,6 +143,8 @@ def _emit(report, path):
 def _prime(p):
     if not _is_prime(p):
         raise ZdgError(f"{p} is not prime")
+    if p >= 2**15:
+        raise ZdgError(f"--p must be below 2**15, the bound of exact elimination, got {p}")
     return p
 
 
@@ -325,8 +327,6 @@ def _closed_form_side(variant, p, n=6):
 def cmd_prove_pairs(args) -> int:
     started = time.perf_counter()
     p = _prime(args.p)
-    if p >= 2**15:
-        raise ZdgError(f"--p must be below 2**15, the bound of exact elimination, got {p}")
     checks, profiles = [], {}
     for pair in ("A1B1", "A2B2"):
         sides = [_closed_form_side(variant, p) for variant in _PAIRS[pair]]

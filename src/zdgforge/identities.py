@@ -8,19 +8,40 @@ element tuple, MULTILINEAR substitutes additive-generator tuples (sound and
 complete when every variable occurs exactly once in every word).
 
 Both modes run one evaluator on the ring's dense (orders, table) view, so
-TableRings and structure-constant algebras take the same path: blocks of
-substitutions as coordinate rows, products by precomputed
-right-multiplication matrices, int64 arithmetic where it is exact and Python
-ints where it is not.
+TableRings and structure-constant algebras take the same path.
+
+- Grid.  The substitutions of d variables from n candidates (elements or
+  generators) form the C-order grid of d axes, itertools.product order.
+  A block is a range of one axis, the axes before it fixed and the axes
+  after it whole, so blocks run through the grid in order.
+- Word values.  A word's value is built a letter at a time as a tensor
+  whose first axis is the coordinate and whose other axes are those of the
+  variables its prefix uses.  A new variable is one matmul of the prefix
+  with that variable's right matrices (coordinates of e_j * x); a repeated
+  one, as in x1x2x1, is a contraction along its axis.  Words are taken in
+  sorted order and a stack keeps the current prefix, so a prefix shared by
+  several words is computed once per block.
+- Memory.  The rows and right matrices of a block are built from its
+  element indices; no table of all n elements is built.  Every tensor of a
+  block holds about _BLOCK entries, and a block that would take more than
+  _EVAL_BYTES is refused before it is built.  Only the table coordinates
+  that occur are contracted: inputs that have products, and outputs that
+  products reach; a word longer than the products reach vanishes unbuilt.
+- Exactness.  The arithmetic is float32 while every sum stays below 2**24,
+  float64 below 2**53, int64 below 2**63, Python ints past that.  Each
+  product is reduced mod the coordinate orders before the word goes on
+  (by one scalar modulus when the orders are equal), and a block's total
+  once.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, IdentityParseError, PremiseNotSatisfied
-from .fpcore import _exact_dtype, _grid
+from .fpcore import _exact_dtype
 from .rings import _dense_view, ring_direct_sum
 
 __all__ = [
@@ -36,10 +57,10 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP = 10**8
-# Largest size in bytes of the rows and right-multiplication matrices of
-# one check.
+# Largest size in bytes of the tensors of one substitution block.
 _EVAL_BYTES = 2**28
-# Largest number of gathered right-matrix entries per substitution block.
+# Entries of one tensor of a substitution block: a word value, the total,
+# the right matrices of one variable.
 _BLOCK = 2**14
 
 
@@ -270,35 +291,146 @@ class HoldsResult:
         return f"HoldsResult(False, counterexample={self.counterexample!r})"
 
 
-def _first_failure(orders, table, rows, f: Identity):
-    """Index tuple of the first substitution, in itertools.product order over
-    the coordinate rows, on which f does not vanish; None if there is none.
-
-    right[e][i] is the coordinates of e_i * rows[e], so each later letter of
-    a word costs one gather of right matrices and one (t, t) contraction per
-    substitution, reduced mod the orders.  Substitutions run in blocks of
-    _BLOCK // t**2 of them (at least one).
+def _first_failure(orders, table, f: Identity, exhaustive: bool):
+    """Index tuple of the first substitution, in itertools.product order, on
+    which f does not vanish; None if there is none.  Index i names the i-th
+    element in lexicographic coordinate order (exhaustive) or the i-th
+    generator.  CapExceeded, before any block is built, when one block
+    would take more than _EVAL_BYTES.  The method is the module docstring's.
     """
-    n, t = rows.shape
-    dtype = _exact_dtype(len(orders), max(orders, default=1), (np.int64, object))
-    mod = np.array(orders, dtype=dtype)
-    rows = rows.astype(dtype)
-    right = np.einsum("ej,ijk->eik", rows, table.astype(dtype)) % mod
-    terms = [(np.array([c % o for o in orders], dtype=dtype), w) for c, w in f.terms]
-    count = n**f.nvars
-    step = max(1, _BLOCK // max(1, t * t))
-    for start in range(0, count, step):
-        idx = np.unravel_index(np.arange(start, min(start + step, count)), (n,) * f.nvars)
-        total = 0
-        for coef, word in terms:
-            value = rows[idx[word[0] - 1]]
-            for v in word[1:]:
-                value = np.einsum("bi,bik->bk", value, right[idx[v - 1]]) % mod
-            total = (total + coef * value % mod) % mod
-        bad = np.flatnonzero((total != 0).any(axis=1))
-        if bad.size:
-            return tuple(int(i[bad[0]]) for i in idx)
+    t, d = len(orders), f.nvars
+    n = math.prod(orders) if exhaustive else t
+    # A block's total sums len(f.terms) products of a coefficient and an
+    # unreduced word value, each a sum of t products of reduced entries;
+    # one more term leaves room for _reduced's float margin.
+    top = max(orders, default=1)
+    dtype = _exact_dtype(t * len(f.terms) + 1, top, (np.float32, np.float64, np.int64, object), factors=3)
+    table = table.astype(dtype)
+    pairs = table.any(axis=2)
+    left, right = pairs.any(axis=1).nonzero()[0], pairs.any(axis=0).nonzero()[0]
+    short = any(len(word) == 1 for _, word in f.terms)
+    out = np.arange(t) if short else table.any(axis=(0, 1)).nonzero()[0]
+    # (output, input, right input) tables of a word's first product and of
+    # each later one; a zero table makes every longer word vanish.
+    tabs = [
+        table[rows][:, right][:, :, out].transpose(2, 0, 1).reshape(len(out) * len(rows), len(right))
+        for rows in (left, out)
+    ]
+    longest = 1 if not tabs[0].any() else 2 if not tabs[1].any() else math.inf
+    mods = [orders[k] for k in out]
+    terms = []
+    for c, word in sorted(f.terms, key=lambda cw: cw[1]):
+        coef = [c % o for o in mods]
+        if len(word) <= longest and any(coef):
+            terms.append((None if set(coef) == {1} else np.array(coef, dtype=dtype), word))
+    if not terms:
+        return None
+    mod = mods[0] if len(set(mods)) == 1 else np.array(mods, dtype=dtype)[:, None]
+
+    # Blocks: axis `cut` in ranges of r, earlier axes fixed, the w trailing
+    # axes whole; each tensor holds about _BLOCK entries.
+    width = len(out)
+    per = width * max(len(left), width if longest > 2 else 0)
+    w = 0
+    while w < d - 1 and n ** (w + 1) * width <= _BLOCK and n * per <= _BLOCK:
+        w += 1
+    cut = d - 1 - w
+    r = max(1, min(n, _BLOCK // max(n**w * width, per)))
+    depth = max(len(word) for _, word in terms)
+    size = (48 if dtype is object else 8) * ((depth + 4) * r * n**w * t + 2 * (r + w * n) * per)
+    if size > _EVAL_BYTES:
+        raise CapExceeded(f"{size} bytes of one substitution block exceed the cap")
+
+    if exhaustive:
+        strides = np.array([math.prod(orders[k + 1 :]) for k in range(t)], dtype=np.int64)[:, None]
+        radix = np.array(orders, dtype=np.int64)[:, None]
+        coords = lambda idx: (idx // strides % radix).astype(dtype)  # noqa: E731
+    else:
+        eye = np.eye(t, dtype=dtype)
+        coords = lambda idx: eye[:, idx]  # noqa: E731
+
+    def operand(v, kind):
+        """The (coordinate, element) rows (kind 0) of variable v's block
+        elements, or their (output, input, element) right matrices for a
+        word's first (1) or later (2) product; whole axes' are built once."""
+        store = whole if v - 1 > cut else block
+        if (v, kind) not in store:
+            if kind:
+                x = operand(v, 0)[right]
+                store[v, kind] = _reduced((tabs[kind - 1] @ x).reshape(width, -1, x.shape[1]), mod)
+            elif v - 1 < cut:
+                store[v, kind] = coords(np.array(fixed[v - 1 : v]))
+            else:
+                store[v, kind] = coords(span if v - 1 == cut else np.arange(n))
+        return store[v, kind]
+
+    whole = {}
+    for fixed in itertools.product(range(n), repeat=cut):
+        for lo in range(0, n, r):
+            span = np.arange(lo, min(n, lo + r))
+            shape = (1,) * cut + (len(span),) + (n,) * w
+            block, stack, path, total = {}, [], (), np.zeros((width,) + shape, dtype)
+            for i, (coef, word) in enumerate(terms):
+                keep = 0
+                while keep < min(len(path), len(word)) and path[keep] == word[keep]:
+                    keep += 1
+                del stack[keep:]
+                for v in word[len(stack) :]:
+                    if not stack:
+                        stack.append((operand(v, 0), (v,)))
+                        continue
+                    # A product is reduced only when the word goes on.
+                    value, axes = stack[-1]
+                    value = value[left] if len(stack) == 1 else _reduced(value, mod)
+                    stack.append(_times(value, axes, v, operand(v, min(len(stack), 2))))
+                path = word
+                # A coefficient other than 1 goes in place into a product
+                # that no later word extends; the value is added as a view
+                # on the block's axes, in variable order.
+                value, axes = stack[-1]
+                if coef is not None:
+                    last = len(word) > 1 and (i + 1 == len(terms) or terms[i + 1][1][: len(word)] != word)
+                    value = np.multiply(value, coef.reshape((-1,) + (1,) * len(axes)), out=value if last else None)
+                value = value.transpose([0] + sorted(range(1, len(axes) + 1), key=lambda a: axes[a - 1]))
+                total += value[(slice(None),) + tuple(slice(None) if v in axes else None for v in range(1, d + 1))]
+            bad = _reduced(total, mod).any(axis=0).ravel().nonzero()[0]
+            if bad.size:
+                at = np.unravel_index(bad[0], shape)
+                return fixed + (lo + int(at[cut]),) + tuple(int(i) for i in at[cut + 1 :])
     return None
+
+
+def _reduced(value, mod):
+    """value reduced mod the orders of its first (coordinate) axis, in place
+    when value is contiguous.  A float x >= 0 becomes x - m*floor(x/m),
+    exact while x + m < 2**24 (float32) or 2**53 (float64), since x/m then
+    rounds to no integer above the quotient; past a few hundred entries
+    this is several times faster than numpy's float remainder."""
+    flat = value if np.ndim(mod) == 0 else value.reshape(value.shape[0], -1)
+    if flat.dtype.kind == "f" and flat.size > 256:
+        q = flat / mod
+        np.floor(q, out=q)
+        q *= mod
+        flat -= q
+    else:
+        flat %= mod
+    return flat.reshape(value.shape)
+
+
+def _times(value, axes, v, right):
+    """A word's value, (coordinate, variable axes...) over the variables
+    `axes`, times variable v, given v's (output, input, element) right
+    matrices.  A new variable is one matmul and appends v's axis; a repeated
+    one is contracted along v's axis."""
+    k, s, m = right.shape
+    if v in axes:
+        q = axes.index(v) + 1
+        flat = value.reshape(s, math.prod(value.shape[1:q]), m, -1)
+        out = np.einsum("kji,jaib->kaib", right, flat).reshape((k,) + value.shape[1:])
+    else:
+        out = np.matmul(value.reshape(s, -1).T, right).reshape((k,) + value.shape[1:] + (m,))
+        axes += (v,)
+    return out, axes
 
 
 def holds(ring, f: Identity, mode: str = "exhaustive") -> HoldsResult:
@@ -323,20 +455,16 @@ def holds(ring, f: Identity, mode: str = "exhaustive") -> HoldsResult:
     elif mode == "multilinear":
         if not f.is_multilinear():
             raise ValueError("multilinear mode needs every variable once per word")
-        n = t
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # The right matrices and rows: 8-byte int64 entries, or a pointer and
-    # an int object each on the exact Python-int path.
-    dtype = _exact_dtype(t, max(orders, default=1), (np.int64, object))
-    size = n * t * (t + 1) * (8 if dtype is np.int64 else 48)
-    if size > _EVAL_BYTES:
-        raise CapExceeded(f"{size} bytes of right-multiplication matrices exceed the cap")
-    rows = _grid(orders) if mode == "exhaustive" else np.eye(t, dtype=np.int64)
-    bad = _first_failure(orders, table, rows, f)
+    bad = _first_failure(orders, table, f, mode == "exhaustive")
     if bad is None:
         return HoldsResult(True)
-    return HoldsResult(False, tuple(ring.element(rows[i]) for i in bad))
+    if mode == "exhaustive":
+        rows = [np.array(np.unravel_index(i, orders), dtype=np.int64) for i in bad]
+    else:
+        rows = [np.eye(1, t, i, dtype=np.int64)[0] for i in bad]
+    return HoldsResult(False, tuple(ring.element(row) for row in rows))
 
 
 def direct_sum_degree(n: int, m: int) -> int:

@@ -189,6 +189,25 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--variant", "A1"],
+        ["verify-lemmas"],
+        ["compare", "--pair", "A1B1"],
+        ["certify-noniso", "--pair", "A1B1"],
+        ["export-graph", "--variant", "A1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_prime_past_exact_elimination_is_a_usage_error(capsys, argv):
+    # 32771 is the least prime above 2**15, where PrimeField stops.
+    code = main(argv + ["--p", "32771"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --p must be below 2**15, the bound of exact elimination, got 32771\n"
+
+
 def test_census_past_the_cap_is_a_usage_error(capsys, monkeypatch):
     # Order 256 is refused at cell (6, 2) before any pool is built.
     def unbuilt(m, subspace_dim):

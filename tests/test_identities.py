@@ -3,11 +3,14 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from zdgforge import identities
 from zdgforge.algebra import SCAlgebra, field_algebra, zero_mul_algebra
 from zdgforge.constructions import construct, free_m1, free_m2
 from zdgforge.errors import CapExceeded, IdentityParseError, PremiseNotSatisfied
+from zdgforge.fpcore import _exact_dtype, _grid
 from zdgforge.identities import (
     Identity,
     direct_sum_degree,
@@ -17,6 +20,7 @@ from zdgforge.identities import (
     power_identity,
     verify_sum_lemma,
 )
+from zdgforge.identities import _first_failure
 from zdgforge.rings import TableRing, null_ring, ring_direct_sum, ring_table, zn_ring
 
 
@@ -339,17 +343,155 @@ def test_exact_answers_for_large_orders():
         holds(big, parse("x1"))
 
 
-def test_caps_refuse_before_allocating():
+def test_caps_refuse_before_allocating(monkeypatch):
     big = construct("A1", 2).algebra  # 2^20 elements, 20 generators
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded):
             holds(big, parse("x1x2"), mode="exhaustive")
-        # One variable passes the substitution cap, but the right matrices
-        # of 2^20 elements would take 3.5 GB.
-        with pytest.raises(CapExceeded):
+        # One variable passes the substitution cap; a byte cap below one
+        # block refuses it before the block is built.
+        monkeypatch.setattr(identities, "_EVAL_BYTES", 2**10)
+        with pytest.raises(CapExceeded, match="one substitution block"):
             holds(big, parse("x1^2"), mode="exhaustive")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_square_zero_on_all_of_a1_at_p2():
+    # x^2 = 0 on every one of the 2^20 elements: 5,378 blocks of 195.
+    big = construct("A1", 2).algebra
+    assert holds(big, parse("x1^2"), mode="exhaustive")
+
+
+# -- the grid evaluator against the substitution-at-a-time one it replaced ------
+
+_REFERENCE_BLOCK = 2**14
+
+
+def _first_failure_reference(orders, table, rows, f):
+    """Index tuple of the first substitution, in itertools.product order over
+    the coordinate rows, on which f does not vanish; None if there is none.
+
+    right[e][i] is the coordinates of e_i * rows[e], so each later letter of
+    a word costs one gather of right matrices and one (t, t) contraction per
+    substitution, reduced mod the orders.  Substitutions run in blocks of
+    _REFERENCE_BLOCK // t**2 of them (at least one).
+    """
+    n, t = rows.shape
+    dtype = _exact_dtype(len(orders), max(orders, default=1), (np.int64, object))
+    mod = np.array(orders, dtype=dtype)
+    rows = rows.astype(dtype)
+    right = np.einsum("ej,ijk->eik", rows, table.astype(dtype)) % mod
+    terms = [(np.array([c % o for o in orders], dtype=dtype), w) for c, w in f.terms]
+    count = n**f.nvars
+    step = max(1, _REFERENCE_BLOCK // max(1, t * t))
+    for start in range(0, count, step):
+        idx = np.unravel_index(np.arange(start, min(start + step, count)), (n,) * f.nvars)
+        total = 0
+        for coef, word in terms:
+            value = rows[idx[word[0] - 1]]
+            for v in word[1:]:
+                value = np.einsum("bi,bik->bk", value, right[idx[v - 1]]) % mod
+            total = (total + coef * value % mod) % mod
+        bad = np.flatnonzero((total != 0).any(axis=1))
+        if bad.size:
+            return tuple(int(i[bad[0]]) for i in idx)
+    return None
+
+
+def _compare(ring, f, mode):
+    orders, table = tuple(ring.orders), ring.table
+    rows = _grid(orders) if mode == "exhaustive" else np.eye(len(orders), dtype=np.int64)
+    got = _first_failure(orders, table, f, mode == "exhaustive")
+    assert got == _first_failure_reference(orders, table, rows, f), (ring, str(f), mode)
+    return got
+
+
+_REPEATED = ["x1x2x1", "x1^3x2", "x2x1x2", "x1x2x1 - x2x1x2 + 3x1^3x2", "x1(x2 - x2^3)", "x2^2x1x2 + x1x2"]
+
+
+def test_grid_matches_reference_on_the_battery():
+    rng = random.Random(20261020)
+    rings = _battery_rings(rng) + [free_m1(3, 3).algebra, free_m2(2, 3).algebra]
+    failures = 0
+    for ring in rings:
+        for expr in _REPEATED:
+            if ring.size**2 <= 20000:
+                failures += _compare(ring, parse(expr), "exhaustive") is not None
+        for _ in range(3):
+            nvars = rng.randint(1, 3)
+            while nvars > 1 and ring.size**nvars > 20000:
+                nvars -= 1
+            f = _random_identity(rng, nvars)
+            if ring.size**f.nvars <= 20000:
+                failures += _compare(ring, f, "exhaustive") is not None
+        for nvars in (1, 2, 3, 4):
+            failures += _compare(ring, _random_multilinear(rng, nvars), "multilinear") is not None
+    assert failures > 50  # the battery finds counterexamples, not only passes
+
+
+@pytest.mark.parametrize("block", [1, 8, 100, 300])
+def test_grid_matches_reference_across_block_splits(monkeypatch, block):
+    # Small blocks fix the leading axes and cut the next one into ranges:
+    # at 100, x1x2x3 on the 8-element upper-triangular ring fixes x1, cuts
+    # x2 into ranges of 4 and keeps x3 whole.
+    monkeypatch.setattr(identities, "_BLOCK", block)
+    rng = random.Random(block)
+    rings = [ring_table([12, 18], {(0, 0): (1, 0), (1, 1): (0, 1)}), _upper_triangular(2), _upper_triangular(3)]
+    rings += [construct("A1", 2, 4).algebra] + [_random_table_ring(rng) for _ in range(4)]
+    for ring in rings:
+        for expr in _REPEATED + ["x1x2 - x2x1", "x1x2x3 - x3x2x1", "x3x1 + 2x2x3x3"]:
+            f = parse(expr)
+            if ring.size**f.nvars <= (3000 if block < 100 else 50000):
+                _compare(ring, f, "exhaustive")
+        _compare(ring, parse("x1x2x3 - x2x3x1 + 2x3x1x2"), "multilinear")
+
+
+def test_grid_matches_reference_for_large_orders():
+    # Python-int (object) arithmetic past int64, int64 between float64's
+    # 2**53 and int64's 2**63.
+    n = 2**40 - 87
+    c, d = 2**39 + 12345, 2**38 + 777
+    wide = ring_table([n, n], {(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (-c * d, c + d)})
+    mid = ring_table([2**19 - 1, 6], {(0, 0): (1, 0), (1, 1): (0, 1)})
+    for ring in (zn_ring(2**40), wide, mid, ring_direct_sum(mid, _upper_triangular(2))):
+        for expr in ("x1x2 - x2x1", "x1x2x3 - x2x3x1", "x1x2x3", "5x1x2 + 7x2x1 - x1x2x3"):
+            _compare(ring, parse(expr), "multilinear")
+    # g*g = c*g on Z_m, so g^5 = c^4 g: every product must be reduced before
+    # the word goes on, in each of the three regimes.
+    for m in (2**15 - 19, 2**19 - 1, 2**40 - 87):
+        c = m // 2 + 5
+        ring = ring_table([m], {(0, 0): (c,)})
+        for k in (0, 1):
+            f = Identity.from_terms([(1, (1,) * 5), (-pow(c, 4, m) - k, (1,))])
+            assert (_compare(ring, f, "multilinear") is None) == (k == 0)
+            if m < 2**16:
+                _compare(ring, f, "exhaustive")
+
+
+def test_square_zero_exhaustive_within_one_block_of_memory():
+    # free_m1(2, 5) has 2^15 elements; the replaced evaluator built a
+    # 2^15 x 15 grid and 2^15 right matrices (63 MB of int64).
+    algebra = free_m1(2, 5).algebra
+    f = parse("x1^2")
+    tracemalloc.start()
+    try:
+        assert holds(algebra, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    # Not every square vanishes in the commutative free algebra: the first
+    # failure is the first element of nonzero square.
+    got = holds(free_m2(2, 4).algebra, f)
+    assert not got and not (got.counterexample[0] * got.counterexample[0]).is_zero()
+
+
+def test_defining_identities_on_large_free_algebras():
+    xyz = parse("x1x2x3")
+    assert holds(free_m2(5, 6).algebra, xyz, mode="multilinear")
+    assert holds(free_m1(5, 6).algebra, xyz, mode="multilinear")
+    assert not holds(free_m2(5, 6).algebra, parse("x1x2"), mode="multilinear")
