@@ -108,13 +108,12 @@ def _inverses(p: int) -> np.ndarray:
 def _exact_dtype(terms: int, top: int, dtypes=(np.int64,), factors: int = 2):
     """The first of dtypes in which every sum of `terms` products of
     `factors` integers below `top` is exact: an integer dtype while the
-    sums stay below 2**15, 2**31 or 2**63, float32 or float64 while they
-    stay below 2**24 or 2**53 (the integers each holds exactly), and
-    object (Python ints) always.  ValueError if none of dtypes fits.
-    Cached: every exact matmul asks twice, and the answer depends on the
-    arguments alone."""
+    sums stay below 2**15, 2**31 or 2**63, float32 while they stay below
+    2**24 (float32 holds every integer up to 2**24), and object (Python
+    ints) always.  ValueError if none of dtypes fits.  Cached: every exact
+    matmul asks twice, and the answer depends on the arguments alone."""
     bound = terms * (top - 1) ** factors
-    limits = {np.dtype(t): 2**b for t, b in ((np.int16, 15), (np.int32, 31), (np.int64, 63), (np.float32, 24), (np.float64, 53))}
+    limits = {np.dtype(t): 2**b for t, b in ((np.int16, 15), (np.int32, 31), (np.int64, 63), (np.float32, 24))}
     for dtype in dtypes:
         if np.dtype(dtype) == object or bound < limits[np.dtype(dtype)]:
             return dtype

@@ -14,13 +14,13 @@ TableRings and structure-constant algebras take the same path.
   generators) form the C-order grid of d axes, itertools.product order.
   A block is a range of one axis, the axes before it fixed and the axes
   after it whole, so blocks run through the grid in order.
-- Word values.  A word's value is built a letter at a time as a tensor
-  whose first axis is the coordinate and whose other axes are those of the
-  variables its prefix uses.  A new variable is one matmul of the prefix
-  with that variable's right matrices (coordinates of e_j * x); a repeated
-  one, as in x1x2x1, is a contraction along its axis.  Words are taken in
-  sorted order and a stack keeps the current prefix, so a prefix shared by
-  several words is computed once per block.
+- Word values.  Each word is built from its first letter, a letter at a
+  time, as a (coordinate, elements) matrix over the grid axes of the
+  variables it has used so far, the coordinate axis first.  A new variable
+  is one matmul with that variable's right matrices (coordinates of
+  e_j * x); a repeated one, as in x1x2x1, is a contraction along its axis.
+  Variables whose axes cover the same elements share rows and right
+  matrices.
 - Memory.  The rows and right matrices of a block are built from its
   element indices; no table of all n elements is built.  Every tensor of a
   block holds about _BLOCK entries, and a block that would take more than
@@ -28,10 +28,10 @@ TableRings and structure-constant algebras take the same path.
   that occur are contracted: inputs that have products, and outputs that
   products reach; a word longer than the products reach vanishes unbuilt.
 - Exactness.  The arithmetic is float32 while every sum stays below 2**24,
-  float64 below 2**53, int64 below 2**63, Python ints past that.  Each
-  product is reduced mod the coordinate orders before the word goes on
-  (by one scalar modulus when the orders are equal), and a block's total
-  once.
+  int64 below 2**63, Python ints past that.  Each product is reduced mod
+  the coordinate orders (by one scalar modulus when the orders are equal)
+  before the word goes on or its coefficient multiplies it, and a block's
+  total once.
 """
 
 import itertools
@@ -300,32 +300,38 @@ def _first_failure(orders, table, f: Identity, exhaustive: bool):
     """
     t, d = len(orders), f.nvars
     n = math.prod(orders) if exhaustive else t
-    # A block's total sums len(f.terms) products of a coefficient and an
-    # unreduced word value, each a sum of t products of reduced entries;
-    # one more term leaves room for _reduced's float margin.
-    top = max(orders, default=1)
-    dtype = _exact_dtype(t * len(f.terms) + 1, top, (np.float32, np.float64, np.int64, object), factors=3)
+    # A product sums t products of reduced entries, and a block's total sums
+    # len(f.terms) products of a coefficient and a reduced word value; two
+    # more terms leave room for _reduced's float margin.
+    dtype = _exact_dtype(max(t, len(f.terms)) + 2, max(orders, default=1), (np.float32, np.int64, object))
     table = table.astype(dtype)
     pairs = table.any(axis=2)
     left, right = pairs.any(axis=1).nonzero()[0], pairs.any(axis=0).nonzero()[0]
-    short = any(len(word) == 1 for _, word in f.terms)
-    out = np.arange(t) if short else table.any(axis=(0, 1)).nonzero()[0]
-    # (output, input, right input) tables of a word's first product and of
-    # each later one; a zero table makes every longer word vanish.
-    tabs = [
-        table[rows][:, right][:, :, out].transpose(2, 0, 1).reshape(len(out) * len(rows), len(right))
-        for rows in (left, out)
-    ]
-    longest = 1 if not tabs[0].any() else 2 if not tabs[1].any() else math.inf
+    out = np.arange(t) if any(len(word) == 1 for _, word in f.terms) else table.any(axis=(0, 1)).nonzero()[0]
+    # A word longer than the products reach vanishes: every word of two
+    # letters when nothing has a product, of three when no product has one.
+    longest = 1 if not left.size else 2 if not pairs[out].any() else math.inf
     mods = [orders[k] for k in out]
+    mod = mods[0] if len(set(mods)) == 1 else np.array(mods, dtype=dtype)[:, None]
     terms = []
-    for c, word in sorted(f.terms, key=lambda cw: cw[1]):
+    for c, word in f.terms:
         coef = [c % o for o in mods]
         if len(word) <= longest and any(coef):
-            terms.append((None if set(coef) == {1} else np.array(coef, dtype=dtype), word))
+            # A value's axes are its variables in order of first use; the
+            # total's are all d variables in order.
+            seen = list(dict.fromkeys(word))
+            perm = [0] + [1 + seen.index(v) for v in sorted(seen)]
+            view = (slice(None),) + tuple(slice(None) if v in seen else None for v in range(1, d + 1))
+            terms.append((np.array(coef, dtype=dtype)[:, None], word, perm, view))
     if not terms:
         return None
-    mod = mods[0] if len(set(mods)) == 1 else np.array(mods, dtype=dtype)[:, None]
+    # (output, input, right input) tables of a word's first product and of
+    # each later one, as far as the words go.
+    depth = max(len(word) for _, word, _, _ in terms)
+    tabs = [
+        table[rows][:, right][:, :, out].transpose(2, 0, 1).reshape(len(out) * len(rows), len(right))
+        for rows in (left, out)[: min(depth, 3) - 1]
+    ]
 
     # Blocks: axis `cut` in ranges of r, earlier axes fixed, the w trailing
     # axes whole; each tensor holds about _BLOCK entries.
@@ -336,8 +342,7 @@ def _first_failure(orders, table, f: Identity, exhaustive: bool):
         w += 1
     cut = d - 1 - w
     r = max(1, min(n, _BLOCK // max(n**w * width, per)))
-    depth = max(len(word) for _, word in terms)
-    size = (48 if dtype is object else 8) * ((depth + 4) * r * n**w * t + 2 * (r + w * n) * per)
+    size = (48 if dtype is object else 8) * (4 * r * n**w * t + 2 * (cut + r + w * n) * per)
     if size > _EVAL_BYTES:
         raise CapExceeded(f"{size} bytes of one substitution block exceed the cap")
 
@@ -349,51 +354,38 @@ def _first_failure(orders, table, f: Identity, exhaustive: bool):
         eye = np.eye(t, dtype=dtype)
         coords = lambda idx: eye[:, idx]  # noqa: E731
 
-    def operand(v, kind):
-        """The (coordinate, element) rows (kind 0) of variable v's block
-        elements, or their (output, input, element) right matrices for a
-        word's first (1) or later (2) product; whole axes' are built once."""
-        store = whole if v - 1 > cut else block
-        if (v, kind) not in store:
+    def operand(lo, hi, kind):
+        """The (coordinate, element) rows (kind 0) of elements lo..hi-1, or
+        their (output, input, element) right matrices for a word's first (1)
+        or later (2) product.  Variables on the same range share them, and
+        the whole range's are built once."""
+        store = whole if hi - lo == n else block
+        if (lo, hi, kind) not in store:
             if kind:
-                x = operand(v, 0)[right]
-                store[v, kind] = _reduced((tabs[kind - 1] @ x).reshape(width, -1, x.shape[1]), mod)
-            elif v - 1 < cut:
-                store[v, kind] = coords(np.array(fixed[v - 1 : v]))
+                x = (tabs[kind - 1] @ operand(lo, hi, 0)[right]).reshape(width, -1)
+                store[lo, hi, kind] = _reduced(x, mod).reshape(width, -1, hi - lo)
             else:
-                store[v, kind] = coords(span if v - 1 == cut else np.arange(n))
-        return store[v, kind]
+                store[lo, hi, kind] = coords(np.arange(lo, hi))
+        return store[lo, hi, kind]
 
     whole = {}
     for fixed in itertools.product(range(n), repeat=cut):
         for lo in range(0, n, r):
-            span = np.arange(lo, min(n, lo + r))
-            shape = (1,) * cut + (len(span),) + (n,) * w
-            block, stack, path, total = {}, [], (), np.zeros((width,) + shape, dtype)
-            for i, (coef, word) in enumerate(terms):
-                keep = 0
-                while keep < min(len(path), len(word)) and path[keep] == word[keep]:
-                    keep += 1
-                del stack[keep:]
-                for v in word[len(stack) :]:
-                    if not stack:
-                        stack.append((operand(v, 0), (v,)))
-                        continue
-                    # A product is reduced only when the word goes on.
-                    value, axes = stack[-1]
-                    value = value[left] if len(stack) == 1 else _reduced(value, mod)
-                    stack.append(_times(value, axes, v, operand(v, min(len(stack), 2))))
-                path = word
-                # A coefficient other than 1 goes in place into a product
-                # that no later word extends; the value is added as a view
-                # on the block's axes, in variable order.
-                value, axes = stack[-1]
-                if coef is not None:
-                    last = len(word) > 1 and (i + 1 == len(terms) or terms[i + 1][1][: len(word)] != word)
-                    value = np.multiply(value, coef.reshape((-1,) + (1,) * len(axes)), out=value if last else None)
-                value = value.transpose([0] + sorted(range(1, len(axes) + 1), key=lambda a: axes[a - 1]))
-                total += value[(slice(None),) + tuple(slice(None) if v in axes else None for v in range(1, d + 1))]
-            bad = _reduced(total, mod).any(axis=0).ravel().nonzero()[0]
+            hi = min(n, lo + r)
+            # The element range of each variable's axis in this block.
+            ranges = [(i, i + 1) for i in fixed] + [(lo, hi)] + [(0, n)] * w
+            shape = (1,) * cut + (hi - lo,) + (n,) * w
+            block, total = {}, np.zeros((width,) + shape, dtype)
+            for coef, word, perm, view in terms:
+                # The value is kept as (coordinate, elements of its axes).
+                value, axes = operand(*ranges[word[0] - 1], 0), word[:1]
+                for k, v in enumerate(word[1:]):
+                    right_v = operand(*ranges[v - 1], min(k + 1, 2))
+                    value, axes = _times(value[left] if k == 0 else value, axes, v, right_v, shape)
+                    value = _reduced(value, mod)
+                sizes = tuple(shape[v - 1] for v in axes)
+                total += (coef * value).reshape((width,) + sizes).transpose(perm)[view]
+            bad = _reduced(total.reshape(width, -1), mod).any(axis=0).nonzero()[0]
             if bad.size:
                 at = np.unravel_index(bad[0], shape)
                 return fixed + (lo + int(at[cut]),) + tuple(int(i) for i in at[cut + 1 :])
@@ -401,36 +393,31 @@ def _first_failure(orders, table, f: Identity, exhaustive: bool):
 
 
 def _reduced(value, mod):
-    """value reduced mod the orders of its first (coordinate) axis, in place
-    when value is contiguous.  A float x >= 0 becomes x - m*floor(x/m),
-    exact while x + m < 2**24 (float32) or 2**53 (float64), since x/m then
-    rounds to no integer above the quotient; past a few hundred entries
-    this is several times faster than numpy's float remainder."""
-    flat = value if np.ndim(mod) == 0 else value.reshape(value.shape[0], -1)
-    if flat.dtype.kind == "f" and flat.size > 256:
-        q = flat / mod
+    """A (coordinate, ...) matrix reduced in place mod the orders of its
+    rows.  A float32 x >= 0 becomes x - m*floor(x/m), exact while
+    x + m < 2**24, since x/m then rounds to no integer above the quotient;
+    on a block this is several times faster than numpy's float remainder."""
+    if value.dtype.kind == "f":
+        q = value / mod
         np.floor(q, out=q)
         q *= mod
-        flat -= q
+        value -= q
     else:
-        flat %= mod
-    return flat.reshape(value.shape)
+        value %= mod
+    return value
 
 
-def _times(value, axes, v, right):
-    """A word's value, (coordinate, variable axes...) over the variables
-    `axes`, times variable v, given v's (output, input, element) right
-    matrices.  A new variable is one matmul and appends v's axis; a repeated
-    one is contracted along v's axis."""
+def _times(value, axes, v, right, shape):
+    """A word's (coordinate, elements) value over the variables `axes`, in
+    C order, times variable v, given v's (output, input, element) right
+    matrices and the block's shape.  A new variable is one matmul and
+    appends v's axis; a repeated one is contracted along v's axis."""
     k, s, m = right.shape
-    if v in axes:
-        q = axes.index(v) + 1
-        flat = value.reshape(s, math.prod(value.shape[1:q]), m, -1)
-        out = np.einsum("kji,jaib->kaib", right, flat).reshape((k,) + value.shape[1:])
-    else:
-        out = np.matmul(value.reshape(s, -1).T, right).reshape((k,) + value.shape[1:] + (m,))
-        axes += (v,)
-    return out, axes
+    if v not in axes:
+        return np.matmul(value.T, right).reshape(k, -1), axes + (v,)
+    after = math.prod(shape[u - 1] for u in axes[axes.index(v) + 1 :])
+    out = np.einsum("kji,jaib->kaib", right, value.reshape(s, -1, m, after))
+    return out.reshape(k, -1), axes
 
 
 def holds(ring, f: Identity, mode: str = "exhaustive") -> HoldsResult:

@@ -309,9 +309,6 @@ def test_exact_dtype_bounds():
         _exact_dtype(4, 2049, (np.float32,))
     # Python ints always fit.
     assert _exact_dtype(2**63, 2, (np.int64, object)) is object
-    # float64 holds every integer below 2**53.
-    assert _exact_dtype(1, 2**26 + 1, (np.float64, np.int64)) is np.float64
-    assert _exact_dtype(2, 2**26 + 1, (np.float64, np.int64)) is np.int64
 
 
 def test_work_dtype_switches_where_int16_stops_being_exact():
