@@ -9,6 +9,8 @@ are versioned JSON; randomized steps record their seed.
 """
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 import time
@@ -74,65 +76,74 @@ def _finish(command, params, checks, started, seed=None, extra=None):
 # that took about a quarter of a p = 5 compare.
 _quote = json.encoder.encode_basestring_ascii
 _WORDS = {None: "null", True: "true", False: "false"}
+# About how many characters one piece of a run of shared list entries holds.
+_CHUNK = 2**16
 
 
-def _json_text(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for a tree of dicts, lists,
-    tuples and scalars at indentation pad.
-
-    Within a list, an object that recurs is encoded once: a compare report
-    holds one {"mult", "clique"} dict per class, shared by every class of a
-    kind (see BlowupGraph.to_json).  The text is memoized by id, which the
-    list's own references keep valid while it is written.
-    """
+def _scalar_text(obj):
+    """The JSON text of a str, number, bool or None; None for anything else."""
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or obj is True or obj is False:
         return _WORDS[obj]
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if abs(obj) == float("inf"):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
+    return json.dumps(obj) if isinstance(obj, float) else None
+
+
+def _json_pieces(obj, pad: str = ""):
+    """json.dumps(obj, indent=2) in pieces, byte for byte once joined, for
+    a tree of dicts, lists, tuples and scalars at indentation pad.  A run of
+    consecutive list entries that are one object, such as the dict that
+    BlowupGraph.to_json shares among the classes of a kind, is encoded once
+    and yielded as copies joined about _CHUNK characters at a time; a lone
+    container entry streams its own pieces, so no text is copied once per
+    nesting level."""
+    text = _scalar_text(obj)
+    if text is not None:
+        yield text
+        return
     inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        texts = {}
-        items = []
-        for item in obj:
-            text = texts.get(id(item))
-            if text is None:
-                text = texts[id(item)] = _json_text(item, inner)
-            items.append(text)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    sep = ",\n" + inner
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_quote(_key_text(k)) + ": " + _json_text(v, inner) for k, v in obj.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as json spells it before quoting: a str as it is, a
-    number, bool or None as its JSON value."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _json_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        head = "{\n" + inner
+        for key, value in obj.items():
+            # Keys as json spells them before quoting.
+            name = key if isinstance(key, str) else _scalar_text(key)
+            if name is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            yield head + _quote(name) + ": "
+            yield from _json_pieces(value, inner)
+            head = sep
+        yield "{}" if not obj else "\n" + pad + "}"
+        return
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    head = "[\n" + inner
+    for _, run in itertools.groupby(obj, key=id):
+        run = list(run)
+        text = _scalar_text(run[0])
+        if text is None and len(run) == 1:
+            yield head
+            yield from _json_pieces(run[0], inner)
+        else:
+            text = text or "".join(_json_pieces(run[0], inner))
+            step = max(1, _CHUNK // (len(text) + len(sep)))
+            for lo in range(0, len(run), step):
+                yield head + sep.join([text] * min(step, len(run) - lo))
+                head = sep
+        head = sep
+    yield "[]" if not obj else "\n" + pad + "]"
 
 
 def _emit(report, path):
-    text = _json_text(report)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    """Write the report's text to stdout and, given a path, to that file:
+    the same pieces to each, as they come."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as fh:
+        for piece in itertools.chain(_json_pieces(report), ["\n"]):
+            sys.stdout.write(piece)
+            if fh:
+                fh.write(piece)
     return 0 if report.get("passed", True) else 1
 
 
@@ -412,6 +423,8 @@ def cmd_identity(args) -> int:
     started = time.perf_counter()
     ring = _load_ring(args.ring)
     ident = parse(args.expr)
+    if args.mode == "multilinear" and not ident.is_multilinear():
+        raise ZdgError(f"multilinear mode needs every variable once per word, got {args.expr!r}")
     result = holds(ring, ident, mode=args.mode)
     checks = [
         _check(
@@ -489,7 +502,7 @@ def cmd_census(args) -> int:
 def cmd_export_graph(args) -> int:
     pres = construct(args.variant, _prime(args.p), _generators(args.variant, args.n))
     if args.format == "blowup":
-        pieces = [json.dumps(compressed_graph(pres).to_json(), indent=2) + "\n"]
+        pieces = itertools.chain(_json_pieces(compressed_graph(pres).to_json()), ["\n"])
     else:
         pieces = explicit_graph(pres.algebra).iter_edge_list()
     if args.out:

@@ -66,25 +66,24 @@ walk and for the F_2 kernel, and the walk as the reference for the closed
 form.
 
 Cost model, for c classes of a complement of dimension m, t reached output
-coordinates and kernel dimension k:
+coordinates and kernel dimension k.  A blow-up keeps one byte per class,
+its kind code, and no per-class object:
 
 * compressed_graph, closed form: one elimination of the d2 x t monomial
-  products, one of the m x m Gram matrix and c references to one
-  (mult, clique) tuple; the walk's _walk_bytes cap does not apply.
+  products and one of the m x m Gram matrix; the codes are one zeroed
+  array, and the walk's _walk_bytes cap does not apply.
 * compressed_graph, kernel walk: time c * (m*m*t + m*p^k), one matmul and m
-  elimination steps per block of classes plus the kernel points; memory about
-  b*m*m + 9*m + 49 bytes per class (the kernel bases in the narrowest
-  unsigned dtype of b bytes that holds p - 1, b = 1 for p <= 256), plus
-  the pairs and one block: about 13 bytes per entry of the walk's int16
-  stack at p = 13, 36 per entry of the pair walk's int64 points
-  (_walk_bytes, checked against _GRAPH_BYTES before anything is
-  allocated; tracemalloc peaks 1.6-3.3 MB at p = 5 and 45-78 MB at p = 13,
-  against 235 and 291 MB estimated).
-* blowup_isomorphic and fingerprint: time and memory linear in c plus the
-  cross pairs.  _twin_quotient groups the classes into collapse_twins' first
-  round directly; only that quotient, one vertex per twin group, gets bit
-  rows.  The paper's blow-ups have no cross pairs and uniform flags, so
-  their quotient has two vertices at every p.
+  elimination steps per block of classes plus the kernel points; memory
+  about b*m*m + 9*m + 25 bytes per class (kernel bases in the narrowest
+  unsigned dtype of b bytes that holds p - 1; the clique flags are the
+  codes), plus the pairs and one block (_walk_bytes, checked against
+  _GRAPH_BYTES before anything is allocated; tracemalloc peaks 2.8-3.2 MB
+  at p = 5 and 51-72 MB at p = 13, against 224 and 268 MB estimated).
+* blowup_isomorphic and fingerprint: time and memory linear in the cross
+  pairs plus one count of kinds over the codes.  _twin_quotient groups the
+  classes into collapse_twins' first round directly; only that quotient,
+  one vertex per twin group, gets bit rows.  The paper's blow-ups have no
+  cross pairs and one kind, so their quotient has two vertices at every p.
 * explicit_graph, n elements, k reached coordinates: over F_2, n*k*n/8
   byte operations per side (one side for a commutative table) and half
   tables of 2^h + 2^(d-h) rows of n/8 bytes (h = d // 2; 2 MB each at
@@ -95,7 +94,7 @@ coordinates and kernel dimension k:
 
 import json
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import numpy as np
 
@@ -256,19 +255,25 @@ class BlowupGraph:
     holds the adjacent class pairs as a read-only (n, 2) int64 array of rows
     i < j, sorted and without repeats.  Pairs may be given in either order
     and more than once; a pair of a class with itself or with a class out
-    of range raises ValueError.
+    of range raises ValueError.  A blow-up has few kinds of class, so it
+    keeps the tuple ``kinds`` of distinct (mult, clique_flag) pairs and a
+    read-only array ``codes``, class i of kind kinds[codes[i]], one byte a
+    class for up to 256 kinds; ``classes`` derives one pair per class.  The
+    constructor takes one pair per class or, given codes, one per kind.
     """
 
-    __slots__ = ("universal", "classes", "cross")
+    __slots__ = ("universal", "kinds", "codes", "cross")
 
-    def __init__(self, universal: int, classes, cross):
+    def __init__(self, universal: int, classes, cross, codes=None):
+        if codes is None:
+            index = {}
+            codes = np.array([index.setdefault((int(m), bool(f)), len(index)) for m, f in classes], dtype=np.intp)
+            classes = index
         self.universal = int(universal)
-        # A blow-up has few kinds of class: each distinct (mult, clique_flag)
-        # is checked once, and equal classes share its tuple.
-        classes = tuple(classes)
-        kinds = {cls: (int(m), bool(f)) for cls in set(classes) for m, f in [cls]}
-        self.classes = tuple(map(kinds.__getitem__, classes))
-        k = len(self.classes)
+        self.kinds = tuple(classes)
+        self.codes = codes.astype(np.min_scalar_type(max(len(self.kinds) - 1, 0)), copy=False)
+        self.codes.setflags(write=False)
+        k = len(codes)
         pairs = np.asarray(cross, dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
@@ -281,18 +286,20 @@ class BlowupGraph:
         self.cross.setflags(write=False)
 
     @property
+    def classes(self) -> tuple:
+        return tuple(map(self.kinds.__getitem__, self.codes.tolist()))
+
+    @property
     def expanded_order(self) -> int:
-        return self.universal + sum(m for m, _ in self.classes)
+        counts = np.bincount(self.codes, minlength=len(self.kinds)).tolist()
+        return self.universal + sum(m * n for (m, _), n in zip(self.kinds, counts))
 
     def to_json(self) -> dict:
         """The blow-up as JSON data.  Classes of one (mult, clique) kind
         share one dict, so treat the result as read-only."""
-        kinds = {cls: {"mult": m, "clique": f} for cls in set(self.classes) for m, f in [cls]}
-        return {
-            "universal": self.universal,
-            "classes": list(map(kinds.__getitem__, self.classes)),
-            "cross": self.cross.tolist(),
-        }
+        dicts = [{"mult": m, "clique": f} for m, f in self.kinds]
+        classes = dicts * len(self.codes) if len(dicts) == 1 else list(map(dicts.__getitem__, self.codes.tolist()))
+        return {"universal": self.universal, "classes": classes, "cross": self.cross.tolist()}
 
     @classmethod
     def from_json(cls, data) -> "BlowupGraph":
@@ -307,7 +314,7 @@ class BlowupGraph:
     def __repr__(self):
         return (
             f"BlowupGraph(universal={self.universal}, "
-            f"classes={len(self.classes)}, cross={len(self.cross)})"
+            f"classes={len(self.codes)}, cross={len(self.cross)})"
         )
 
 
@@ -559,7 +566,7 @@ def compressed_graph(source, class_cap: int = DEFAULT_CLASS_CAP) -> BlowupGraph:
     clique = _closed_form(prod, s, p)
     if clique is None:
         return _kernel_walk(prod, s, p)
-    return BlowupGraph(p**s - 1, [((p - 1) * p**s, clique)] * c, [])
+    return BlowupGraph(p**s - 1, [((p - 1) * p**s, clique)], [], codes=np.zeros(c, dtype=np.uint8))
 
 
 def _closed_form(prod: np.ndarray, s: int, p: int):
@@ -682,8 +689,7 @@ def _kernel_walk(prod: np.ndarray, s: int, p: int) -> BlowupGraph:
         raise CapExceeded(f"{points} kernel points exceed cap {KERNEL_POINT_CAP}")
     mult = (p - 1) * p**s
     kinds = ((mult, False), (mult, True))
-    classes = map(kinds.__getitem__, clique.tolist())
-    return BlowupGraph(p**s - 1, classes, _kernel_pairs(kern, free, p))
+    return BlowupGraph(p**s - 1, kinds, _kernel_pairs(kern, free, p), codes=clique.view(np.uint8))
 
 
 def _kernel_dtype(p: int):
@@ -694,12 +700,12 @@ def _kernel_dtype(p: int):
 def _walk_bytes(c: int, m: int, p: int) -> int:
     """Upper estimate of _kernel_walk's peak bytes for c classes of an
     m-dimensional complement: per class its int64 representative, its
-    kernel basis in _kernel_dtype(p), its flags, the kernel dimension and
-    point count read off them, and three references to its (mult, clique)
-    tuple while BlowupGraph builds its classes; at most KERNEL_POINT_CAP
-    pairs, each held a few times over while BlowupGraph sorts them; and one
-    block of the walk or of the pair walk."""
-    per_class = 8 * m + _kernel_dtype(p).itemsize * m * m + m + 1 + 3 * 8 + 3 * 8
+    kernel basis in _kernel_dtype(p), its flags (the clique flag is also
+    its BlowupGraph code), and the kernel dimension and point count read
+    off them; at most KERNEL_POINT_CAP pairs, each held a few times over
+    while BlowupGraph sorts them; and one block of the walk or of the pair
+    walk."""
+    per_class = 8 * m + _kernel_dtype(p).itemsize * m * m + m + 1 + 3 * 8
     return c * per_class + 64 * KERNEL_POINT_CAP + 96 * _BLOCK
 
 
@@ -751,25 +757,26 @@ def expand(blowup: BlowupGraph, cap: int = DEFAULT_ELEMENT_CAP) -> ZdGraph:
     total = blowup.expanded_order
     if total > cap:
         raise CapExceeded(f"expanded graph has {total} vertices, cap is {cap}")
-    need = _expand_bytes(total, len(blowup.classes))
+    classes = blowup.classes
+    need = _expand_bytes(total, len(classes))
     if need > _GRAPH_BYTES:
         raise CapExceeded(f"expanded graph needs about {need} bytes, cap is {_GRAPH_BYTES}")
     offsets = []
     pos = blowup.universal
-    for m, _ in blowup.classes:
+    for m, _ in classes:
         offsets.append(pos)
         pos += m
     full = (1 << total) - 1
-    block_mask = [((1 << m) - 1) << off for (m, _), off in zip(blowup.classes, offsets)]
+    block_mask = [((1 << m) - 1) << off for (m, _), off in zip(classes, offsets)]
     uni_mask = (1 << blowup.universal) - 1
-    cross_of = [0] * len(blowup.classes)
+    cross_of = [0] * len(classes)
     for i, j in blowup.cross.tolist():
         cross_of[i] |= block_mask[j]
         cross_of[j] |= block_mask[i]
     adj = []
     for v in range(blowup.universal):
         adj.append(full ^ (1 << v))
-    for ci, ((m, clique), off) in enumerate(zip(blowup.classes, offsets)):
+    for ci, ((m, clique), off) in enumerate(zip(classes, offsets)):
         for v in range(off, off + m):
             row = uni_mask | cross_of[ci]
             if clique:
@@ -815,65 +822,69 @@ def _twin_quotient(blowup: BlowupGraph):
     along the cross pairs and, for a nonempty universal clique, a last
     vertex u joined to every class.  Classes without cross pairs share the
     open neighbourhood {u}; classes joined to every other class share u's
-    closed one.  Only the remaining classes with cross pairs need keys,
-    their sorted neighbour lists.  Merged labels come from the
-    (mult, clique) counts of each group.  Since this is collapse_twins'
-    own first round, it continues from here to the same quotient.
+    closed one.  Only classes with cross pairs are listed, keyed by their
+    sorted neighbour lists; the rest form one group, known by its least
+    member.  Merged labels come from each group's count of every kind, and
+    collapse_twins continues from here to the same quotient.
     """
-    c = len(blowup.classes)
+    c = len(blowup.codes)
     u = c if blowup.universal > 0 else None
-    ends = np.concatenate([blowup.cross, blowup.cross[:, ::-1]])
+    # The classes with cross pairs, and their sorted open and closed
+    # neighbour rows, cut from the pairs both ways round and the loops.
+    active = _distinct(blowup.cross.ravel())
+    act = active.tolist()
+    ends = np.concatenate([blowup.cross, blowup.cross[:, ::-1], np.stack([active, active], axis=1)])
     ends = ends[np.argsort(ends[:, 0] * c + ends[:, 1])]
-    deg = np.bincount(ends[:, 0], minlength=c)
-    start = np.concatenate([[0], np.cumsum(deg)])
+    bounds = np.searchsorted(ends[:, 0], active).tolist() + [len(ends)]
+    rows = {v: ends[a:b, 1] for v, a, b in zip(act, bounds, bounds[1:])}
     # Closed twins: the classes joined to all others, with u, then the rest
     # by key; open twins among the vertices left.
     closed = defaultdict(list)
     opened = defaultdict(list)
-    full = np.flatnonzero(deg == c - 1).tolist()
-    closed["all"] = full + ([u] if u is not None else [])
-    for v in np.flatnonzero((deg > 0) & (deg < c - 1)).tolist():
-        row = ends[start[v] : start[v + 1], 1]
-        closed[np.insert(row, np.searchsorted(row, v), v).tobytes()].append(v)
+    closed["all"] = [v for v, row in rows.items() if len(row) == c] + [0] * (c == 1) + [u] * (u is not None)
+    for v, row in rows.items():
+        if len(row) < c:
+            closed[row.tobytes()].append(v)
     groups = [("K", mem) for mem in closed.values() if len(mem) >= 2]
     taken = {v for _, mem in groups for v in mem}
-    for v in np.flatnonzero(deg > 0).tolist():
+    for v, row in rows.items():
         if v not in taken:
-            opened[ends[start[v] : start[v + 1], 1].tobytes()].append(v)
+            opened[row[row != v].tobytes()].append(v)
     groups += [("I", mem) for mem in opened.values()]
-    lone = np.flatnonzero(deg == 0).tolist()
-    if lone and lone[0] not in taken:
-        groups.append(("I", lone))
+    # The least class without cross pairs leads their group.
+    lone = next((i for i, v in enumerate(act) if i != v), len(act))
+    if lone < c and lone not in taken:
+        groups.append(("I", [lone]))
+    else:
+        lone = None
     if u is not None and u not in taken:
         groups.append(("I", [u]))
     groups.sort(key=lambda g: g[1][0])
 
-    def label(v):
-        if v == u:
-            return _class_label(blowup.universal, True)
-        return _class_label(*blowup.classes[v])
-
-    q = np.empty(c + (u is not None), dtype=np.int64)
-    labels = []
+    # u is the one vertex of its own kind; a group's label comes from its
+    # count of each kind.
+    kinds = blowup.kinds + ((blowup.universal, True),)
+    codes = np.append(blowup.codes, len(kinds) - 1)
+    count = lambda mem: np.bincount(codes[mem], minlength=len(kinds))  # noqa: E731
+    where, labels = {}, []
     for i, (kind, mem) in enumerate(groups):
-        q[mem] = i
-        if len(mem) == 1:
-            labels.append(label(mem[0]))
+        where.update(dict.fromkeys(mem, i))
+        if len(mem) == 1 and mem != [lone]:
+            labels.append(_class_label(*kinds[codes[mem[0]]]))
             continue
-        counts = Counter(blowup.classes[v] for v in mem if v != u)
-        weighted = [(_class_label(*cls), n) for cls, n in counts.items()]
-        if u in mem:
-            weighted.append((label(u), 1))
-        labels.append(_merge(kind, weighted))
+        counts = count(slice(c)) - count(active) if mem == [lone] else count(mem)
+        weighted = [(_class_label(*k), n) for k, n in zip(kinds, counts.tolist()) if n]
+        labels.append(weighted[0][0] if sum(n for _, n in weighted) == 1 else _merge(kind, weighted))
     n = len(groups)
-    ends = np.sort(q[blowup.cross], axis=1)
+    q = np.array([where[v] for v in act], dtype=np.int64)
+    ends = np.sort(q[np.searchsorted(active, blowup.cross)], axis=1)
     code = _distinct(ends[ends[:, 0] != ends[:, 1]] @ np.array([n, 1]))
     adj = [0] * n
     for i, j in zip((code // n).tolist(), (code % n).tolist()):
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     if u is not None:
-        k = int(q[u])
+        k = where[u]
         adj = [row | 1 << k for row in adj]
         adj[k] = ((1 << n) - 1) ^ (1 << k)
     return adj, labels

@@ -307,7 +307,11 @@ def _first_failure(orders, table, f: Identity, exhaustive: bool):
     table = table.astype(dtype)
     pairs = table.any(axis=2)
     left, right = pairs.any(axis=1).nonzero()[0], pairs.any(axis=0).nonzero()[0]
-    out = np.arange(t) if any(len(word) == 1 for _, word in f.terms) else table.any(axis=(0, 1)).nonzero()[0]
+    single = any(len(word) == 1 for _, word in f.terms)
+    out = np.arange(t) if single else table.any(axis=(0, 1)).nonzero()[0]
+    # The element coordinates read: all for a one-letter word, else inputs.
+    read = np.arange(t) if single else (pairs.any(axis=1) | pairs.any(axis=0)).nonzero()[0]
+    left_at, right_at = np.searchsorted(read, left), np.searchsorted(read, right)
     # A word longer than the products reach vanishes: every word of two
     # letters when nothing has a product, of three when no product has one.
     longest = 1 if not left.size else 2 if not pairs[out].any() else math.inf
@@ -347,22 +351,22 @@ def _first_failure(orders, table, f: Identity, exhaustive: bool):
         raise CapExceeded(f"{size} bytes of one substitution block exceed the cap")
 
     if exhaustive:
-        strides = np.array([math.prod(orders[k + 1 :]) for k in range(t)], dtype=np.int64)[:, None]
-        radix = np.array(orders, dtype=np.int64)[:, None]
+        strides = np.array([math.prod(orders[k + 1 :]) for k in read.tolist()], dtype=np.int64)[:, None]
+        radix = np.array(orders, dtype=np.int64)[read, None]
         coords = lambda idx: (idx // strides % radix).astype(dtype)  # noqa: E731
     else:
-        eye = np.eye(t, dtype=dtype)
+        eye = np.eye(t, dtype=dtype)[read]
         coords = lambda idx: eye[:, idx]  # noqa: E731
 
     def operand(lo, hi, kind):
-        """The (coordinate, element) rows (kind 0) of elements lo..hi-1, or
-        their (output, input, element) right matrices for a word's first (1)
-        or later (2) product.  Variables on the same range share them, and
-        the whole range's are built once."""
+        """The (read coordinate, element) rows (kind 0) of elements lo..hi-1,
+        or their (output, input, element) right matrices for a word's first
+        (1) or later (2) product.  Variables on the same range share them,
+        and the whole range's are built once."""
         store = whole if hi - lo == n else block
         if (lo, hi, kind) not in store:
             if kind:
-                x = (tabs[kind - 1] @ operand(lo, hi, 0)[right]).reshape(width, -1)
+                x = (tabs[kind - 1] @ operand(lo, hi, 0)[right_at]).reshape(width, -1)
                 store[lo, hi, kind] = _reduced(x, mod).reshape(width, -1, hi - lo)
             else:
                 store[lo, hi, kind] = coords(np.arange(lo, hi))
@@ -381,7 +385,7 @@ def _first_failure(orders, table, f: Identity, exhaustive: bool):
                 value, axes = operand(*ranges[word[0] - 1], 0), word[:1]
                 for k, v in enumerate(word[1:]):
                     right_v = operand(*ranges[v - 1], min(k + 1, 2))
-                    value, axes = _times(value[left] if k == 0 else value, axes, v, right_v, shape)
+                    value, axes = _times(value[left_at] if k == 0 else value, axes, v, right_v, shape)
                     value = _reduced(value, mod)
                 sizes = tuple(shape[v - 1] for v in axes)
                 total += (coef * value).reshape((width,) + sizes).transpose(perm)[view]

@@ -170,6 +170,8 @@ def test_certify_noniso_gates_even_p(capsys):
         ["identity", "--ring", "no_keys.json", "--expr", "x1"],
         ["identity", "--ring", "no_mul.json", "--expr", "x1"],
         ["identity", "--ring", "list.json", "--expr", "x1"],
+        ["identity", "--ring", "Z6", "--expr", "x1^2", "--mode", "multilinear"],
+        ["identity", "--ring", "Z6", "--expr", "x1x2 - x2x1x2", "--mode", "multilinear"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -375,17 +377,49 @@ _trees = st.recursive(
 )
 
 
+def _text(obj):
+    return "".join(cli._json_pieces(obj))
+
+
 @given(_trees)
 @settings(max_examples=300, deadline=None)
 def test_report_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    assert _text(obj) == json.dumps(obj, indent=2)
+
+
+@st.composite
+def _runs(draw):
+    """A list of runs of shared entries, long and short, interleaved, some
+    entries nested lists of runs themselves."""
+    pool = draw(st.lists(st.one_of(_flat, _scalars, st.lists(_flat, max_size=3)), min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 300)), max_size=6))
+    return [entry for entry, n in runs for _ in range(n)]
+
+
+@given(st.one_of(_runs(), st.dictionaries(st.text(max_size=3), _runs(), max_size=3)), st.sampled_from([1, 7, 64, 2**16]))
+@settings(max_examples=200, deadline=None)
+def test_report_writer_runs_across_chunks(obj, chunk):
+    # Small chunks cut long runs of one shared dict many times.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK", chunk)
+        assert _text(obj) == json.dumps(obj, indent=2)
+        assert _text([obj, obj]) == json.dumps([obj, obj], indent=2)
+
+
+def test_report_writer_yields_a_run_in_bounded_pieces(monkeypatch):
+    entry = {"mult": 2414, "clique": True}
+    rows = [entry] * 5000 + [{"mult": 2414, "clique": False}] + [entry] * 3
+    monkeypatch.setattr(cli, "_CHUNK", 1000)
+    pieces = list(cli._json_pieces({"classes": rows}))
+    assert "".join(pieces) == json.dumps({"classes": rows}, indent=2)
+    assert max(map(len, pieces)) < 1100 and len(pieces) < 400
 
 
 def test_report_writer_tells_lookalike_dicts_apart():
     rows = [{"a": 1}, {"a": True}, {"a": 1.0}, {"a": 0.0}, {"a": -0.0}, {"a": 0}, {"a": False},
             {1: 0}, {True: 0}, {"1": 0}, {1.0: 0}, {None: 0}, {"a": 1}, {}, {"a": []}, {"a": []}]
-    assert cli._json_text(rows) == json.dumps(rows, indent=2)
-    assert cli._json_text([float("nan"), float("inf"), -float("inf")]) == json.dumps(
+    assert _text(rows) == json.dumps(rows, indent=2)
+    assert _text([float("nan"), float("inf"), -float("inf")]) == json.dumps(
         [float("nan"), float("inf"), -float("inf")], indent=2
     )
 
@@ -395,7 +429,7 @@ def test_report_writer_refuses_what_json_refuses():
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):
-            cli._json_text(bad)
+            _text(bad)
 
 
 @pytest.mark.parametrize(
@@ -418,3 +452,17 @@ def test_reports_are_json_dumps_byte_for_byte(argv, tmp_path, capsys, monkeypatc
     want = json.dumps(made[0], indent=2) + "\n"
     assert out == want
     assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("variant", ["A1", "B2"])
+def test_blowup_export_is_json_dumps_byte_for_byte(variant, tmp_path, capsys):
+    from zdgforge.constructions import construct
+    from zdgforge.graphs import compressed_graph
+
+    want = json.dumps(compressed_graph(construct(variant, 3)).to_json(), indent=2) + "\n"
+    argv = ["export-graph", "--variant", variant, "--p", "3", "--format", "blowup"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    path = tmp_path / "blowup.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == want and capsys.readouterr().out == ""

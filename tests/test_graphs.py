@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from zdgforge.algebra import SCAlgebra, _two_step_core, direct_sum, field_algebr
 from zdgforge.catalog import enumerate_variety_rings
 from zdgforge.constructions import _free_presentation, construct, free_m1, free_m2
 from zdgforge.errors import CapExceeded
-from zdgforge.fpcore import PrimeField, Subspace, _grid, _rref_stack
+from zdgforge.fpcore import PrimeField, Subspace, _grid, _projective_reps, _quadratic, _rref_stack
 from zdgforge.graphs import (
     BlowupGraph,
     ZdGraph,
@@ -23,6 +24,7 @@ from zdgforge.graphs import (
     fingerprint,
     graphs_isomorphic,
 )
+from zdgforge.isomorph import _merge, canonical_bytes, fnv64
 from zdgforge.rings import TableRing, null_ring, ring_direct_sum, zn_ring
 
 
@@ -1170,3 +1172,151 @@ def test_edge_list_pieces_hold_a_bounded_block(monkeypatch):
     assert header == "100 4950\n"
     assert len(pieces) == 25 and pieces[0].count("\n") == 99 + 98 + 97 + 96
     assert header + "".join(pieces) == _per_edge_edge_list(g)
+
+
+# -- the count form against one tuple per class -----------------------------
+
+
+def _tuple_form(algebra):
+    """(universal, classes, cross) of an algebra's blow-up with one
+    (mult, clique) tuple per class, as BlowupGraph kept it before its count
+    form: a class is a clique when its representative squares to 0.  The
+    cross pairs are compressed_graph's."""
+    comp, core, s = _two_step_core(algebra)
+    p = algebra.field.p
+    flags = ~_quadratic(_projective_reps(p, len(comp)), core, p).any(axis=1) if comp else []
+    classes = [((p - 1) * p**s, bool(f)) for f in flags]
+    return p**s - 1, classes, compressed_graph(algebra).cross
+
+
+def _tuple_to_json(universal, classes, cross):
+    return {"universal": universal, "classes": [{"mult": m, "clique": f} for m, f in classes], "cross": cross.tolist()}
+
+
+def _tuple_expand(universal, classes, cross):
+    """The explicit graph of a tuple-form blow-up, row by row."""
+    offsets = list(itertools.accumulate([m for m, _ in classes], initial=universal))
+    block = [((1 << m) - 1) << off for (m, _), off in zip(classes, offsets)]
+    joined = [0] * len(classes)
+    for i, j in cross.tolist():
+        joined[i] |= block[j]
+        joined[j] |= block[i]
+    total = offsets[-1]
+    adj = [((1 << total) - 1) ^ (1 << v) for v in range(universal)]
+    for i, (m, clique) in enumerate(classes):
+        for v in range(offsets[i], offsets[i] + m):
+            adj.append((1 << universal) - 1 | joined[i] | (block[i] ^ (1 << v) if clique else 0))
+    return ZdGraph(total, adj)
+
+
+def _tuple_quotient(universal, classes, cross):
+    """graphs._twin_quotient as it was for the tuple form: the classes with
+    cross pairs keyed by their neighbour lists, a Counter of tuples per
+    group for the merged labels."""
+    c = len(classes)
+    u = c if universal > 0 else None
+    ends = np.concatenate([cross, cross[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 0] * c + ends[:, 1])]
+    deg = np.bincount(ends[:, 0], minlength=c)
+    start = np.concatenate([[0], np.cumsum(deg)])
+    closed, opened = defaultdict(list), defaultdict(list)
+    closed["all"] = np.flatnonzero(deg == c - 1).tolist() + ([u] if u is not None else [])
+    for v in np.flatnonzero((deg > 0) & (deg < c - 1)).tolist():
+        row = ends[start[v] : start[v + 1], 1]
+        closed[np.insert(row, np.searchsorted(row, v), v).tobytes()].append(v)
+    groups = [("K", mem) for mem in closed.values() if len(mem) >= 2]
+    taken = {v for _, mem in groups for v in mem}
+    for v in np.flatnonzero(deg > 0).tolist():
+        if v not in taken:
+            opened[ends[start[v] : start[v + 1], 1].tobytes()].append(v)
+    groups += [("I", mem) for mem in opened.values()]
+    lone = np.flatnonzero(deg == 0).tolist()
+    if lone and lone[0] not in taken:
+        groups.append(("I", lone))
+    if u is not None and u not in taken:
+        groups.append(("I", [u]))
+    groups.sort(key=lambda g: g[1][0])
+    label = lambda v: graphs._class_label(universal, True) if v == u else graphs._class_label(*classes[v])  # noqa: E731
+    q = np.empty(c + (u is not None), dtype=np.int64)
+    labels = []
+    for i, (kind, mem) in enumerate(groups):
+        q[mem] = i
+        weighted = [(graphs._class_label(*cls), n) for cls, n in Counter(classes[v] for v in mem if v != u).items()]
+        weighted += [(label(u), 1)] if u in mem else []
+        labels.append(label(mem[0]) if len(mem) == 1 else _merge(kind, weighted))
+    n = len(groups)
+    adj = [0] * n
+    for i, j in q[cross].tolist():
+        if i != j:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    if u is not None:
+        adj = [row | 1 << int(q[u]) for row in adj]
+        adj[q[u]] = ((1 << n) - 1) ^ (1 << int(q[u]))
+    return adj, labels
+
+
+def _walked_quotients():
+    """The walked quotients of this file: cross pairs, mixed clique flags."""
+    yield _two_relation_quotient("alternating")
+    yield _two_relation_quotient("symmetric")
+    yield _one_relation(3, 4, "alternating", _upper(4, {(0, 1): 1}))
+    yield _one_relation(5, 3, "symmetric", _upper(3, {(0, 1): 1}))
+    yield _one_relation(7, 3, "symmetric", _upper(3, {(1, 1): 1, (2, 2): -1}))
+    yield _one_relation(2, 3, "symmetric", _upper(3, {(0, 1): 1}))
+    yield zero_mul_algebra(2, 3)
+    yield free_m2(3, 2).algebra
+
+
+def _assert_count_form_is_tuple_form(blowups, refs):
+    forms = [canonical_bytes(*_tuple_quotient(*ref)) for ref in refs]
+    for b, ref, form in zip(blowups, refs, forms):
+        assert b.classes == tuple(ref[1]) and len(b.classes) == len(ref[1])
+        assert b.to_json() == _tuple_to_json(*ref)
+        assert fingerprint(b) == fnv64(form)
+        if b.expanded_order <= graphs.DEFAULT_ELEMENT_CAP:
+            assert expand(b).adj == _tuple_expand(*ref).adj
+    for (a, fa), (b, fb) in itertools.combinations(zip(blowups, forms), 2):
+        assert blowup_isomorphic(a, b) == (fa == fb)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_count_form_matches_tuple_form_on_compare_pairs(p):
+    algebras = [construct(v, p).algebra for v in ("A1", "B1", "A2", "B2")]
+    blowups = [compressed_graph(a) for a in algebras]
+    assert [b.kinds for b in blowups] == [(((p - 1) * p**s, f),) for s, f in ((14, True), (14, True), (20, False), (20, False))]
+    _assert_count_form_is_tuple_form(blowups, [_tuple_form(a) for a in algebras])
+    assert blowup_isomorphic(blowups[0], blowups[1]) and blowup_isomorphic(blowups[2], blowups[3])
+
+
+def test_count_form_matches_tuple_form_on_walked_quotients():
+    algebras = list(_walked_quotients()) + [construct(v, 2, 4).algebra for v in ("A1", "A2")]
+    blowups = [compressed_graph(a) for a in algebras]
+    refs = [_tuple_form(a) for a in algebras]
+    assert any(len(b.cross) for b in blowups) and any(len(b.kinds) == 2 for b in blowups)
+    assert sum(b.expanded_order <= graphs.DEFAULT_ELEMENT_CAP for b in blowups) >= 4
+    _assert_count_form_is_tuple_form(blowups, refs)
+
+
+@given(_blowups())
+@settings(max_examples=200, deadline=None)
+def test_count_form_matches_tuple_form_on_random_blowups(b):
+    ref = (b.universal, [(m, f) for m, f in b.classes], b.cross)
+    assert b.codes.dtype == np.uint8 and not b.codes.flags.writeable
+    assert [b.kinds[k] for k in b.codes.tolist()] == ref[1]
+    _assert_count_form_is_tuple_form([b, BlowupGraph.from_json(b.to_json())], [ref, ref])
+
+
+def test_count_form_at_p13_stays_small():
+    # 402,234 classes a side: one byte each, and no per-class array in the
+    # twin quotient of a blow-up without cross pairs.
+    a, b = construct("A2", 13), construct("B2", 13)
+    tracemalloc.start()
+    try:
+        ga, gb = compressed_graph(a), compressed_graph(b)
+        assert blowup_isomorphic(ga, gb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ga.codes) == len(gb.codes) == (13**6 - 1) // 12
+    assert peak < 8 * 2**20, peak
