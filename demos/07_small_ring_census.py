@@ -20,7 +20,7 @@ for e in entries:
     if e.order == 64:
         print(
             f"order 64: m={e.m} k={e.k}",
-            f"kernel rows={e.presentation.kernel.dim}",
+            f"kernel rows={e.presentation.relation.dim}",
             f"fingerprint={e.fingerprint}",
         )
 

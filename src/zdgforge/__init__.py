@@ -4,7 +4,8 @@ Subpackages:
 
 * fpcore: linear algebra over Z_p (rref, kernels, canonical subspaces)
 * algebra: structure-constant algebras, quotients, annihilators, JSON form
-* constructions: the graded quotient families, product/annihilator criteria,
+* constructions: the two-step quotient builder, the paper's quotients,
+  product/annihilator criteria,
   relation-form invariants, non-isomorphism certificates
 * graphs: explicit and blow-up zero-divisor graphs, isomorphism, fingerprints
 * identities: polynomial identities checked by substitution
@@ -30,7 +31,6 @@ from .algebra import (
 )
 from .catalog import (
     CatalogEntry,
-    RingPresentation,
     brute_force_census,
     determinacy_report,
     enumerate_variety_rings,
@@ -48,6 +48,7 @@ from .constructions import (
     product_criterion,
     product_criterion_exhaustive,
     relation_form,
+    two_step_quotient,
 )
 from .errors import (
     AssociativityViolation,

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import AssociativityViolation, NotAnIdeal
-from .fpcore import FpMatrix, PrimeField, Subspace, _exact_dtype, _matmul_mod, _rref_stack
+from .fpcore import FpMatrix, PrimeField, Subspace, _exact_dtype, _matmul_mod, _require_table, _rref_stack
 
 __all__ = [
     "SCAlgebra",
@@ -201,18 +201,8 @@ class SCAlgebra:
         rows = [ideal.basis] + [m.reshape(-1, d) for m in self._mul_maps(ideal.basis)]
         if Subspace(self.field, d, np.vstack(rows)) != ideal:
             raise NotAnIdeal("subspace is not closed under basis multiplication")
-        rev, rank = _rref_stack(ideal.basis[:, ::-1], p)
-        elim_rows = rev[:rank, ::-1]
-        elim_cols = [d - 1 - int(c) for c in (rev[:rank] != 0).argmax(axis=1)]
-        kept = [i for i in range(d) if i not in set(elim_cols)]
+        kept, proj = _reverse_projection(ideal.basis, p)
         q = len(kept)
-        # Each eliminated coordinate pc satisfies e_pc == e_pc - row (mod ideal),
-        # and reverse-rref guarantees row is supported on pc plus kept coords.
-        proj = np.zeros((d, q), dtype=np.int64)
-        for col, i in enumerate(kept):
-            proj[i, col] = 1
-        for row, pc in zip(elim_rows, elim_cols):
-            proj[pc] = (-row[kept]) % p
         sub_table = table[np.ix_(kept, kept)].reshape(q * q, d)
         new_table = _matmul_mod(sub_table, proj, p).reshape(q, q, q)
         # proj(e_i e_j) == proj(e_i) proj(e_j) on every basis pair.  On the
@@ -304,6 +294,22 @@ class AlgebraElement:
                 coef = "" if c == 1 else f"{int(c)}*"
                 terms.append(f"{coef}{self.parent.labels[i]}")
         return " + ".join(terms) if terms else "0"
+
+
+def _reverse_projection(basis, p: int):
+    """(kept, proj) for F_p^d modulo the row space of an (r, d) basis: the
+    highest-index pivots of its reverse echelon form are eliminated, each as
+    minus the rest of its row, which lies on the kept coordinates; proj is
+    the d x len(kept) projection, the identity on kept."""
+    d = basis.shape[1]
+    rev, rank = _rref_stack(basis[:, ::-1], p)
+    eliminated = np.array([d - 1 - np.flatnonzero(row)[0] for row in rev[:rank]], dtype=np.intp)
+    # np.delete, not np.setdiff1d, which imports numpy.ma (about 1.1 MB).
+    kept = np.delete(np.arange(d), eliminated)
+    proj = np.zeros((d, len(kept)), dtype=np.int64)
+    proj[kept, np.arange(len(kept))] = 1
+    proj[eliminated] = (-rev[:rank, ::-1][:, kept]) % p
+    return kept, proj
 
 
 def _two_step_core(algebra: SCAlgebra):
@@ -408,14 +414,22 @@ def algebra_to_json(algebra: SCAlgebra) -> dict:
 
 
 def algebra_from_json(data, verify: bool = True) -> SCAlgebra:
+    """The algebra algebra_to_json wrote: ValueError for a bad modulus or
+    index, CapExceeded before a table over _GRAPH_BYTES is allocated."""
     if isinstance(data, str):
         data = json.loads(data)
     field = PrimeField(data["p"])
     dim = int(data["dim"])
+    _require_table(dim)
     table = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, row in enumerate(data["mul"]):
+    mul = data["mul"]
+    if len(mul) > dim or any(len(row) > dim for row in mul):
+        raise ValueError(f"'mul' has more than {dim} rows or entries in a row")
+    for i, row in enumerate(mul):
         for j, entries in enumerate(row):
             for k, c in entries:
+                if not 0 <= k < dim:
+                    raise ValueError(f"product index {k} of ({i}, {j}) is outside 0..{dim - 1}")
                 table[i, j, k] = c % field.p
     labels = data.get("labels")
     return SCAlgebra(field, table, labels=labels, verify=verify)

@@ -12,6 +12,9 @@ wedge^2(V) -> R^2, so a ring is exactly the data
 K a subspace of wedge^2(V) of codimension k.  A ring isomorphism induces an
 invertible generator map g with (wedge^2 g)(K) = K', and any such g lifts to
 a ring isomorphism, so isomorphism classes are GL(m, 2)-orbits of kernels.
+The ring of (m, k, K) is the free alternating two-step algebra on m
+generators over F_2 modulo K, built as the paper's quotients are, by
+constructions.two_step_quotient with K as its relations.
 This reduction is validated by an independent brute-force oracle that
 enumerates raw alternating multiplication tables and buckets them by orbit
 closure under GL, see brute_force_census.
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SCAlgebra
+from .constructions import ALTERNATING, GradedPresentation, _monomial_count, _monomial_pairs, two_step_quotient
 from .errors import CapExceeded, RingAxiomViolation
 from .fpcore import PrimeField, Subspace, _eliminate_packed, _grid, _pack, _rref_stack, _xor_span
 from .graphs import _GRAPH_BYTES, compressed_graph, explicit_graph, fingerprint, graphs_isomorphic
@@ -30,15 +34,12 @@ from .identities import holds, parse
 from .isomorph import _orbit
 
 __all__ = [
-    "RingPresentation",
     "CatalogEntry",
-    "presentation_from_kernel",
     "enumerate_variety_rings",
     "rings_isomorphic",
     "determinacy_report",
     "brute_force_census",
     "validate_in_variety",
-    "wedge_pairs",
     "wedge_matrix",
     "enumerate_subspaces",
 ]
@@ -47,16 +48,12 @@ _F2 = PrimeField(2)
 _XYZ = parse("x1x2x3")
 
 
-def wedge_pairs(m: int):
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-
 def wedge_matrix(g: np.ndarray, m: int) -> np.ndarray:
     """Matrix of the induced action on wedge^2(F_2^m) for g in GL(m, 2):
     column (i, j) expands (g e_i) ^ (g e_j) over the pair basis, so entry
     ((a, b), (i, j)) is the 2 x 2 minor g[a, i] g[b, j] + g[b, i] g[a, j],
     taken for every entry at once from four gathers of g."""
-    a, b = np.array(wedge_pairs(m), dtype=np.intp).reshape(-1, 2).T
+    a, b = np.array(_monomial_pairs(m, ALTERNATING), dtype=np.intp).reshape(-1, 2).T
     g = np.asarray(g, dtype=np.int64)
     return (g[a][:, a] * g[b][:, b] + g[b][:, a] * g[a][:, b]) % 2
 
@@ -148,45 +145,6 @@ def _orbit_labels(images) -> np.ndarray:
     return label
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    """(m, k, K) data together with the derived structure-constant algebra.
-
-    The algebra basis is m generators followed by k products; generator
-    products are the wedge coordinates reduced mod K, everything else is 0.
-    """
-
-    m: int
-    k: int
-    kernel: Subspace
-    algebra: SCAlgebra
-
-
-def presentation_from_kernel(m: int, kernel: Subspace) -> RingPresentation:
-    pairs = wedge_pairs(m)
-    d = len(pairs)
-    if kernel.ambient != d:
-        raise ValueError("kernel does not live in wedge^2 of the generator space")
-    k = d - kernel.dim
-    # Surviving product coordinates: non-pivot columns of the kernel basis.
-    pivots = [int(np.nonzero(row)[0][0]) for row in kernel.basis]
-    kept = [c for c in range(d) if c not in set(pivots)]
-    proj = np.zeros((d, k), dtype=np.int64)
-    for col, c in enumerate(kept):
-        proj[c, col] = 1
-    for row, pc in zip(kernel.basis, pivots):
-        proj[pc] = (proj[pc] - row[kept]) % 2
-    dim = m + k
-    table = np.zeros((dim, dim, dim), dtype=np.int64)
-    for idx, (i, j) in enumerate(pairs):
-        vec = proj[idx]
-        table[i, j, m:] = vec
-        table[j, i, m:] = vec
-    labels = tuple(f"v{i + 1}" for i in range(m)) + tuple(f"w{i + 1}" for i in range(k))
-    algebra = SCAlgebra(_F2, table, labels=labels, verify=True)
-    return RingPresentation(m=m, k=k, kernel=kernel, algebra=algebra)
-
-
 def validate_in_variety(algebra: SCAlgebra):
     """Raise unless the algebra satisfies xyz = 0, x^2 = 0 and 2x = 0.
 
@@ -208,15 +166,19 @@ def validate_in_variety(algebra: SCAlgebra):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One isomorphism class of the census, the ring of (m, k, K): the
+    ``presentation`` has K as its ``relation``, and ``kernel_canon`` is K's
+    uint8 rref basis as bytes, the least in its orbit."""
+
     order: int
     m: int
     k: int
     kernel_canon: bytes
     fingerprint: str
-    presentation: RingPresentation
+    presentation: GradedPresentation
 
     def to_json(self) -> dict:
-        rows = list(self.presentation.kernel.basis.astype(int).tolist())
+        rows = list(self.presentation.relation.basis.astype(int).tolist())
         return {
             "order": self.order,
             "m": self.m,
@@ -236,7 +198,7 @@ def _orbit_partition(m: int, subspace_dim: int):
     columns, taken to rref by one packed elimination and found among the
     keys by binary search; _orbit_labels closes the orbits.  A pool of one
     subspace (every k = 0 or k = d cell) is its own orbit, with no images."""
-    pool = enumerate_subspaces(len(wedge_pairs(m)), subspace_dim)
+    pool = enumerate_subspaces(_monomial_count(m, ALTERNATING), subspace_dim)
     if len(pool) == 1:
         return pool, np.zeros(1, dtype=np.intp)
     packed = _pack(pool)
@@ -267,7 +229,7 @@ def enumerate_variety_rings(max_order: int = 64):
     cells = [
         (m, k, d)
         for m in range(1, nmax + 1)
-        for d in [len(wedge_pairs(m))]
+        for d in [_monomial_count(m, ALTERNATING)]
         for k in range(min(d, nmax - m) + 1)
     ]
     for m, k, d in cells:
@@ -280,7 +242,7 @@ def enumerate_variety_rings(max_order: int = 64):
     for m, k, d in cells:
         pool, labels = _orbit_partition(m, d - k)
         for basis in pool[np.unique(labels)]:
-            pres = presentation_from_kernel(m, Subspace(_F2, d, basis))
+            pres = two_step_quotient(2, m, ALTERNATING, Subspace(_F2, d, basis))
             validate_in_variety(pres.algebra)
             entries.append(
                 CatalogEntry(
@@ -296,19 +258,20 @@ def enumerate_variety_rings(max_order: int = 64):
     return entries
 
 
-def rings_isomorphic(r: RingPresentation, s: RingPresentation) -> bool:
-    """Whether two (m, k, K) presentations are isomorphic rings: same (m, k)
-    and kernels in the same GL(m, 2)-orbit (decided by orbit closure)."""
-    if (r.m, r.k) != (s.m, s.k):
+def rings_isomorphic(r: GradedPresentation, s: GradedPresentation) -> bool:
+    """Whether two census rings, alternating quotients over F_2, are
+    isomorphic: same m and k, and kernels in the same GL(m, 2)-orbit
+    (decided by orbit closure)."""
+    if (r.n, r.relation.dim) != (s.n, s.relation.dim):
         return False
-    if r.kernel == s.kernel:
+    if r.relation == s.relation:
         return True
-    wedges = [wedge_matrix(g, r.m) for g in _gl2_generators(r.m)]
+    wedges = [wedge_matrix(g, r.n) for g in _gl2_generators(r.n)]
 
     def images(kernel):
         return (Subspace(_F2, kernel.ambient, kernel.basis @ w.T % 2) for w in wedges)
 
-    return s.kernel in _orbit(r.kernel, images)
+    return s.relation in _orbit(r.relation, images)
 
 
 def determinacy_report(entries) -> list:
@@ -375,7 +338,7 @@ def _oracle_valid_tables(d: int):
     the pairs (l, k) for l in the support of c_t; after the last pair every
     constraint has been checked in full.
     """
-    pairs = wedge_pairs(d)
+    pairs = _monomial_pairs(d, ALTERNATING)
     npairs = len(pairs)
     if d * npairs > 63:
         raise ValueError(f"tables on F_2^{d} do not fit the int64 encoding (d <= 5)")
@@ -411,7 +374,7 @@ def _oracle_images(valid, d: int):
     one array per generator aligned with valid: the image table multiplies
     x_i x_j = g^-1((g e_i)(g e_j)), the table of an isomorphic ring.  All
     tables are decoded into full (d, d, d) product tensors at once."""
-    a, b = np.array(wedge_pairs(d), dtype=np.int64).reshape(-1, 2).T
+    a, b = np.array(_monomial_pairs(d, ALTERNATING), dtype=np.int64).reshape(-1, 2).T
     shifts = d * np.arange(len(a))[:, None] + np.arange(d)
     bits = (np.array(valid, dtype=np.int64)[:, None, None] >> shifts) & 1
     full = np.zeros((len(valid), d, d, d), dtype=np.int64)

@@ -410,13 +410,16 @@ def _load_ring(spec: str):
     keys = ("orders",) if isinstance(data, dict) and "orders" in data else ("p", "dim", "mul")
     if not isinstance(data, dict) or any(key not in data for key in keys):
         raise ZdgError(f"ring {spec}: a ring file needs 'orders', or 'p', 'dim' and 'mul'")
-    if "orders" in data:
-        products = {}
-        for key, vec in data.get("products", {}).items():
-            i, j = (int(x) for x in key.split(","))
-            products[(i, j)] = tuple(vec)
-        return ring_table(data["orders"], products)
-    return algebra_from_json(data)
+    try:
+        if "orders" in data:
+            products = {}
+            for key, vec in data.get("products", {}).items():
+                i, j = (int(x) for x in key.split(","))
+                products[(i, j)] = tuple(vec)
+            return ring_table(data["orders"], products)
+        return algebra_from_json(data)
+    except (ValueError, TypeError, ZdgError) as exc:
+        raise ZdgError(f"ring {spec}: {exc}") from None
 
 
 def cmd_identity(args) -> int:

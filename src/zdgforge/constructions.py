@@ -23,9 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import SCAlgebra, _two_step_core
+from .algebra import SCAlgebra, _reverse_projection, _two_step_core
 from .errors import CapExceeded, EvenCharacteristicUnsupported
 from .fpcore import (
+    _GRAPH_BYTES,
     FpMatrix,
     PrimeField,
     Subspace,
@@ -34,10 +35,10 @@ from .fpcore import (
     _matmul_mod,
     _projective_reps,
     _quadratic,
+    _require_table,
     _rref_stack,
     _stack_last,
 )
-from .graphs import _GRAPH_BYTES
 
 __all__ = [
     "ALTERNATING",
@@ -46,6 +47,7 @@ __all__ = [
     "GradedPresentation",
     "RelationForm",
     "Certificate",
+    "two_step_quotient",
     "free_m1",
     "free_m2",
     "construct",
@@ -99,6 +101,10 @@ def _monomial_pairs(n: int, kind: str):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+def _monomial_count(n: int, kind: str) -> int:
+    return n * (n - 1) // 2 if kind == ALTERNATING else n * (n + 1) // 2
+
+
 def _monomial_label(i, j):
     if i == j:
         return f"x{i + 1}^2"
@@ -126,40 +132,48 @@ class GradedPresentation:
         return self.algebra.element(coords)
 
 
-def _free_presentation(p: int, n: int, kind: str) -> GradedPresentation:
+def two_step_quotient(p: int, n: int, kind: str, relation: Subspace) -> GradedPresentation:
+    """The relatively free two-step algebra of the kind on n generators
+    modulo a space of degree-2 relations, given over the monomials
+    _monomial_pairs(n, kind).
+
+    Its basis is the generators, then the monomials that survive the
+    projection SCAlgebra.quotient takes (_reverse_projection).  The table
+    is written from that projection directly: x_i x_j is the projected
+    monomial of (i, j), negated for j < i in the alternating kind.  Raises
+    CapExceeded, before the table is allocated, when it would exceed
+    _GRAPH_BYTES.
+    """
     field = PrimeField(p)
+    if kind not in (ALTERNATING, SYMMETRIC):
+        raise ValueError(f"unknown kind {kind!r}")
+    d2 = _monomial_count(n, kind)
+    if relation.field != field or relation.ambient != d2:
+        raise ValueError(f"relations must lie in the {d2} degree-2 monomials over F_{p}")
+    dim = n + d2 - relation.dim
+    _require_table(dim)
+    kept, proj = _reverse_projection(relation.basis, p)
+    # proj is the identity on the kept monomials, so its kernel has the
+    # relations' dimension; once it kills them, it is their span.
+    if _matmul_mod(relation.basis, proj, p).any():
+        raise AssertionError("the projection does not kill the relations")
     pairs = _monomial_pairs(n, kind)
-    d2 = len(pairs)
-    dim = n + d2
-    index = {pair: n + k for k, pair in enumerate(pairs)}
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     table = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if kind == ALTERNATING:
-                if i < j:
-                    table[i, j, index[(i, j)]] = 1
-                elif j < i:
-                    table[i, j, index[(j, i)]] = (-1) % p
-            else:
-                table[i, j, index[(min(i, j), max(i, j))]] = 1
-    labels = tuple(f"x{i + 1}" for i in range(n)) + tuple(_monomial_label(i, j) for i, j in pairs)
-    # Associative by construction: every triple product lands in degree >= 3.
+    table[i, j, n:] = proj
+    table[j, i, n:] = (-proj) % p if kind == ALTERNATING else proj
+    labels = tuple(f"x{k + 1}" for k in range(n)) + tuple(_monomial_label(*pairs[k]) for k in kept)
+    # Every triple product vanishes, so the table is associative, and
+    # R*R^2 = 0 makes every space of degree-2 relations an ideal.
     algebra = SCAlgebra(field, table, labels=labels, verify=False)
-    return GradedPresentation(
-        field=field,
-        n=n,
-        kind=kind,
-        monomials=tuple(pairs),
-        relation=Subspace.zero(field, d2),
-        algebra=algebra,
-    )
+    return GradedPresentation(field, n, kind, tuple(pairs), relation, algebra)
 
 
 def free_m1(p: int, n: int) -> GradedPresentation:
     """Relatively free algebra of <xyz=0, x^2=0, px=0> on n generators."""
     if n < 2:
         raise ValueError("need at least two generators")
-    return _free_presentation(p, n, ALTERNATING)
+    return two_step_quotient(p, n, ALTERNATING, Subspace.zero(PrimeField(p), _monomial_count(n, ALTERNATING)))
 
 
 def free_m2(p: int, n: int) -> GradedPresentation:
@@ -170,15 +184,7 @@ def free_m2(p: int, n: int) -> GradedPresentation:
     """
     if n < 2:
         raise ValueError("need at least two generators")
-    return _free_presentation(p, n, SYMMETRIC)
-
-
-def _relation_vector(pres: GradedPresentation, coeffs: dict) -> np.ndarray:
-    vec = np.zeros(len(pres.monomials), dtype=np.int64)
-    pos = {pair: k for k, pair in enumerate(pres.monomials)}
-    for pair, c in coeffs.items():
-        vec[pos[pair]] = c % pres.field.p
-    return vec
+    return two_step_quotient(p, n, SYMMETRIC, Subspace.zero(PrimeField(p), _monomial_count(n, SYMMETRIC)))
 
 
 def construct(variant: str, p: int, n: int = 6) -> GradedPresentation:
@@ -197,19 +203,11 @@ def _construct(variant: str, p: int, n: int) -> GradedPresentation:
     kind, coeffs, min_n = VARIANTS[variant]
     if n < min_n:
         raise ValueError(f"variant {variant} needs at least {min_n} generators")
-    free = free_m1(p, n) if kind == ALTERNATING else free_m2(p, n)
-    rel = _relation_vector(free, coeffs)
-    full = np.concatenate([np.zeros(free.n, dtype=np.int64), rel])
-    ideal = Subspace(free.field, free.algebra.dim, full[None, :])
-    quot, _ = free.algebra.quotient(ideal)
-    return GradedPresentation(
-        field=free.field,
-        n=n,
-        kind=kind,
-        monomials=free.monomials,
-        relation=Subspace(free.field, len(free.monomials), rel[None, :]),
-        algebra=quot,
-    )
+    d2 = _monomial_count(n, kind)
+    # The table's cap, before the relation's d2 coordinates are listed.
+    _require_table(n + d2 - 1)
+    rel = [[coeffs.get(pair, 0) % p for pair in _monomial_pairs(n, kind)]]
+    return two_step_quotient(p, n, kind, Subspace(PrimeField(p), d2, rel))
 
 
 construct.cache_clear = _construct.cache_clear

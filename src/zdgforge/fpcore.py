@@ -33,6 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CapExceeded
+
 __all__ = [
     "PrimeField",
     "FpVector",
@@ -42,6 +44,18 @@ __all__ = [
     "kernel",
     "is_invertible",
 ]
+
+
+# Largest estimated peak, in bytes, of one graph, census cell or table.
+_GRAPH_BYTES = 2**31
+
+
+def _require_table(dim: int):
+    """CapExceeded, before anything is allocated, when a dense
+    (dim, dim, dim) int64 product table exceeds _GRAPH_BYTES."""
+    need = 8 * dim**3
+    if need > _GRAPH_BYTES:
+        raise CapExceeded(f"a product table of dimension {dim} needs {need} bytes, cap is {_GRAPH_BYTES}")
 
 
 def _is_prime(p: int) -> bool:
@@ -64,10 +78,10 @@ class PrimeField:
         if not isinstance(p, (int, np.integer)):
             raise TypeError("modulus must be an integer")
         p = int(p)
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if p >= 2**15:
             raise ValueError("modulus must be < 2**15")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
 
     def canon(self, data) -> np.ndarray:

@@ -100,7 +100,7 @@ import numpy as np
 
 from .algebra import SCAlgebra, _two_step_core
 from .errors import CapExceeded
-from .fpcore import _eliminate, _exact_dtype, _grid, _kernel_rows, _left_kernel_stack, _matmul_mod, _pack, _projective_reps, _quadratic, _rref_stack, _xor_span
+from .fpcore import _GRAPH_BYTES, _eliminate, _exact_dtype, _grid, _kernel_rows, _left_kernel_stack, _matmul_mod, _pack, _projective_reps, _quadratic, _rref_stack, _xor_span
 from .isomorph import (
     _BLOCK,
     _SEARCH_BUDGET,
@@ -140,8 +140,6 @@ KERNEL_POINT_CAP = 2**21
 # of the F_2 kernel; blocks that stay in cache ran about twice as fast as
 # 2**20 on free_m1(2, 4).
 _PRODUCT_BLOCK = 2**17
-# Largest estimated peak, in bytes, of one explicit graph.
-_GRAPH_BYTES = 2**31
 # Rows per tile of _check_simple's symmetric compare: on a shared 2-CPU host
 # a transposed read of 128 rows ran about 1.6 times as fast as of all 1,023
 # rows of free_m1(2, 4).

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import SCAlgebra, associativity_failure
 from .errors import RingAxiomViolation
-from .fpcore import _exact_dtype
+from .fpcore import _exact_dtype, _require_table
 
 __all__ = [
     "TableRing",
@@ -46,10 +46,9 @@ class TableRing:
         for i in range(t):
             row = []
             for j in range(t):
-                c = tuple(int(x) % self.orders[k] for k, x in enumerate(prod[i][j]))
-                if len(c) != t:
+                if len(prod[i][j]) != t:
                     raise ValueError("product vectors must have one entry per generator")
-                row.append(c)
+                row.append(tuple(int(x) % n for x, n in zip(prod[i][j], self.orders)))
             table.append(tuple(row))
         self.prod = tuple(table)
         if verify:
@@ -138,11 +137,15 @@ def ring_table(orders, products, verify: bool = True) -> TableRing:
 
     ``products`` maps generator index pairs (i, j) to coefficient vectors;
     missing pairs multiply to zero.  The table is validated (order
-    compatibility and associativity) with a witness on failure.
+    compatibility and associativity) with a witness on failure; a pair
+    outside the generators is a ValueError, a table over the cap CapExceeded.
     """
     t = len(orders)
+    _require_table(t)
     prod = [[(0,) * t for _ in range(t)] for _ in range(t)]
     for (i, j), vec in products.items():
+        if not (0 <= i < t and 0 <= j < t):
+            raise ValueError(f"generator pair ({i}, {j}) is outside 0..{t - 1}")
         prod[i][j] = tuple(vec)
     return TableRing(orders, prod, verify=verify)
 

@@ -16,14 +16,15 @@ from zdgforge.catalog import (
     brute_force_census,
     determinacy_report,
     enumerate_variety_rings,
-    presentation_from_kernel,
 )
 from zdgforge.constructions import (
+    ALTERNATING,
     annihilator_exhaustive,
     construct,
     noniso_certificate,
     product_criterion_exhaustive,
     relation_form,
+    two_step_quotient,
 )
 from zdgforge.fpcore import FpMatrix, PrimeField, Subspace, rref
 from zdgforge.graphs import (
@@ -200,7 +201,7 @@ def test_criterion_8_property_batteries():
             m = int(nrng.integers(2, 5))
             d = m * (m - 1) // 2
             kernel = _random_subspace(nrng, f2, d) if d else Subspace.zero(f2, 0)
-            algebra = presentation_from_kernel(m, kernel).algebra
+            algebra = two_step_quotient(2, m, ALTERNATING, kernel).algebra
             algebra.verify_associativity()
             if nrng.random() < 0.2:
                 direct_sum(algebra, zero_mul_algebra(2)).verify_associativity()

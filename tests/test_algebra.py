@@ -16,7 +16,16 @@ from zdgforge.algebra import (
     quotient,
     zero_mul_algebra,
 )
-from zdgforge.constructions import construct, free_m1, free_m2
+from zdgforge.constructions import (
+    ALTERNATING,
+    SYMMETRIC,
+    VARIANTS,
+    _monomial_pairs,
+    construct,
+    free_m1,
+    free_m2,
+    two_step_quotient,
+)
 from zdgforge.errors import AssociativityViolation, NotAnIdeal
 from zdgforge.fpcore import PrimeField, Subspace, _rref_stack
 
@@ -398,6 +407,67 @@ def test_quotient_matches_the_einsum_reference():
         assert quot.labels == tuple(algebra.labels[i] for i in want[2])
         verdicts.add(quot.dim)
     assert "not an ideal" in verdicts and 0 in verdicts and len(verdicts) > 5
+
+
+def _free_reference(p, n, kind):
+    """The free two-step algebra of the kind on n generators, filled entry
+    by entry: x_i x_j is the monomial of (i, j), negated for j < i in the
+    alternating kind, and x_i^2 = 0 there."""
+    pairs = _monomial_pairs(n, kind)
+    dim = n + len(pairs)
+    table = np.zeros((dim, dim, dim), dtype=np.int64)
+    for i, j in itertools.product(range(n), repeat=2):
+        if i != j or kind == SYMMETRIC:
+            sign = -1 if kind == ALTERNATING and j < i else 1
+            table[i, j, n + pairs.index((min(i, j), max(i, j)))] = sign % p
+    labels = [f"x{i + 1}" for i in range(n)]
+    labels += [f"x{i + 1}^2" if i == j else f"x{i + 1}x{j + 1}" for i, j in pairs]
+    return SCAlgebra(PrimeField(p), table, labels=labels)
+
+
+def _builder_cases():
+    """(p, n, kind, relation rows): the degree-2 spans among the seeded
+    ideals of the free algebras on one to four generators, then the four
+    paper relations at each prime."""
+    rng = np.random.default_rng(20261020)
+    for p in (2, 3, 5, 13):
+        for n in (1, 2, 3, 4):
+            for kind in (ALTERNATING, SYMMETRIC):
+                for ideal in _seeded_ideals(_free_reference(p, n, kind), rng):
+                    if not ideal.basis[:, :n].any():
+                        yield p, n, kind, ideal.basis[:, n:]
+        for variant in VARIANTS:
+            pres = construct(variant, p)
+            yield p, 6, pres.kind, pres.relation.basis
+
+
+def test_two_step_quotient_matches_quotient_of_the_free_algebra():
+    dims = set()
+    for p, n, kind, rows in _builder_cases():
+        free = _free_reference(p, n, kind)
+        d2 = free.dim - n
+        full = np.concatenate([np.zeros((len(rows), n), dtype=np.int64), rows], axis=1)
+        want, _ = free.quotient(Subspace(free.field, free.dim, full))
+        got = two_step_quotient(p, n, kind, Subspace(free.field, d2, rows))
+        assert np.array_equal(got.algebra.table, want.table), (p, n, kind, rows.tolist())
+        assert got.algebra.labels == want.labels
+        assert got.relation == Subspace(free.field, d2, rows)
+        dims.add((n, kind, got.algebra.dim))
+    # Every generator count and kind, from the free algebra down to no product.
+    assert {(n, kind) for n, kind, _ in dims} == set(itertools.product((1, 2, 3, 4, 6), (ALTERNATING, SYMMETRIC)))
+    assert len(dims) > 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_free_algebras_match_the_entry_loop(p):
+    for n in (1, 2, 3, 4, 6):
+        for kind in (ALTERNATING, SYMMETRIC):
+            want = _free_reference(p, n, kind)
+            got = two_step_quotient(p, n, kind, Subspace.zero(PrimeField(p), want.dim - n)).algebra
+            assert np.array_equal(got.table, want.table) and got.labels == want.labels
+            if n >= 2:
+                free = (free_m1 if kind == ALTERNATING else free_m2)(p, n).algebra
+                assert np.array_equal(free.table, want.table) and free.labels == want.labels
 
 
 @pytest.mark.parametrize("variant", ["A1", "B1", "A2", "B2"])

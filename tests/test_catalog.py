@@ -20,12 +20,11 @@ from zdgforge.catalog import (
     determinacy_report,
     enumerate_subspaces,
     enumerate_variety_rings,
-    presentation_from_kernel,
     rings_isomorphic,
     validate_in_variety,
     wedge_matrix,
-    wedge_pairs,
 )
+from zdgforge.constructions import ALTERNATING, _monomial_pairs, two_step_quotient
 from zdgforge.errors import CapExceeded, RingAxiomViolation
 from zdgforge.fpcore import PrimeField, Subspace, _grid, _pack, _rref_stack, _xor_span
 from zdgforge.identities import holds, parse
@@ -48,7 +47,7 @@ def test_wedge_matrix_is_a_group_action():
 def _wedge_matrix_loop(g, m):
     """The induced action on wedge^2(F_2^m) entry by entry: the reference
     for the gathered wedge_matrix."""
-    pairs = wedge_pairs(m)
+    pairs = _monomial_pairs(m, ALTERNATING)
     w = np.zeros((len(pairs), len(pairs)), dtype=np.int64)
     for col, (i, j) in enumerate(pairs):
         for row, (a, b) in enumerate(pairs):
@@ -69,7 +68,7 @@ def test_wedge_matrix_matches_entry_loop(m):
 def test_xor_span_images_match_wedge_matmul(m):
     # The span of a wedge matrix's packed columns, read at a packed vector v,
     # is the packed W @ v: every vector up to d = 10, a seeded sample above.
-    d = len(wedge_pairs(m))
+    d = len(_monomial_pairs(m, ALTERNATING))
     rng = np.random.default_rng(70 + m)
     vs = _grid((2,) * d) if d <= 10 else rng.integers(0, 2, (500, d))
     for g in _gl2_generators(m) + [rng.integers(0, 2, (m, m)) for _ in range(3)]:
@@ -120,7 +119,10 @@ def _assert_labels_name_least_keys(keys, labels, images):
 
 
 _CELLS_TO_64 = [
-    (m, k) for m in range(1, 7) for d in [len(wedge_pairs(m))] for k in range(min(d, 6 - m) + 1)
+    (m, k)
+    for m in range(1, 7)
+    for d in [len(_monomial_pairs(m, ALTERNATING))]
+    for k in range(min(d, 6 - m) + 1)
 ]
 
 
@@ -129,7 +131,7 @@ def test_orbit_labels_match_dict_closure(m, k):
     """Every census cell through order 64 and two of order 128: the labels
     name the least key of each orbit that the dict closure finds, with the
     image keys taken by the int16 elimination."""
-    d = len(wedge_pairs(m))
+    d = len(_monomial_pairs(m, ALTERNATING))
     pool, labels = _orbit_partition(m, d - k)
     keys = [rows.tobytes() for rows in pool]
     images = [
@@ -146,7 +148,7 @@ def test_one_subspace_cells_are_their_own_orbit(monkeypatch):
     eliminate = catalog._eliminate_packed
     monkeypatch.setattr(catalog, "_eliminate_packed", lambda m: calls.append(m.shape) or eliminate(m))
     for m in range(1, 7):
-        d = len(wedge_pairs(m))
+        d = len(_monomial_pairs(m, ALTERNATING))
         for dim in {0, d}:
             pool, labels = _orbit_partition(m, dim)
             assert np.array_equal(pool, enumerate_subspaces(d, dim))
@@ -160,7 +162,7 @@ def test_one_subspace_cells_are_their_own_orbit(monkeypatch):
 def test_orbit_partition_matches_per_subspace_closure(m, dim):
     """The batched image keys give the orbits that closing each Subspace
     under the generator action one at a time gives."""
-    d = len(wedge_pairs(m))
+    d = len(_monomial_pairs(m, ALTERNATING))
     wedges = [wedge_matrix(g, m) for g in _gl2_generators(m)]
     orbits = []
     left = {Subspace(F2, d, rows) for rows in enumerate_subspaces(d, dim)}
@@ -251,7 +253,7 @@ def test_census_to_order_128():
 
 @pytest.mark.parametrize("m, k", [(5, 2), (6, 1)])
 def test_cell_bytes_bounds_tracemalloc_peaks(m, k):
-    d = len(wedge_pairs(m))
+    d = len(_monomial_pairs(m, ALTERNATING))
     tracemalloc.start()
     try:
         _orbit_partition(m, d - k)
@@ -280,14 +282,14 @@ def test_census_refuses_a_cell_over_the_cap_before_building(monkeypatch):
 
 def test_presentation_smallest_rings():
     # m=1: only the two-element ring with zero multiplication
-    pres = presentation_from_kernel(1, Subspace.zero(F2, 0))
+    pres = two_step_quotient(2, 1, ALTERNATING, Subspace.zero(F2, 0))
     assert pres.algebra.dim == 1
     assert pres.algebra.square_ideal().dim == 0
     # m=2, full kernel: zero multiplication of order 4
-    pres = presentation_from_kernel(2, Subspace.full(F2, 1))
+    pres = two_step_quotient(2, 2, ALTERNATING, Subspace.full(F2, 1))
     assert pres.algebra.square_ideal().dim == 0
     # m=2, zero kernel: the free two-generator ring of order 8
-    pres = presentation_from_kernel(2, Subspace.zero(F2, 1))
+    pres = two_step_quotient(2, 2, ALTERNATING, Subspace.zero(F2, 1))
     assert pres.algebra.dim == 3
     a = pres.algebra
     x1, x2 = a.basis_element(0), a.basis_element(1)
@@ -308,7 +310,7 @@ def test_enumeration_counts_match_oracle_small():
 def _oracle_chunked_reference(d):
     """The filter over all 2**(d * C(d, 2)) encoded tables that the
     pair-by-pair enumeration replaced."""
-    pairs = wedge_pairs(d)
+    pairs = _monomial_pairs(d, ALTERNATING)
     npairs = len(pairs)
     pair_index = {pr: t for t, pr in enumerate(pairs)}
     total = 1 << (d * npairs)
@@ -356,7 +358,7 @@ def _xyz_holds(enc, d):
     basis vectors vanishes, computed from the decoded products e_i e_j."""
     enc = np.asarray(enc, dtype=np.int64)
     prod = np.zeros((len(enc), d, d, d), dtype=np.int64)
-    for t, (i, j) in enumerate(wedge_pairs(d)):
+    for t, (i, j) in enumerate(_monomial_pairs(d, ALTERNATING)):
         bits = (enc[:, None] >> (t * d + np.arange(d))) & 1
         prod[:, i, j] = prod[:, j, i] = bits
     triple = np.einsum("nijl,nlkm->nijkm", prod, prod) % 2
@@ -376,7 +378,7 @@ def test_oracle_tables_are_all_xyz_tables_at_d3(oracle_tables):
 def _transport_reference(enc, g, ginv, d):
     """The bit-loop pullback the batched one replaced: products of the
     g-images of each pair, re-expressed through ginv, re-encoded."""
-    pairs = wedge_pairs(d)
+    pairs = _monomial_pairs(d, ALTERNATING)
     prod = {pr: (enc >> (t * d)) & ((1 << d) - 1) for t, pr in enumerate(pairs)}
     out = 0
     for t, (i, j) in enumerate(pairs):
@@ -442,7 +444,7 @@ def test_enumeration_rejects_bad_order():
 
 
 def test_rings_isomorphic_reflexive_and_relabeling():
-    pairs = wedge_pairs(4)
+    pairs = _monomial_pairs(4, ALTERNATING)
     idx = {p: i for i, p in enumerate(pairs)}
     d = len(pairs)
 
@@ -458,8 +460,8 @@ def test_rings_isomorphic_reflexive_and_relabeling():
     e12_34[idx[(2, 3)]] = 1
     k_a = kernel_orthogonal_to([e12])
     k_b = kernel_orthogonal_to([e12_34])
-    r = presentation_from_kernel(4, k_a)
-    s = presentation_from_kernel(4, k_b)
+    r = two_step_quotient(2, 4, ALTERNATING, k_a)
+    s = two_step_quotient(2, 4, ALTERNATING, k_b)
     assert rings_isomorphic(r, r)
     # rank-2 versus rank-4 quotient pairings are not equivalent
     assert not rings_isomorphic(r, s)
@@ -469,12 +471,12 @@ def test_rings_isomorphic_reflexive_and_relabeling():
         perm[j, i] = 1
     w = wedge_matrix(perm, 4)
     k_perm = Subspace(F2, d, (k_a.basis @ w.T) % 2)
-    assert rings_isomorphic(r, presentation_from_kernel(4, k_perm))
+    assert rings_isomorphic(r, two_step_quotient(2, 4, ALTERNATING, k_perm))
 
 
 def test_rings_isomorphic_dimension_mismatch():
-    a = presentation_from_kernel(2, Subspace.zero(F2, 1))
-    b = presentation_from_kernel(3, Subspace.full(F2, 3))
+    a = two_step_quotient(2, 2, ALTERNATING, Subspace.zero(F2, 1))
+    b = two_step_quotient(2, 3, ALTERNATING, Subspace.full(F2, 3))
     assert not rings_isomorphic(a, b)
 
 
@@ -523,9 +525,9 @@ def test_determinacy_buckets_match_all_pairs_reference():
     # with several entries, hence violations with isomorphic rings.
     copies = []
     for e in entries[4::2]:
-        m, d = e.m, len(wedge_pairs(e.m))
-        moved = Subspace(F2, d, e.presentation.kernel.basis @ wedge_matrix(_gl2_generators(m)[1], m).T % 2)
-        pres = presentation_from_kernel(m, moved)
+        m, d = e.m, len(_monomial_pairs(e.m, ALTERNATING))
+        moved = Subspace(F2, d, e.presentation.relation.basis @ wedge_matrix(_gl2_generators(m)[1], m).T % 2)
+        pres = two_step_quotient(2, m, ALTERNATING, moved)
         copies.append(
             CatalogEntry(e.order, m, e.k, moved.basis.astype(np.uint8).tobytes(),
                          fingerprint(compressed_graph(pres.algebra)), pres)

@@ -156,7 +156,11 @@ def test_certify_noniso_gates_even_p(capsys):
         ["verify-lemmas", "--p", "3,x"],
         ["verify-lemmas", "--p", "3,,5"],
         ["construct", "--variant", "A1", "--p", "3", "--n", "2"],
+        ["construct", "--variant", "A1", "--p", "3", "--n", "40"],
+        ["construct", "--variant", "A1", "--p", "3", "--n", "70"],
         ["export-graph", "--variant", "B1", "--p", "2", "--n", "4"],
+        ["export-graph", "--variant", "A1", "--p", "3", "--n", "70"],
+        ["compare", "--pair", "A1B1", "--p", "2", "--cross-validate", "70"],
         ["certify-noniso", "--pair", "A1B1", "--p", "4"],
         ["certify-noniso", "--pair", "A1B1", "--p", "3", "--samples", "-1"],
         ["prove-pairs", "--p", "15"],
@@ -170,6 +174,12 @@ def test_certify_noniso_gates_even_p(capsys):
         ["identity", "--ring", "no_keys.json", "--expr", "x1"],
         ["identity", "--ring", "no_mul.json", "--expr", "x1"],
         ["identity", "--ring", "list.json", "--expr", "x1"],
+        ["identity", "--ring", "not_prime.json", "--expr", "x1"],
+        ["identity", "--ring", "index_past_dim.json", "--expr", "x1"],
+        ["identity", "--ring", "huge_dim.json", "--expr", "x1"],
+        ["identity", "--ring", "zero_order.json", "--expr", "x1"],
+        ["identity", "--ring", "long_product.json", "--expr", "x1"],
+        ["identity", "--ring", "pair_past_orders.json", "--expr", "x1"],
         ["identity", "--ring", "Z6", "--expr", "x1^2", "--mode", "multilinear"],
         ["identity", "--ring", "Z6", "--expr", "x1x2 - x2x1x2", "--mode", "multilinear"],
     ],
@@ -184,6 +194,12 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     (tmp_path / "no_keys.json").write_text('{"products": {}}')
     (tmp_path / "no_mul.json").write_text('{"p": 2, "dim": 1}')
     (tmp_path / "list.json").write_text("[2, 3]")
+    (tmp_path / "not_prime.json").write_text('{"p": 4, "dim": 1, "mul": []}')
+    (tmp_path / "index_past_dim.json").write_text('{"p": 3, "dim": 2, "mul": [[[[2, 1]]]]}')
+    (tmp_path / "huge_dim.json").write_text('{"p": 3, "dim": 100000, "mul": []}')
+    (tmp_path / "zero_order.json").write_text('{"orders": [2, 0]}')
+    (tmp_path / "long_product.json").write_text('{"orders": [4], "products": {"0,0": [1, 2]}}')
+    (tmp_path / "pair_past_orders.json").write_text('{"orders": [4], "products": {"0,5": [1]}}')
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -22,6 +23,7 @@ from zdgforge.constructions import (
     product_criterion_exhaustive,
     proportional,
     relation_form,
+    two_step_quotient,
 )
 from zdgforge.errors import CapExceeded, EvenCharacteristicUnsupported
 from zdgforge.fpcore import (
@@ -273,6 +275,57 @@ def test_product_criterion_exhaustive_refuses_before_building_vectors(monkeypatc
     assert constructions._criterion_bytes(31, 6) > constructions._GRAPH_BYTES
     with pytest.raises(CapExceeded):
         product_criterion_exhaustive("A2", 31, 6)
+
+
+def test_two_step_quotient_refuses_a_table_over_the_cap_before_allocating():
+    # 8 * 645**3 bytes fit in 2**31 and 8 * 646**3 do not.  A1 on 36
+    # generators has dimension 665, 40 generators 819, 70 generators 2,484.
+    from zdgforge import fpcore
+
+    fpcore._require_table(645)
+    with pytest.raises(CapExceeded):
+        fpcore._require_table(646)
+    construct.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in (36, 40, 70):
+            with pytest.raises(CapExceeded, match=r"product table of dimension"):
+                construct("A1", 3, n)
+        with pytest.raises(CapExceeded):
+            free_m2(5, 36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_two_step_quotient_checks_its_relations():
+    f3 = PrimeField(3)
+    with pytest.raises(ValueError, match="degree-2 monomials"):
+        two_step_quotient(3, 4, constructions.ALTERNATING, Subspace.zero(f3, 10))
+    with pytest.raises(ValueError, match="degree-2 monomials"):
+        two_step_quotient(3, 4, SYMMETRIC, Subspace.zero(PrimeField(5), 10))
+    with pytest.raises(ValueError, match="unknown kind"):
+        two_step_quotient(3, 4, "skew", Subspace.zero(f3, 6))
+
+
+def test_two_step_quotient_refuses_a_projection_that_keeps_a_relation(monkeypatch):
+    # The reverse rref of x1x2 gains a pivot at x3x4: the projection then
+    # eliminates x3x4, to -x1x2, and keeps x1x2, so the relation survives.
+    from zdgforge import algebra
+
+    real = algebra._rref_stack
+
+    def moved(a, p):
+        red, rank = real(a, p)
+        red[0, 0] = 1
+        return red, rank
+
+    relation = Subspace(PrimeField(3), 6, [[1, 0, 0, 0, 0, 0]])
+    assert two_step_quotient(3, 4, constructions.ALTERNATING, relation).algebra.dim == 9
+    monkeypatch.setattr(algebra, "_rref_stack", moved)
+    with pytest.raises(AssertionError, match="does not kill the relations"):
+        two_step_quotient(3, 4, constructions.ALTERNATING, relation)
 
 
 def test_relation_form_ranks():

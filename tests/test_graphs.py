@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zdgforge import graphs
 from zdgforge.algebra import SCAlgebra, _two_step_core, direct_sum, field_algebra, zero_mul_algebra
 from zdgforge.catalog import enumerate_variety_rings
-from zdgforge.constructions import _free_presentation, construct, free_m1, free_m2
+from zdgforge.constructions import _monomial_pairs, construct, free_m1, free_m2, two_step_quotient
 from zdgforge.errors import CapExceeded
 from zdgforge.fpcore import PrimeField, Subspace, _grid, _projective_reps, _quadratic, _rref_stack
 from zdgforge.graphs import (
@@ -73,11 +73,10 @@ def _one_relation(p, n, kind, upper):
     """The free two-step algebra of the kind on n generators modulo the
     relation with coefficient upper[i][j] at x_i x_j (i < j, or i <= j
     when symmetric), or modulo several such relations."""
-    pres = _free_presentation(p, n, kind)
+    pairs = _monomial_pairs(n, kind)
     rels = np.array(upper, dtype=np.int64).reshape(-1, n, n)
-    rows = np.array([[u[i, j] % p for i, j in pres.monomials] for u in rels], dtype=np.int64)
-    full = np.concatenate([np.zeros((len(rows), n), dtype=np.int64), rows], axis=1)
-    return pres.algebra.quotient(Subspace(pres.field, pres.algebra.dim, full))[0]
+    rows = np.array([[u[i, j] % p for i, j in pairs] for u in rels], dtype=np.int64)
+    return two_step_quotient(p, n, kind, Subspace(PrimeField(p), len(pairs), rows)).algebra
 
 
 def _upper(n, coeffs):

@@ -15,13 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdgforge.algebra import zero_mul_algebra
-from zdgforge.catalog import (
-    _F2,
-    enumerate_variety_rings,
-    presentation_from_kernel,
-    wedge_pairs,
-)
-from zdgforge.constructions import construct, free_m1
+from zdgforge.catalog import _F2, enumerate_variety_rings
+from zdgforge.constructions import ALTERNATING, _monomial_pairs, construct, free_m1, two_step_quotient
 from zdgforge.errors import CapExceeded
 from zdgforge.fpcore import Subspace
 from zdgforge import graphs
@@ -657,7 +652,7 @@ def _rank6_quotient():
     """Twin-free labeled quotient of the (6, 1) census ring whose product is
     the rank-6 alternating form e12 + e34 + e56: its kernel is the form's
     orthogonal hyperplane in wedge^2(F_2^6)."""
-    pairs = wedge_pairs(6)
+    pairs = _monomial_pairs(6, ALTERNATING)
     form = [p in {(0, 1), (2, 3), (4, 5)} for p in pairs]
     lead = form.index(True)
     rows = []
@@ -667,8 +662,8 @@ def _rank6_quotient():
             row[i] = 1
             row[lead] = int(on)
             rows.append(row)
-    pres = presentation_from_kernel(6, Subspace(_F2, len(pairs), np.array(rows)))
-    assert (pres.m, pres.k) == (6, 1)
+    pres = two_step_quotient(2, 6, ALTERNATING, Subspace(_F2, len(pairs), np.array(rows)))
+    assert (pres.n, pres.algebra.dim - pres.n) == (6, 1)
     adj, labels, _ = collapse_twins(*_blowup_quotient(compressed_graph(pres.algebra)))
     return list(adj), list(labels)
 
